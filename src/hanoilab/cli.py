@@ -61,8 +61,6 @@ def _parse_pegs_list(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise DomainError(f"peg list must be comma-separated integers, got {text!r}")
-    if not values:
-        raise DomainError("peg list is empty")
     return values
 
 
@@ -195,7 +193,8 @@ def _cmd_moves(args: argparse.Namespace) -> int:
     strategy = _parse_strategy(args.strategy)
     solver = _solver_for(args)
     if args.discs > solver.max_discs:
-        # the disc ceiling bounds trace sizes too
+        # the ceiling does not bound trace length: --pegs 3 --discs 30
+        # passes it and would build 2**30 - 1 moves
         raise DiscLimitError(args.discs, solver.max_discs)
     if args.pegs == 3:
         if strategy != "optimal":

@@ -258,10 +258,7 @@ def validate_sequence(initial: Configuration, moves: Sequence[Move]) -> Configur
     """
     n = initial.num_discs
     where = list(initial.pegs)
-    stacks = [
-        [d for d in range(n, 0, -1) if where[d - 1] == q]
-        for q in range(initial.num_pegs)
-    ]
+    stacks = initial.stacks()
     for step, move in enumerate(moves, 1):
         if not 1 <= move.disc <= n:
             raise DomainError(f"move {step} references unknown disc {move.disc}")

@@ -22,7 +22,8 @@ from .recurrences import HanoiSolver, _resolve
 
 #: Ceiling on p**n for single-pair distance queries.
 DEFAULT_STATE_BUDGET = 1 << 24
-#: Stricter ceiling for whole-graph metrics (diameter needs per-source BFS).
+#: Stricter ceiling for whole-graph metrics.  It bounds vertices only: the
+#: diameter needs one BFS per vertex, so the work grows like V*E.
 DEFAULT_METRICS_BUDGET = 3**12
 
 PackedState = int
@@ -148,16 +149,18 @@ class CertificationSweep:
         return all(r.agrees for r in self.reports)
 
 
-def _search(pegs: int, discs: int, source: int, target: int, want_counts: bool):
-    """Layered BFS; returns (distance, geodesic count, states explored).
+def _search(
+    pegs: int, discs: int, source: int, target: int | None, want_counts: bool
+):
+    """Layered BFS; returns (depth, geodesic count, states explored).
 
-    The layer containing the target is always completed so that the
-    geodesic count and the explored-state tally are independent of
-    expansion order.  The state graph is connected, so the target is
-    always reached.
+    With a target, depth is its distance from the source; the layer
+    containing the target is always completed so that the geodesic count
+    and the explored-state tally are independent of expansion order.  The
+    state graph is connected, so the target is always reached.  With
+    ``target=None`` the whole graph is swept, depth is the source's
+    eccentricity and the count is None.
     """
-    if discs == 0:
-        return 0, 1, 1
     size = pegs**discs
     weights = [pegs**i for i in range(discs)]
     dist = array("i", [-1]) * size
@@ -171,7 +174,7 @@ def _search(pegs: int, discs: int, source: int, target: int, want_counts: bool):
     d = 0
     peg_range = range(pegs)
     while frontier:
-        if dist[target] >= 0:
+        if target is not None and dist[target] >= 0:
             break
         nxt: list[int] = []
         d += 1
@@ -209,6 +212,8 @@ def _search(pegs: int, discs: int, source: int, target: int, want_counts: bool):
                         counts[v] += cu
         explored += len(nxt)
         frontier = nxt
+    if target is None:
+        return d - 1, None, explored
     if dist[target] < 0:
         raise HanoiError("state graph unexpectedly disconnected")
     return dist[target], counts[target] if want_counts else None, explored
@@ -273,7 +278,8 @@ def graph_metrics(
     """Vertex and edge counts plus the diameter of the state graph.
 
     The diameter runs one full BFS per vertex, hence the stricter default
-    budget.
+    budget.  The budget bounds the vertex count only; the work grows like
+    V*E, so inputs it admits may still run for a very long time.
     """
     size = _check_space(pegs, discs)
     if size > metrics_budget:
@@ -281,30 +287,8 @@ def graph_metrics(
     degree_total = 0
     for code in range(size):
         degree_total += len(neighbors(code, pegs, discs))
-    diameter = 0
-    for code in range(size):
-        diameter = max(diameter, _eccentricity(pegs, discs, code))
+    diameter = max(_search(pegs, discs, code, None, False)[0] for code in range(size))
     return GraphMetrics(pegs, discs, size, degree_total // 2, diameter)
-
-
-def _eccentricity(pegs: int, discs: int, source: int) -> int:
-    if discs == 0:
-        return 0
-    size = pegs**discs
-    dist = array("i", [-1]) * size
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        nxt: list[int] = []
-        d += 1
-        for code in frontier:
-            for v in neighbors(code, pegs, discs):
-                if dist[v] < 0:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return d - 1
 
 
 def certify_range(

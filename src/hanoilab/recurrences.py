@@ -43,22 +43,15 @@ def t3_from_recurrence(n: int) -> int:
 
     Cross-check companion to :func:`t3_closed`: with only three pegs the
     shuttle runs on two pegs and can carry at most one disc, so the only
-    admissible split is k = n - 1 and the scan collapses to
-    2*T_3(n-1) + 1.
+    admissible split is k = n - 1 and the recurrence is
+    T_3(n) = 2*T_3(n-1) + 1 from T_3(0) = 0, applied n times here.
     """
     if n < 0:
         raise DomainError(f"disc count must be non-negative, got {n}")
-    costs = [0, 1]
-    for m in range(2, n + 1):
-        best = None
-        for k in range(1, m):
-            if m - k > 1:  # two-peg shuttle cannot carry more than one disc
-                continue
-            candidate = 2 * costs[k] + 1
-            if best is None or candidate < best:
-                best = candidate
-        costs.append(best)
-    return costs[n] if n < len(costs) else costs[-1]
+    cost = 0
+    for _ in range(n):
+        cost = 2 * cost + 1
+    return cost
 
 
 def render_ratio(numerator: int, denominator: int, places: int = 3) -> str:

@@ -94,6 +94,12 @@ class TestTable:
         assert lines[0] == "n,t3,t4,t5"
         assert lines[7] == "7,127,25,19"
 
+    @pytest.mark.parametrize("pegs", ["", "3,x"])
+    def test_malformed_peg_list(self, capsys, pegs):
+        code, _, err = run(capsys, "table", "--kind", "growth", "--pegs", pegs)
+        assert code == 1
+        assert "peg list" in err
+
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "table", "--kind", "table1", "--from", "5", "--to", "2")
         assert code == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hanoilab.errors import DomainError, StateBudgetExceeded
 from hanoilab.moves import Configuration
 from hanoilab.oracle import (
+    _search,
     bfs_distance,
     certify_range,
     geodesic_uniqueness,
@@ -168,12 +169,20 @@ class TestMetrics:
     def test_five_discs_diameter(self):
         assert graph_metrics(3, 5).diameter == 31
 
-    @pytest.mark.parametrize("pegs,discs", [(3, 3), (4, 2)])
+    @pytest.mark.parametrize("pegs,discs", [(3, 3), (4, 2), (4, 3), (5, 2)])
     def test_against_networkx(self, pegs, discs):
         graph = build_graph(pegs, discs)
         metrics = graph_metrics(pegs, discs)
         assert metrics.edges == graph.number_of_edges()
         assert metrics.diameter == nx.diameter(graph)
+        eccentricity = nx.eccentricity(graph)
+        for v in graph:
+            assert _search(pegs, discs, v, None, False)[0] == eccentricity[v]
+
+    @pytest.mark.parametrize("pegs", [3, 4])
+    def test_zero_discs(self, pegs):
+        metrics = graph_metrics(pegs, 0)
+        assert (metrics.vertices, metrics.edges, metrics.diameter) == (1, 0, 0)
 
     def test_budget(self):
         with pytest.raises(StateBudgetExceeded):
