@@ -20,9 +20,11 @@ from .moves import (
     gray_trace,
     moment_trace,
     peg_label,
+    trace_length,
     trace_to_csv,
     validate_sequence,
     verify_subtower_independence,
+    verify_trace,
 )
 from .oracle import (
     CertificationSweep,

@@ -3,7 +3,8 @@
 Data goes to stdout, diagnostics to stderr, so output can be piped into
 golden-file comparisons.  Exit codes: 0 success, 1 bad arguments,
 2 verification mismatch, 3 resource budget exceeded.  The two budgets
-can also be set via HANOILAB_MAX_DISCS and HANOILAB_STATE_BUDGET.
+can also be set via HANOILAB_MAX_DISCS and HANOILAB_STATE_BUDGET; the
+state budget also bounds moves traces (L moves count as L + 1 states).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .errors import (
     HanoiError,
     IllegalMove,
     ResourceBudgetError,
+    StateBudgetExceeded,
 )
-from .recurrences import DEFAULT_MAX_DISCS, HanoiSolver, t3_closed
+from .recurrences import DEFAULT_MAX_DISCS, HanoiSolver
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -76,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--state-budget",
         type=int,
         default=None,
-        help=f"state-space ceiling for the oracle (default {orc.DEFAULT_STATE_BUDGET})",
+        help=f"state-space ceiling for the oracle and moves (default {orc.DEFAULT_STATE_BUDGET})",
     )
 
     parser = argparse.ArgumentParser(
@@ -178,71 +180,27 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _predicted_length(
-    pegs: int, discs: int, strategy, solver: HanoiSolver
-) -> int:
-    if pegs == 3:
-        return t3_closed(discs)
-    if strategy == "optimal" or discs <= 1:
-        return solver.cost(pegs, discs)
-    k = discs // 2 if strategy == "balanced" else strategy
-    return 2 * solver.cost(pegs, k) + solver.cost(pegs - 1, discs - k)
-
-
 def _cmd_moves(args: argparse.Namespace) -> int:
     strategy = _parse_strategy(args.strategy)
     solver = _solver_for(args)
     if args.discs > solver.max_discs:
-        # the ceiling does not bound trace length: --pegs 3 --discs 30
-        # passes it and would build 2**30 - 1 moves
+        # trace_length never asks the solver for n under a fixed split
         raise DiscLimitError(args.discs, solver.max_discs)
+    length = mv.trace_length(args.pegs, args.discs, strategy, solver)
+    budget = _budget_for(args)
+    if length + 1 > budget:  # L moves pass through L + 1 states
+        raise StateBudgetExceeded(length + 1, budget)
     if args.pegs == 3:
-        if strategy != "optimal":
-            raise DomainError("three-peg traces only support the optimal strategy")
         trace = mv.generate_three_peg(args.discs)
     else:
         trace = mv.generate_frame_stewart(args.pegs, args.discs, strategy, solver)
     sys.stdout.write(mv.trace_to_csv(trace))
     if not args.verify:
         return EXIT_OK
-    return _verify_trace(trace, args.pegs, args.discs, strategy, solver)
-
-
-def _verify_trace(
-    trace: mv.MoveTrace, pegs: int, discs: int, strategy, solver: HanoiSolver
-) -> int:
-    failures: list[str] = []
-    target = 2 if pegs == 3 else pegs - 1
-    try:
-        final = mv.validate_sequence(trace.initial, trace.moves)
-        if discs and final.pegs != (target,) * discs:
-            failures.append("replay does not end all-on-target")
-    except IllegalMove as exc:
-        failures.append(f"replay failed: {exc}")
-        final = None
-
-    predicted = _predicted_length(pegs, discs, strategy, solver)
-    if len(trace) != predicted:
-        failures.append(f"length {len(trace)} differs from predicted {predicted}")
-
-    if final is not None and pegs == 3:
-        report = mv.gray_trace(trace)
-        if not report.single_flip:
-            failures.append("gray encoding flipped more than one bit in a step")
-        if not report.ruler_pattern:
-            failures.append("flip sequence does not follow the ruler pattern")
-    if final is not None and pegs == 4 and discs >= 1:
-        report = mv.verify_subtower_independence(trace)
-        if not report.single_largest_move:
-            failures.append(
-                f"largest disc moved {report.largest_move_count} times, expected once"
-            )
-        elif not report.independent:
-            failures.append("subtowers interfere after the largest-disc move")
-
+    failures = mv.verify_trace(trace, strategy, solver)
+    for failure in failures:
+        _err(f"verify: {failure}")
     if failures:
-        for failure in failures:
-            _err(f"verify: {failure}")
         return EXIT_MISMATCH
     _err(f"verify: ok ({len(trace)} moves)")
     return EXIT_OK

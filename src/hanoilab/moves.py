@@ -200,6 +200,25 @@ def _emit_multi(
     _emit_multi(k, lowest, staging, dst, pegs, out, solver)
 
 
+def _top_split(pegs: int, discs: int, strategy: str | int) -> int | None:
+    """Top-level parked-disc count a strategy forces; None keeps the optimum."""
+    if discs < 0:
+        raise DomainError(f"disc count must be non-negative, got {discs}")
+    if pegs == 3 and strategy != "optimal":
+        raise DomainError("three-peg traces only support the optimal strategy")
+    if strategy == "optimal":
+        return None
+    if strategy == "balanced":
+        return discs // 2 if discs >= 2 else None
+    if isinstance(strategy, int) and not isinstance(strategy, bool):
+        if not 1 <= strategy < discs:
+            raise DomainError(
+                f"fixed split must satisfy 1 <= k < n, got k={strategy} for n={discs}"
+            )
+        return strategy
+    raise DomainError(f"unknown strategy {strategy!r}")
+
+
 def generate_frame_stewart(
     pegs: int,
     discs: int,
@@ -212,14 +231,12 @@ def generate_frame_stewart(
 
     ``strategy`` selects the top-level split: ``"optimal"`` uses the
     canonical optimal split at every level, ``"balanced"`` forces
-    floor(n/2) at the top level only (sub-solves stay optimal, so the
-    length matches 2*T_p(n//2) + T_{p-1}(n - n//2)), and an integer k
-    forces that split at the top level.
+    floor(n/2) and an integer k forces k, at the top level only (the
+    sub-solves stay optimal; :func:`trace_length` gives the length).
     """
     if pegs < 4:
         raise DomainError(f"need at least 4 pegs, got {pegs}")
-    if discs < 0:
-        raise DomainError(f"disc count must be non-negative, got {discs}")
+    override = _top_split(pegs, discs, strategy)
     if target is None:
         target = pegs - 1
     for peg in (source, target):
@@ -228,25 +245,23 @@ def generate_frame_stewart(
     if source == target:
         raise DomainError("source and target pegs must differ")
 
-    override: int | None
-    if strategy == "optimal":
-        override = None
-    elif strategy == "balanced":
-        override = discs // 2 if discs >= 2 else None
-    elif isinstance(strategy, int) and not isinstance(strategy, bool):
-        if not 1 <= strategy < discs:
-            raise DomainError(
-                f"fixed split must satisfy 1 <= k < n, got k={strategy} for n={discs}"
-            )
-        override = strategy
-    else:
-        raise DomainError(f"unknown strategy {strategy!r}")
-
     out: list[Move] = []
     _emit_multi(
         discs, 1, source, target, tuple(range(pegs)), out, _resolve(solver), override
     )
     return MoveTrace(Configuration.perfect(discs, pegs, source), tuple(out))
+
+
+def trace_length(
+    pegs: int, discs: int, strategy: str | int = "optimal", solver: HanoiSolver | None = None
+) -> int:
+    """Exact length of the generated trace, computed without building it:
+    T_p(n), or 2*T_p(k) + T_{p-1}(n-k) when the strategy forces top split k."""
+    s = _resolve(solver)
+    k = _top_split(pegs, discs, strategy)
+    if k is None:
+        return s.cost(pegs, discs)
+    return 2 * s.cost(pegs, k) + s.cost(pegs - 1, discs - k)
 
 
 def validate_sequence(initial: Configuration, moves: Sequence[Move]) -> Configuration:
@@ -444,3 +459,33 @@ def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     return SubtowerReport(
         n, 1, True, sink, subtowers, True, disjoint, independent
     )
+
+
+def verify_trace(
+    trace: MoveTrace, strategy: str | int = "optimal", solver: HanoiSolver | None = None
+) -> tuple[str, ...]:
+    """Failure messages of the replay, length, ruler (three pegs) and
+    subtower (four pegs) checks; an empty tuple means the trace passed."""
+    pegs, discs = trace.initial.num_pegs, trace.initial.num_discs
+    failures: list[str] = []
+    try:
+        final = validate_sequence(trace.initial, trace.moves)
+        if discs and final.pegs != (pegs - 1,) * discs:
+            failures.append("replay does not end all-on-target")
+    except IllegalMove as exc:
+        failures.append(f"replay failed: {exc}")
+        final = None
+    predicted = trace_length(pegs, discs, strategy, solver)
+    if len(trace) != predicted:
+        failures.append(f"length {len(trace)} differs from predicted {predicted}")
+    if final is not None and pegs == 3 and not gray_trace(trace).ruler_pattern:
+        failures.append("flip sequence does not follow the ruler pattern")
+    if final is not None and pegs == 4 and discs >= 1:
+        report = verify_subtower_independence(trace)
+        if not report.single_largest_move:
+            failures.append(
+                f"largest disc moved {report.largest_move_count} times, expected once"
+            )
+        elif not report.independent:
+            failures.append("subtowers interfere after the largest-disc move")
+    return tuple(failures)

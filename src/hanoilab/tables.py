@@ -18,6 +18,7 @@ from .recurrences import (
     _resolve,
     balanced_fs,
     delta_k,
+    growth_table,
     ratio_rho,
     t3_closed,
 )
@@ -189,15 +190,9 @@ def emit_table(
         for n in range(lo, hi + 1):
             lines.append(f"{n},{ratio_rho(n, s).rendered}")
     elif kind == "growth":
-        wanted = sorted(set(pegs))
-        for p in wanted:
-            if p < 3:
-                raise DomainError(f"need at least 3 pegs, got {p}")
-        if lo < 0:
-            raise DomainError(f"growth rows start at n=0, got {lo}")
-        lines = ["n," + ",".join(f"t{p}" for p in wanted)]
-        for n in range(lo, hi + 1):
-            lines.append(f"{n}," + ",".join(str(s.cost(p, n)) for p in wanted))
+        rows = growth_table(pegs, (lo, hi), s)
+        lines = ["n," + ",".join(f"t{p}" for p in sorted(set(pegs)))]
+        lines += [f"{row.discs}," + ",".join(map(str, row.costs)) for row in rows]
     else:  # deltas
         if lo < 3:
             raise DomainError(f"delta rows start at n=3, got {lo}")

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -192,6 +193,30 @@ class TestMoves:
         code, _, err = run(capsys, "moves", "--pegs", "3", "--discs", "3", "--verify")
         assert code == 2
         assert "verify:" in err
+
+    def test_trace_over_state_budget_exits_before_generating(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "moves", "--pegs", "3", "--discs", "30")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
+    @pytest.mark.parametrize("budget, expected", [("7", 3), ("8", 0)])
+    def test_trace_of_l_moves_needs_l_plus_one_states(self, capsys, budget, expected):
+        code, out, _ = run(
+            capsys, "moves", "--pegs", "3", "--discs", "3", "--state-budget", budget
+        )
+        assert code == expected
+        assert len(out.splitlines()) == (8 if expected == 0 else 0)
+
+    def test_disc_ceiling_holds_for_fixed_splits(self, capsys):
+        code, out, err = run(
+            capsys, "moves", "--pegs", "4", "--discs", "600", "--strategy", "fixed:300"
+        )
+        assert code == 3
+        assert out == ""
+        assert "maximum" in err
 
 
 class TestOracle:

@@ -21,9 +21,11 @@ from hanoilab.moves import (
     gray_trace,
     moment_trace,
     peg_label,
+    trace_length,
     trace_to_csv,
     validate_sequence,
     verify_subtower_independence,
+    verify_trace,
 )
 from hanoilab.recurrences import fs_split, t3_closed, tp_optimal
 
@@ -361,3 +363,83 @@ class TestSnapshots:
         trace = generate_frame_stewart(4, 5)
         for stop in range(len(trace) + 1):
             validate_sequence(trace.initial, trace.moves[:stop])
+
+
+def _strategies(pegs: int, discs: int) -> list:
+    if pegs == 3:
+        return ["optimal"]
+    return ["optimal", "balanced", *range(1, discs)]
+
+
+def _generate(pegs: int, discs: int, strategy, solver) -> MoveTrace:
+    if pegs == 3:
+        return generate_three_peg(discs)
+    return generate_frame_stewart(pegs, discs, strategy, solver)
+
+
+class TestTraceChecks:
+    @pytest.mark.parametrize("pegs", [3, 4, 5, 6])
+    def test_length_and_checks_match_every_generated_trace(self, pegs, solver):
+        for n in range(13):
+            for strategy in _strategies(pegs, n):
+                trace = _generate(pegs, n, strategy, solver)
+                assert trace_length(pegs, n, strategy, solver) == len(trace)
+                assert verify_trace(trace, strategy, solver) == ()
+
+    def test_length_needs_no_trace(self):
+        assert trace_length(3, 64) == 2**64 - 1
+
+    def test_strategy_sets_the_expected_length(self, solver):
+        trace = generate_frame_stewart(4, 13, "balanced", solver)
+        assert verify_trace(trace, "balanced", solver) == ()
+        assert verify_trace(trace, "optimal", solver) == (
+            "length 161 differs from predicted 97",
+        )
+
+    def test_three_pegs_take_only_the_optimal_strategy(self):
+        with pytest.raises(DomainError, match="three-peg traces only support"):
+            trace_length(3, 4, "balanced")
+        with pytest.raises(DomainError, match="three-peg traces only support"):
+            trace_length(3, 4, 2)
+
+    def test_rejects_bad_strategies(self):
+        with pytest.raises(DomainError, match="fixed split"):
+            trace_length(4, 5, 9)
+        with pytest.raises(DomainError, match="unknown strategy"):
+            trace_length(4, 5, "fastest")
+        with pytest.raises(DomainError, match="non-negative"):
+            trace_length(4, -1, 1)
+
+    def test_illegal_swap_fails_replay(self):
+        trace = generate_three_peg(3)
+        moves = (trace.moves[1], trace.moves[0]) + trace.moves[2:]
+        failures = verify_trace(MoveTrace(trace.initial, moves))
+        assert len(failures) == 1
+        assert failures[0].startswith("replay failed: illegal move at step 1")
+
+    def test_wrong_target_peg(self):
+        assert verify_trace(generate_three_peg(3, target=1)) == (
+            "replay does not end all-on-target",
+        )
+
+    def test_truncated_trace(self, solver):
+        trace = generate_frame_stewart(4, 5, "optimal", solver)
+        failures = verify_trace(MoveTrace(trace.initial, trace.moves[:-1]), solver=solver)
+        assert failures[:2] == (
+            "replay does not end all-on-target",
+            "length 12 differs from predicted 13",
+        )
+
+    def test_longer_three_peg_walk_breaks_ruler(self):
+        walk = MoveTrace(Configuration.perfect(1, 3), (Move(1, 0, 1), Move(1, 1, 2)))
+        assert verify_trace(walk) == (
+            "length 2 differs from predicted 1",
+            "flip sequence does not follow the ruler pattern",
+        )
+
+    def test_largest_disc_moved_twice_on_four_pegs(self):
+        walk = MoveTrace(Configuration.perfect(1, 4), (Move(1, 0, 1), Move(1, 1, 3)))
+        assert verify_trace(walk) == (
+            "length 2 differs from predicted 1",
+            "largest disc moved 2 times, expected once",
+        )

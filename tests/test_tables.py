@@ -135,6 +135,10 @@ class TestEmission:
         with pytest.raises(DomainError):
             emit_table("summary")
 
+    def test_growth_needs_a_peg_count(self):
+        with pytest.raises(DomainError):
+            emit_table("growth", (0, 2), pegs=())
+
     def test_bad_ranges(self):
         with pytest.raises(DomainError):
             emit_table("table1", (5, 2))
