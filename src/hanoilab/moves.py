@@ -334,6 +334,13 @@ class GrayReport:
     ruler_pattern: bool
 
 
+def _follows_ruler(moves: Sequence[Move]) -> bool:
+    """Whether the disc moved at step t is always 1 + (trailing zeros of t)."""
+    return all(
+        move.disc == (step & -step).bit_length() for step, move in enumerate(moves, 1)
+    )
+
+
 def gray_trace(trace: MoveTrace) -> GrayReport:
     """Parity vectors and flip sequence of a three-peg trace."""
     if trace.initial.num_pegs != 3:
@@ -351,10 +358,7 @@ def gray_trace(trace: MoveTrace) -> GrayReport:
     single = all(
         (a ^ b).bit_count() == 1 for a, b in zip(vectors, vectors[1:])
     )
-    ruler = all(
-        flip == 1 + ((step & -step).bit_length() - 1)
-        for step, flip in enumerate(flips, 1)
-    )
+    ruler = _follows_ruler(trace.moves)
     return GrayReport(tuple(vectors), tuple(flips), single, ruler)
 
 
@@ -383,10 +387,11 @@ class SubtowerReport:
     ``subtowers`` holds (home peg, discs) for every peg that is neither
     the largest disc's source nor its target at the critical moment; for
     three pegs the second subtower is the degenerate empty one.
-    ``disjoint_outside_sink`` says the two disc groups never share a peg
-    other than the common target pile, and ``independent`` additionally
-    requires that no move lands on a peg currently held by the other
-    group (the target pile being the agreed neutral sink).
+    ``disjoint_outside_sink`` says the disc groups never share a peg
+    other than the common target pile (the sink); ``independent`` says
+    no move lands off the sink on a peg held by another group.  The two
+    are equal on every legal trace: right after the critical move each
+    spare peg holds one group, and only a landing move can add a second.
     """
 
     largest_disc: int
@@ -406,11 +411,16 @@ def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     moves more (or less) than once is reported via
     ``largest_move_count`` with ``independent`` False.
     """
+    if trace.initial.num_discs < 1:
+        raise DomainError("trace has no discs")
+    validate_sequence(trace.initial, trace.moves)
+    return _subtowers(trace)
+
+
+def _subtowers(trace: MoveTrace) -> SubtowerReport:
+    """Subtower report of a trace with discs that has already been replayed."""
     cfg = trace.initial
     n = cfg.num_discs
-    if n < 1:
-        raise DomainError("trace has no discs")
-    validate_sequence(cfg, trace.moves)
     hits = [i for i, move in enumerate(trace.moves) if move.disc == n]
     if len(hits) != 1:
         return SubtowerReport(n, len(hits), False, None, (), False, False, False)
@@ -422,43 +432,28 @@ def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     critical = trace.moves[split_at]
     sink = critical.target
     # At this moment the source peg holds only the largest disc and the
-    # target peg is empty, so every other disc sits on a spare peg.
-    group_of: dict[int, int] = {}
-    groups: dict[int, set[int]] = {
-        q: set()
+    # target peg is empty, so every other disc sits on a spare peg, and
+    # its group is named after that peg.
+    group_of = where[: n - 1]
+    subtowers = tuple(
+        (q, frozenset(d for d, home in enumerate(group_of, 1) if home == q))
         for q in range(cfg.num_pegs)
-        if q != critical.source and q != critical.target
-    }
-    for disc in range(1, n):
-        home = where[disc - 1]
-        groups[home].add(disc)
-        group_of[disc] = home
-
-    where[n - 1] = sink
-    disjoint = True
-    no_interference = True
-    for move in trace.moves[split_at + 1 :]:
-        g = group_of[move.disc]
-        if move.target != sink:
-            intruding = any(
-                where[d - 1] == move.target and group_of[d] != g
-                for d in range(1, n)
-            )
-            if intruding:
-                no_interference = False
-        where[move.disc - 1] = move.target
-        holder: dict[int, int] = {}
-        for d in range(1, n):
-            peg = where[d - 1]
-            if peg == sink:
-                continue
-            if holder.setdefault(peg, group_of[d]) != group_of[d]:
-                disjoint = False
-    independent = disjoint and no_interference
-    subtowers = tuple(sorted((q, frozenset(ds)) for q, ds in groups.items()))
-    return SubtowerReport(
-        n, 1, True, sink, subtowers, True, disjoint, independent
+        if q != critical.source and q != sink
     )
+    held = [group_of.count(q) for q in range(cfg.num_pegs)]
+    owner = [q if held[q] else None for q in range(cfg.num_pegs)]
+    independent = True
+    for move in trace.moves[split_at + 1 :]:
+        g = group_of[move.disc - 1]
+        if move.target != sink and owner[move.target] not in (None, g):
+            independent = False
+            break
+        held[move.source] -= 1
+        if not held[move.source]:
+            owner[move.source] = None
+        held[move.target] += 1
+        owner[move.target] = g
+    return SubtowerReport(n, 1, True, sink, subtowers, True, independent, independent)
 
 
 def verify_trace(
@@ -478,10 +473,10 @@ def verify_trace(
     predicted = trace_length(pegs, discs, strategy, solver)
     if len(trace) != predicted:
         failures.append(f"length {len(trace)} differs from predicted {predicted}")
-    if final is not None and pegs == 3 and not gray_trace(trace).ruler_pattern:
+    if final is not None and pegs == 3 and not _follows_ruler(trace.moves):
         failures.append("flip sequence does not follow the ruler pattern")
     if final is not None and pegs == 4 and discs >= 1:
-        report = verify_subtower_independence(trace)
+        report = _subtowers(trace)
         if not report.single_largest_move:
             failures.append(
                 f"largest disc moved {report.largest_move_count} times, expected once"

@@ -49,9 +49,10 @@ def unpack(code: PackedState, pegs: int, discs: int) -> Configuration:
 
 def perfect_state(pegs: int, discs: int, peg: int = 0) -> PackedState:
     """Code of the all-on-one-peg configuration."""
+    size = _check_space(pegs, discs)
     if not 0 <= peg < pegs:
         raise DomainError(f"peg {peg} out of range for {pegs} pegs")
-    return peg * (pegs**discs - 1) // (pegs - 1)
+    return peg * (size - 1) // (pegs - 1)
 
 
 def _check_space(pegs: int, discs: int) -> int:

@@ -27,6 +27,7 @@ from hanoilab.moves import (
     verify_subtower_independence,
     verify_trace,
 )
+import hanoilab.moves as moves_module
 from hanoilab.recurrences import fs_split, t3_closed, tp_optimal
 
 
@@ -56,6 +57,42 @@ def random_walk(rng: random.Random, pegs: int, discs: int, steps: int) -> MoveTr
         moves.append(move)
         current = current.apply(move)
     return MoveTrace(start, tuple(moves))
+
+
+def brute_force_subtowers(trace: MoveTrace):
+    """(subtowers, independent) by the documented definition, or None
+    unless the largest disc moves exactly once: after each later move, no
+    peg other than the sink holds discs of two groups."""
+    n = trace.initial.num_discs
+    hits = [i for i, move in enumerate(trace.moves) if move.disc == n]
+    if len(hits) != 1:
+        return None
+    critical = trace.moves[hits[0]]
+    snapshots = list(trace.configurations())
+    home = snapshots[hits[0]].pegs
+    subtowers = tuple(
+        (q, frozenset(d for d in range(1, n) if home[d - 1] == q))
+        for q in range(trace.initial.num_pegs)
+        if q not in (critical.source, critical.target)
+    )
+    for config in snapshots[hits[0] + 2 :]:
+        holder: dict[int, int] = {}
+        for d in range(1, n):
+            peg = config.pegs[d - 1]
+            if peg != critical.target and holder.setdefault(peg, home[d - 1]) != home[d - 1]:
+                return subtowers, False
+    return subtowers, True
+
+
+# Three discs on four pegs: after the largest disc moves, disc 1 lands on
+# the peg that holds disc 2's group.
+INTERFERING_WALK = MoveTrace(
+    Configuration.perfect(3, 4),
+    (
+        Move(1, 0, 1), Move(2, 0, 2), Move(3, 0, 3), Move(1, 1, 2),
+        Move(1, 2, 1), Move(2, 2, 3), Move(1, 1, 3),
+    ),
+)
 
 
 class TestLabels:
@@ -338,6 +375,29 @@ class TestSubtowers:
                 performed += 1
         assert performed > 0  # the check must not be vacuous
 
+    def test_interfering_walk_is_reported(self):
+        report = verify_subtower_independence(INTERFERING_WALK)
+        assert report.single_largest_move
+        assert not report.independent
+        assert not report.disjoint_outside_sink
+
+    def test_random_walks_match_brute_force_scan(self):
+        rng = random.Random(20240601)
+        single = interfering = 0
+        for _ in range(3000):
+            pegs, discs = rng.randint(3, 5), rng.randint(1, 5)
+            trace = random_walk(rng, pegs, discs, rng.randint(0, 40))
+            report = verify_subtower_independence(trace)
+            expected = brute_force_subtowers(trace)
+            assert report.disjoint_outside_sink == report.independent
+            if expected is None:
+                assert not report.single_largest_move and not report.independent
+                continue
+            single += 1
+            interfering += not expected[1]
+            assert (report.subtowers, report.independent) == expected
+        assert single > 100 and interfering > 100  # both branches are reached
+
 
 class TestTraceExport:
     def test_single_move_csv(self):
@@ -443,3 +503,31 @@ class TestTraceChecks:
             "length 2 differs from predicted 1",
             "largest disc moved 2 times, expected once",
         )
+
+    def test_interfering_walk(self):
+        assert verify_trace(INTERFERING_WALK) == (
+            "length 7 differs from predicted 5",
+            "subtowers interfere after the largest-disc move",
+        )
+
+    @pytest.mark.parametrize("pegs", [3, 4])
+    def test_replays_once(self, pegs, monkeypatch):
+        calls = []
+        real = moves_module.validate_sequence
+
+        def counting(initial, moves):
+            calls.append(len(moves))
+            return real(initial, moves)
+
+        monkeypatch.setattr(moves_module, "validate_sequence", counting)
+        trace = generate_three_peg(5) if pegs == 3 else generate_frame_stewart(4, 8)
+        assert verify_trace(trace) == ()
+        assert calls == [len(trace)]
+
+    def test_public_checks_still_replay(self):
+        trace = generate_three_peg(3)
+        illegal = MoveTrace(trace.initial, (trace.moves[1],) + trace.moves[2:])
+        with pytest.raises(IllegalMove):
+            gray_trace(illegal)
+        with pytest.raises(IllegalMove):
+            verify_subtower_independence(illegal)

@@ -50,6 +50,11 @@ class TestPacking:
         assert perfect_state(3, 2, 2) == 8  # both digits equal 2
         assert unpack(perfect_state(4, 5, 3), 4, 5) == Configuration.perfect(5, 4, 3)
 
+    @pytest.mark.parametrize("pegs, discs, peg", [(1, 3, 0), (3, -1, 0), (2, 3, 1)])
+    def test_perfect_state_rejects_bad_spaces(self, pegs, discs, peg):
+        with pytest.raises(DomainError):
+            perfect_state(pegs, discs, peg)
+
     def test_code_out_of_range(self):
         with pytest.raises(DomainError):
             unpack(9, 3, 2)
