@@ -13,8 +13,8 @@ raises :class:`StateBudgetExceeded` instead of failing mid-flight.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, HanoiError, StateBudgetExceeded
 from .moves import Configuration
@@ -150,6 +150,72 @@ class CertificationSweep:
         return all(r.agrees for r in self.reports)
 
 
+def _block_moves(pegs: int, count: int, weight: int):
+    """Move table of a block of ``count`` consecutive discs.
+
+    A block code holds one base-``pegs`` digit per disc, smallest first;
+    moving its smallest disc one peg up changes the full code by
+    ``weight``.  Returns, per block code, the mask of pegs the block
+    occupies and its legal moves grouped by source peg: one
+    (source bit, source offset, ends) per peg whose top disc can move,
+    ``ends`` holding the (bit, offset) of each peg it may move to.  A move
+    changes the code by its end's offset minus the source offset, both
+    taken for the moving disc's weight.
+
+    Discs are added largest last.  A new disc lies beneath the others, so
+    it blocks none of their moves and each entry reuses the smaller
+    block's moves as they are; it moves itself only when no smaller disc
+    sits on its peg, and only to pegs that hold none.  The (bit, offset)
+    objects are shared, p per disc, so the table holds one ``ends`` tuple
+    per code and disc that can move, and no object per peg pair.
+    """
+    occupied = [0]
+    moves: list[tuple] = [()]
+    for _ in range(count):
+        ends = [(1 << q, q * weight) for q in range(pegs)]
+        grown = []
+        for bit, offset in ends:
+            for occ, legal in zip(occupied, moves):
+                if occ & bit:
+                    grown.append(legal)
+                    continue
+                full = occ | bit
+                to = tuple(end for end in ends if not full & end[0])
+                grown.append(legal + ((bit, offset, to),) if to else legal)
+        moves = grown
+        occupied = [occ | bit for bit, _ in ends for occ in occupied]
+        weight *= pegs
+    return occupied, moves
+
+
+@lru_cache(maxsize=1)
+def _move_tables(pegs: int, discs: int):
+    """(base, low occupied masks, low deltas, high moves) for a space.
+
+    A code splits as ``high * base + low``: the low block holds the
+    ``discs // 2`` smallest discs, the high block the rest.  A low move
+    never depends on the high discs, so the low table lists its code
+    deltas flat.  The high table keeps :func:`_block_moves`' grouping: a
+    high move is legal iff neither its source bit nor its end bit is in
+    ``low_occupied[low]``.  Both tables hold O(p**ceil(n/2)) entries of
+    at most ceil(n/2)*(p-1) moves each.
+    """
+    low = discs // 2
+    base = pegs**low
+    low_occupied, low_moves = _block_moves(pegs, low, 1)
+    step: dict[int, int] = {}  # one int object per distinct delta
+    low_deltas = [
+        tuple(
+            step.setdefault(end_offset - src_offset, end_offset - src_offset)
+            for _, src_offset, to in legal
+            for _, end_offset in to
+        )
+        for legal in low_moves
+    ]
+    _, high_moves = _block_moves(pegs, discs - low, base)
+    return base, low_occupied, low_deltas, high_moves
+
+
 def _search(
     pegs: int, discs: int, source: int, target: int | None, want_counts: bool
 ):
@@ -161,11 +227,20 @@ def _search(
     state graph is connected, so the target is always reached.  With
     ``target=None`` the whole graph is swept, depth is the source's
     eccentricity and the count is None.
+
+    Successors come from :func:`_move_tables`, built once per space: the
+    low block's legal deltas, then the high block's moves whose source and
+    end pegs hold no low disc.  The visited array keeps one byte per
+    state, the tag ``1 + d % 3`` of the state's layer d (0 = unseen).
+    Layers of adjacent states differ by at most one, so a neighbour of a
+    layer d-1 state lies in layer d-2, d-1 or d; those three tags are
+    distinct, so a tag tells a new state from one already in layer d (add
+    to its path count) and from an older one.
     """
+    base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
     size = pegs**discs
-    weights = [pegs**i for i in range(discs)]
-    dist = array("i", [-1]) * size
-    dist[source] = 0
+    seen = bytearray(size)
+    seen[source] = 1
     counts = None
     if want_counts:
         counts = [0] * size
@@ -173,51 +248,51 @@ def _search(
     explored = 1
     frontier = [source]
     d = 0
-    peg_range = range(pegs)
+    # The low and high loops share a body; one loop over a per-state list
+    # of deltas measured 15-30% slower at (4,10).
     while frontier:
-        if target is not None and dist[target] >= 0:
+        if target is not None and seen[target]:
             break
         nxt: list[int] = []
         d += 1
+        tag = 1 + d % 3
         for code in frontier:
-            tops = [-1] * pegs
-            rem = code
-            found = 0
-            for i in range(discs):
-                rem, q = divmod(rem, pegs)
-                if tops[q] < 0:
-                    tops[q] = i
-                    found += 1
-                    if found == pegs:
-                        break
+            high, low = divmod(code, base)
+            occ = low_occupied[low]
             cu = counts[code] if want_counts else 0
-            for a in peg_range:
-                ta = tops[a]
-                if ta < 0:
+            for delta in low_deltas[low]:
+                v = code + delta
+                tv = seen[v]
+                if not tv:
+                    seen[v] = tag
+                    nxt.append(v)
+                    if want_counts:
+                        counts[v] = cu
+                elif tv == tag and want_counts:
+                    counts[v] += cu
+            for bit, src_offset, to in high_moves[high]:
+                if occ & bit:
                     continue
-                weight = weights[ta]
-                for b in peg_range:
-                    if b == a:
+                lifted = code - src_offset
+                for end_bit, end_offset in to:
+                    if occ & end_bit:
                         continue
-                    tb = tops[b]
-                    if 0 <= tb < ta:
-                        continue
-                    v = code + (b - a) * weight
-                    dv = dist[v]
-                    if dv < 0:
-                        dist[v] = d
+                    v = lifted + end_offset
+                    tv = seen[v]
+                    if not tv:
+                        seen[v] = tag
                         nxt.append(v)
                         if want_counts:
                             counts[v] = cu
-                    elif dv == d and want_counts:
+                    elif tv == tag and want_counts:
                         counts[v] += cu
         explored += len(nxt)
         frontier = nxt
     if target is None:
         return d - 1, None, explored
-    if dist[target] < 0:
+    if not seen[target]:
         raise HanoiError("state graph unexpectedly disconnected")
-    return dist[target], counts[target] if want_counts else None, explored
+    return d, counts[target] if want_counts else None, explored
 
 
 def _perfect_peg(code: int, pegs: int, discs: int) -> int | None:
@@ -285,9 +360,18 @@ def graph_metrics(
     size = _check_space(pegs, discs)
     if size > metrics_budget:
         raise StateBudgetExceeded(size, metrics_budget)
-    degree_total = 0
-    for code in range(size):
-        degree_total += len(neighbors(code, pegs, discs))
+    _, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    degree_total = sum(
+        len(deltas)
+        + sum(
+            not occ & end_bit
+            for bit, _, to in moves
+            if not occ & bit
+            for end_bit, _ in to
+        )
+        for moves in high_moves
+        for occ, deltas in zip(low_occupied, low_deltas)
+    )
     diameter = max(_search(pegs, discs, code, None, False)[0] for code in range(size))
     return GraphMetrics(pegs, discs, size, degree_total // 2, diameter)
 

@@ -1,11 +1,17 @@
+import random
+import time
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hanoilab.oracle
 from hanoilab.errors import DomainError, StateBudgetExceeded
 from hanoilab.moves import Configuration
 from hanoilab.oracle import (
+    DEFAULT_STATE_BUDGET,
+    _move_tables,
     _search,
     bfs_distance,
     certify_range,
@@ -93,6 +99,67 @@ class TestNeighbors:
         assert 2 <= count <= pegs * (pegs - 1)
 
 
+def table_successors(code, pegs, discs):
+    """Successors of a state read from the BFS kernel's move tables."""
+    base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    high, low = divmod(code, base)
+    occ = low_occupied[low]
+    out = [code + delta for delta in low_deltas[low]]
+    for bit, src_offset, to in high_moves[high]:
+        if not occ & bit:
+            out += [
+                code - src_offset + end_offset
+                for end_bit, end_offset in to
+                if not occ & end_bit
+            ]
+    return sorted(out)
+
+
+# Every space with p in 3..7 and at most 4,096 states, n = 0 and 1 included.
+SMALL_SPACES = [
+    (pegs, discs)
+    for pegs in range(3, 8)
+    for discs in range(8)
+    if pegs**discs <= 4096
+]
+
+
+class TestMoveTables:
+    @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
+    def test_successors_match_neighbors(self, pegs, discs):
+        for code in range(pegs**discs):
+            expected = sorted(neighbors(code, pegs, discs))
+            assert table_successors(code, pegs, discs) == expected
+
+    @pytest.mark.parametrize("pegs,discs", [(16, 6), (24, 5)])
+    def test_wide_spaces_build_small_tables(self, pegs, discs):
+        assert pegs**discs <= DEFAULT_STATE_BUDGET
+        _move_tables.cache_clear()
+        started = time.perf_counter()
+        base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+        elapsed = time.perf_counter() - started
+        _move_tables.cache_clear()
+        low, high = discs // 2, discs - discs // 2
+        assert base == pegs**low
+        assert len(low_occupied) == len(low_deltas) == pegs**low
+        assert len(high_moves) == pegs**high
+        assert max(map(len, low_deltas)) <= low * (pegs - 1)
+        for moves in high_moves:
+            assert len(moves) <= high
+            assert all(len(to) < pegs for _, _, to in moves)
+        assert elapsed < 1.0
+
+    def test_tables_built_after_budget_check(self, monkeypatch):
+        def unaffordable(pegs, discs):
+            raise AssertionError(f"move tables built for ({pegs}, {discs})")
+
+        monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
+        with pytest.raises(StateBudgetExceeded):
+            bfs_distance(4, 20)
+        with pytest.raises(StateBudgetExceeded):
+            graph_metrics(3, 13)
+
+
 class TestDistances:
     def test_three_pegs_three_discs(self):
         report = bfs_distance(3, 3)
@@ -149,6 +216,21 @@ class TestDistances:
         assert report.distance == nx.shortest_path_length(graph, source, target)
         expected_paths = len(list(nx.all_shortest_paths(graph, source, target)))
         assert report.geodesic_count == expected_paths
+
+    @pytest.mark.parametrize("pegs,discs", [(3, 4), (3, 5), (4, 3), (4, 4), (5, 3)])
+    def test_random_pairs_against_networkx(self, pegs, discs):
+        graph = build_graph(pegs, discs)
+        rng = random.Random(pegs * 100 + discs)
+        size = pegs**discs
+        for _ in range(12):
+            source, target = rng.randrange(size), rng.randrange(size)
+            report = bfs_distance(pegs, discs, source, target)
+            distance = nx.shortest_path_length(graph, source, target)
+            assert report.distance == distance
+            paths = nx.all_shortest_paths(graph, source, target)
+            assert report.geodesic_count == len(list(paths))
+            within = nx.single_source_shortest_path_length(graph, source, distance)
+            assert report.states_explored == len(within)
 
 
 class TestGeodesics:
