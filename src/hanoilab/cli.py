@@ -24,6 +24,7 @@ from .errors import (
     IllegalMove,
     ResourceBudgetError,
     StateBudgetExceeded,
+    render_count,
 )
 from .recurrences import DEFAULT_MAX_DISCS, HanoiSolver
 
@@ -87,7 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="optimal cost and splits")
+    p = sub.add_parser(
+        "solve",
+        parents=[common],
+        help="recurrence cost and splits (optimal for 3-4 pegs, Frame-Stewart value beyond)",
+    )
     p.add_argument("--pegs", type=int, required=True)
     p.add_argument("--discs", type=int, required=True)
     p.add_argument("--all-splits", action="store_true", help="print every optimal split")
@@ -228,7 +233,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(row)
     for skip in sweep.skipped:
         _err(
-            f"skipped n={skip.discs}: needs {skip.required} states, "
+            f"skipped n={skip.discs}: needs {render_count(skip.required)} states, "
             f"budget is {skip.budget}"
         )
     if not sweep.all_agree:

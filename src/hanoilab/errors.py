@@ -2,6 +2,26 @@
 
 from __future__ import annotations
 
+import math
+
+#: Counts up to this many bits (at most 3,914 digits) are shown exactly;
+#: CPython refuses to convert ints above 4,300 digits to text by default.
+_EXACT_BITS = 13_000
+
+
+def render_count(value: int) -> str:
+    """Decimal text of a positive count, or ``at least 10^e`` for counts
+    too long to convert, with e the exact floor of log10(value)."""
+    if value.bit_length() <= _EXACT_BITS:
+        return str(value)
+    e = int(math.log10(value))
+    # the float logarithm can land one off next to a power of ten
+    if 10**e > value:
+        e -= 1
+    elif 10 ** (e + 1) <= value:
+        e += 1
+    return f"at least 10^{e}"
+
 
 class HanoiError(Exception):
     """Base class for every error raised by this package."""
@@ -31,7 +51,10 @@ class StateBudgetExceeded(ResourceBudgetError):
     """
 
     def __init__(self, required: int, budget: int) -> None:
-        super().__init__(f"search needs {required} states, budget is {budget}")
+        super().__init__(
+            f"search needs {render_count(required)} states, "
+            f"budget is {render_count(budget)}"
+        )
         self.required = required
         self.budget = budget
 

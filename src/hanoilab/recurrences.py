@@ -1,16 +1,25 @@
 """Exact evaluation of multi-peg transfer-cost recurrences.
 
 Costs are plain Python integers, so arbitrarily large move counts (the
-64-disc 2**64 - 1 included) stay exact.  The three-peg cost has the
-closed form 2**n - 1; for p >= 4 pegs the optimal cost is the
-divide-and-conquer minimum
+64-disc 2**64 - 1 included) stay exact.  For p >= 4 pegs the cost is
+the divide-and-conquer minimum
 
     T_p(n) = min over 1 <= k < n of  2*T_p(k) + T_{p-1}(n - k)
 
 where k counts the discs parked aside in the first phase and the
-remaining n - k discs shuttle across on one peg fewer.  A
-:class:`HanoiSolver` session memoises these values (O(p*n^2) subproblem
-evaluations); the module-level helpers share a default session.
+remaining n - k discs shuttle across on one peg fewer.  It is the true
+optimum for p = 3 (closed form 2**n - 1) and p = 4 (Bousch, 2014); for
+p >= 5 it is the Frame-Stewart value, conjectured optimal.
+
+No minimisation runs here.  Each increment T_p(n) - T_p(n-1) is 2**t,
+where t = t_p(n) is the least t with C(t+p-2, p-2) >= n, so the
+exponent t repeats C(t+p-3, p-3) times (Klavzar, Milutinovic & Petr,
+2002).  The split cost f(k) = 2*T_p(k) + T_{p-1}(n-k) is convex: its
+step f(k+1) - f(k) = 2**(1 + t_p(k+1)) - 2**t_{p-1}(n-k) never
+decreases, so the optimal splits are the k where that step turns from
+negative to positive, found by bisection over the exponents.  A
+:class:`HanoiSolver` session memoises the exponents and costs per peg
+count; the module-level helpers share a default session.
 
 Split indices follow the parking convention throughout: ``k`` is the
 number of discs parked, so the three-peg shuttle has size ``n - k``.
@@ -20,14 +29,16 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DiscLimitError, DomainError
 
-#: Default ceiling on disc counts accepted by a solver session.  The DP
-#: stays well under a second at this size; raise it explicitly if needed.
+#: Default ceiling on disc counts accepted by a solver session.  The memo
+#: holds one exponent and one exact cost per disc count and peg count
+#: filled, in O(n) steps; raise the ceiling explicitly if needed.
 DEFAULT_MAX_DISCS = 512
 
 
@@ -74,11 +85,12 @@ def render_ratio(numerator: int, denominator: int, places: int = 3) -> str:
 
 @dataclass(frozen=True, slots=True)
 class SolveResult:
-    """Optimal cost for (pegs, discs) plus the full set of optimal splits.
+    """Recurrence cost for (pegs, discs) plus every split that reaches it.
 
-    ``argmin_splits`` lists every parked-disc count achieving the
-    minimum, in increasing order; it is empty for discs <= 1 where the
-    recurrence does not apply.
+    ``cost`` is optimal for three and four pegs and the Frame-Stewart
+    value for five or more.  ``argmin_splits`` lists every parked-disc
+    count achieving the minimum, in increasing order; it is empty for
+    discs <= 1 where the recurrence does not apply.
     """
 
     pegs: int
@@ -170,9 +182,9 @@ class HanoiSolver:
         if max_discs < 1:
             raise DomainError(f"max_discs must be positive, got {max_discs}")
         self.max_discs = max_discs
-        # peg count -> costs / argmin-split tuples, indexed by disc count
-        self._costs: dict[int, list[int]] = {}
-        self._splits: dict[int, list[tuple[int, ...]]] = {}
+        # peg count >= 4 -> (increment exponents t_p(n), costs T_p(n)),
+        # both indexed by disc count; three pegs are never tabulated
+        self._memo: dict[int, tuple[list[int], list[int]]] = {}
 
     def _check(self, pegs: int, discs: int) -> None:
         if pegs < 3:
@@ -182,32 +194,27 @@ class HanoiSolver:
         if discs > self.max_discs:
             raise DiscLimitError(discs, self.max_discs)
 
-    def _fill(self, pegs: int, discs: int) -> None:
-        for level in range(4, pegs + 1):
-            costs = self._costs.setdefault(level, [0, 1])
-            splits = self._splits.setdefault(level, [(), ()])
-            below = self._costs.get(level - 1)
-            for n in range(len(costs), discs + 1):
-                best: int | None = None
-                ks: list[int] = []
-                for k in range(1, n):
-                    rest = n - k
-                    lower = (1 << rest) - 1 if level == 4 else below[rest]
-                    candidate = 2 * costs[k] + lower
-                    if best is None or candidate < best:
-                        best, ks = candidate, [k]
-                    elif candidate == best:
-                        ks.append(k)
-                costs.append(best)
-                splits.append(tuple(ks))
+    def _level(self, pegs: int, discs: int) -> tuple[list[int], list[int]]:
+        """The memo entry for ``pegs`` >= 4, extended to ``discs``."""
+        exponents, costs = self._memo.setdefault(pegs, ([0], [0]))
+        t = exponents[-1]
+        for n in range(len(costs), discs + 1):
+            while math.comb(t + pegs - 2, pegs - 2) < n:
+                t += 1
+            exponents.append(t)
+            costs.append(costs[-1] + (1 << t))
+        return exponents, costs
 
     def cost(self, pegs: int, discs: int) -> int:
-        """Optimal move count for the given pegs and discs."""
+        """Move count of the recurrence for the given pegs and discs.
+
+        Optimal for three and four pegs; the Frame-Stewart value, which
+        is conjectured optimal, for five or more.
+        """
         self._check(pegs, discs)
         if pegs == 3:
             return (1 << discs) - 1
-        self._fill(pegs, discs)
-        return self._costs[pegs][discs]
+        return self._level(pegs, discs)[1][discs]
 
     def argmin_splits(self, pegs: int, discs: int) -> tuple[int, ...]:
         """Every parked-disc count achieving the optimum, increasing."""
@@ -217,8 +224,19 @@ class HanoiSolver:
         if pegs == 3:
             # only a single disc fits through the two-peg shuttle
             return (discs - 1,)
-        self._fill(pegs, discs)
-        return self._splits[pegs][discs]
+        upper = self._level(pegs, discs)[0]
+        # t_3(n) = n - 1, read from a range: three pegs are never tabulated
+        lower = range(-1, discs) if pegs == 4 else self._level(pegs - 1, discs)[0]
+
+        def step(k: int) -> int:
+            # f(k+1) - f(k) = 2**(1 + t_p(k+1)) - 2**t_{p-1}(n-k) has this
+            # sign, and never decreases in k
+            return 1 + upper[k + 1] - lower[discs - k]
+
+        steps = range(1, discs - 1)
+        first = 1 + bisect_left(steps, 0, key=step)
+        last = 1 + bisect_right(steps, 0, key=step)
+        return tuple(range(first, last + 1))
 
     def solve(self, pegs: int, discs: int) -> SolveResult:
         return SolveResult(
@@ -234,7 +252,11 @@ def _resolve(solver: HanoiSolver | None) -> HanoiSolver:
 
 
 def tp_optimal(pegs: int, discs: int, solver: HanoiSolver | None = None) -> SolveResult:
-    """Optimal cost plus all optimal splits for (pegs, discs)."""
+    """Recurrence cost plus all minimising splits for (pegs, discs).
+
+    The cost is optimal for three and four pegs and the Frame-Stewart
+    value for five or more.
+    """
     return _resolve(solver).solve(pegs, discs)
 
 
@@ -342,7 +364,7 @@ def growth_table(
     n_range: tuple[int, int],
     solver: HanoiSolver | None = None,
 ) -> list[GrowthRow]:
-    """One row per disc count with the optimal cost for each peg count.
+    """One row per disc count with the recurrence cost for each peg count.
 
     Peg counts are deduplicated and reported in ascending order.
     """

@@ -315,3 +315,29 @@ class TestCommandLineSurface:
         )
         assert proc.returncode == 0
         assert "cost: 5" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 100000**900 = 10**4500: past CPython's 4,300-digit str() limit
+            (
+                ["oracle", "--pegs", "100000", "--max", "900", "--state-budget", "10"],
+                "skipped n=900: needs at least 10^4500 states, budget is 10",
+            ),
+            (
+                ["moves", "--pegs", "3", "--discs", "20000", "--max-discs", "20000"],
+                "search needs at least 10^6020 states",
+            ),
+        ],
+        ids=["oracle", "moves"],
+    )
+    def test_sizes_too_long_to_print_exit_three(self, argv, message):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "hanoilab", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr

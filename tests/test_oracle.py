@@ -207,6 +207,14 @@ class TestDistances:
             bfs_distance(4, 20)
         assert err.value.required == 4**20
 
+    @pytest.mark.parametrize("call", [bfs_distance, graph_metrics], ids=lambda f: f.__name__)
+    def test_budget_error_for_sizes_too_long_to_print(self, call):
+        # 4**8000 has 4,817 digits, past CPython's int-to-str limit
+        with pytest.raises(StateBudgetExceeded) as err:
+            call(4, 8000)
+        assert err.value.required == 4**8000
+        assert "needs at least 10^4816 states" in str(err.value)
+
     @pytest.mark.parametrize("pegs,discs", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3)])
     def test_against_networkx(self, pegs, discs):
         graph = build_graph(pegs, discs)

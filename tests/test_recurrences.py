@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -30,19 +31,29 @@ T4_TABLE = {
 }
 
 
+#: Disc range of the DP reference below.
+DP_DISCS = 512
+
+
 @functools.cache
-def naive_cost(pegs, discs):
-    """Independent top-down evaluation of the same minimisation."""
-    if discs == 0:
-        return 0
-    if discs == 1:
-        return 1
-    if pegs == 3:
-        return 2 * naive_cost(3, discs - 1) + 1
-    return min(
-        2 * naive_cost(pegs, k) + naive_cost(pegs - 1, discs - k)
-        for k in range(1, discs)
-    )
+def dp_reference(pegs):
+    """Bottom-up minimisation over every split, independent of the solver.
+
+    Returns (costs, argmin tuples) indexed by n <= DP_DISCS, built in
+    O(pegs * n^2) steps.  Two pegs carry at most one disc, so at three
+    pegs the only admissible split parks n - 1 discs.
+    """
+    if pegs == 2:
+        return [0, 1], [(), ()]
+    below = dp_reference(pegs - 1)[0]
+    costs, splits = [0, 1], [(), ()]
+    for n in range(2, DP_DISCS + 1):
+        ks = range(max(1, n - len(below) + 1), n)
+        candidates = [2 * costs[k] + below[n - k] for k in ks]
+        best = min(candidates)
+        costs.append(best)
+        splits.append(tuple(k for k, c in zip(ks, candidates) if c == best))
+    return costs, splits
 
 
 def scan_splits(n):
@@ -101,10 +112,31 @@ class TestOptimalSolve:
         assert result.cost == 63
         assert result.argmin_splits == (5,)
 
-    @pytest.mark.parametrize("pegs", [3, 4, 5, 6])
+    @pytest.mark.parametrize("pegs", range(3, 13))
     def test_matches_naive_recursion(self, pegs, solver):
-        for n in range(0, 19):
-            assert tp_optimal(pegs, n, solver).cost == naive_cost(pegs, n)
+        costs, splits = dp_reference(pegs)
+        for n in range(DP_DISCS + 1):
+            assert solver.cost(pegs, n) == costs[n]
+            assert solver.argmin_splits(pegs, n) == splits[n]
+
+    @given(st.integers(min_value=4, max_value=30), st.integers(min_value=2, max_value=512))
+    @settings(max_examples=60, deadline=None)
+    def test_cost_is_the_minimum_over_splits(self, pegs, n):
+        s = HanoiSolver()
+        by_split = {k: 2 * s.cost(pegs, k) + s.cost(pegs - 1, n - k) for k in range(1, n)}
+        best = min(by_split.values())
+        assert s.cost(pegs, n) == best
+        assert s.argmin_splits(pegs, n) == tuple(k for k in by_split if by_split[k] == best)
+
+    def test_three_pegs_are_never_tabulated(self):
+        # a T_3 cost table holds O(n^2) bits; with one, this call peaks near 28 MiB
+        tracemalloc.start()
+        try:
+            HanoiSolver(max_discs=20_000).solve(4, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_splits_achieve_cost(self, solver):
         for n in range(2, 26):
