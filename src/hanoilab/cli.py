@@ -25,6 +25,7 @@ from .errors import (
     ResourceBudgetError,
     StateBudgetExceeded,
     render_count,
+    render_exact,
 )
 from .recurrences import DEFAULT_MAX_DISCS, HanoiSolver
 
@@ -157,7 +158,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = _solver_for(args).solve(args.pegs, args.discs)
     print(f"pegs: {result.pegs}")
     print(f"discs: {result.discs}")
-    print(f"cost: {result.cost}")
+    print(f"cost: {render_exact(result.cost)}")
     if result.canonical_split is not None:
         print(f"canonical_split: {result.canonical_split}")
         if args.all_splits:
@@ -255,18 +256,24 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     mismatches += len(report.mismatches)
 
     for pegs in (3, 4):
-        sweep = orc.certify_range(pegs, 10, state_budget=budget, solver=solver)
-        bad = [r for r in sweep.reports if not r.agrees]
+        reports = []
+        skipped = []
+        for n in range(1, 11):
+            try:
+                reports.append(orc.tower_distance(pegs, n, budget, solver))
+            except StateBudgetExceeded as exc:
+                skipped.append((n, exc))
+        bad = [r for r in reports if not r.agrees]
         print(
-            f"oracle p={pegs}: {len(sweep.reports)} certified, "
-            f"{len(bad)} disagreements, {len(sweep.skipped)} skipped"
+            f"oracle p={pegs}: {len(reports)} certified, "
+            f"{len(bad)} disagreements, {len(skipped)} skipped"
         )
         for r in bad:
             print(f"  n={r.discs}: bfs {r.distance} != dp {r.dp_cost}")
-        for skip in sweep.skipped:
+        for n, exc in skipped:
             _err(
-                f"oracle p={pegs}: skipped n={skip.discs} "
-                f"(needs {skip.required} states, budget {skip.budget})"
+                f"oracle p={pegs}: skipped n={n} "
+                f"(needs {exc.required} states, budget {exc.budget})"
             )
         mismatches += len(bad)
 

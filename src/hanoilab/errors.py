@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 
 #: Counts up to this many bits (at most 3,914 digits) are shown exactly;
@@ -21,6 +22,15 @@ def render_count(value: int) -> str:
     elif 10 ** (e + 1) <= value:
         e += 1
     return f"at least 10^{e}"
+
+
+def render_exact(value: int) -> str:
+    """Exact decimal text of an int, also past CPython's int-to-str digit
+    limit: ``decimal`` converts without going through ``int.__str__``."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(decimal.Decimal(value))
 
 
 class HanoiError(Exception):

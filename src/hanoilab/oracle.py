@@ -7,6 +7,19 @@ ground-truth distances, exact geodesic counts (plain Python integers, so
 combinatorial path counts never overflow), and diameters -- all computed
 with no knowledge of the recurrences they certify.
 
+Between the perfect towers s (all discs on peg 0) and t (all on peg
+p-1), :func:`tower_distance` searches only half as deep.  Swapping pegs 0
+and p-1 in every digit is a graph automorphism sigma with sigma(s) = t,
+so the distance from t to v is the distance from s to sigma(v), and the
+number of geodesics from t to v is the count of sigma(v) from s.  After
+the BFS from s completes layer d it looks at each v in that layer.  If
+some sigma(v) lies in layer d-1, the distance D is 2d-1; otherwise, if
+some sigma(v) lies in layer d, D is 2d.  No earlier layer met either
+rule, so D >= 2d-1 and every sigma(v) already seen lies in layer d-1 or
+d, which the layer tags tell apart.  Every geodesic crosses layer
+floor(D/2) exactly once, through a v of the matching kind, so the sum of
+count(v) * count(sigma(v)) over those v is the exact geodesic count.
+
 Budgets are checked before any allocation: a search that would not fit
 raises :class:`StateBudgetExceeded` instead of failing mid-flight.
 """
@@ -216,17 +229,15 @@ def _move_tables(pegs: int, discs: int):
     return base, low_occupied, low_deltas, high_moves
 
 
-def _search(
-    pegs: int, discs: int, source: int, target: int | None, want_counts: bool
-):
-    """Layered BFS; returns (depth, geodesic count, states explored).
+def _layers(pegs: int, discs: int, source: int, want_counts: bool):
+    """Layered BFS from ``source``, one yield per completed layer.
 
-    With a target, depth is its distance from the source; the layer
-    containing the target is always completed so that the geodesic count
-    and the explored-state tally are independent of expansion order.  The
-    state graph is connected, so the target is always reached.  With
-    ``target=None`` the whole graph is swept, depth is the source's
-    eccentricity and the count is None.
+    Yields ``(d, layer, seen, counts)`` for d = 0, 1, ... while layers are
+    non-empty: ``layer`` lists the states at distance d, and ``seen`` and
+    ``counts`` are the same two arrays at every yield.  When layer d is
+    yielded, every state at distance <= d is tagged and its geodesic
+    count from the source is final; ``counts`` is None without
+    ``want_counts``.
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
@@ -245,14 +256,12 @@ def _search(
     if want_counts:
         counts = [0] * size
         counts[source] = 1
-    explored = 1
     frontier = [source]
     d = 0
     # The low and high loops share a body; one loop over a per-state list
     # of deltas measured 15-30% slower at (4,10).
     while frontier:
-        if target is not None and seen[target]:
-            break
+        yield d, frontier, seen, counts
         nxt: list[int] = []
         d += 1
         tag = 1 + d % 3
@@ -286,13 +295,75 @@ def _search(
                             counts[v] = cu
                     elif tv == tag and want_counts:
                         counts[v] += cu
-        explored += len(nxt)
         frontier = nxt
-    if target is None:
-        return d - 1, None, explored
-    if not seen[target]:
+
+
+def _search(
+    pegs: int, discs: int, source: int, target: int | None, want_counts: bool
+):
+    """Layered BFS; returns (depth, geodesic count, states explored).
+
+    With a target, depth is its distance from the source; the layer
+    containing the target is always completed so that the geodesic count
+    and the explored-state tally are independent of expansion order.  The
+    state graph is connected, so the target is always reached.  With
+    ``target=None`` the whole graph is swept, depth is the source's
+    eccentricity and the count is None.
+    """
+    explored = 0
+    for d, layer, seen, counts in _layers(pegs, discs, source, want_counts):
+        explored += len(layer)
+        if target is not None and seen[target]:
+            return d, counts[target] if want_counts else None, explored
+    if target is not None:
         raise HanoiError("state graph unexpectedly disconnected")
-    return d, counts[target] if want_counts else None, explored
+    return d, None, explored
+
+
+def _block_swap(pegs: int, count: int, weight: int) -> list[int]:
+    """Per block code, the code of the block with pegs 0 and p-1 swapped.
+
+    The block holds ``count`` discs whose smallest has weight ``weight``;
+    the result is taken at that weight, like :func:`_block_moves`.
+    """
+    mirror = [pegs - 1, *range(1, pegs - 1), 0]
+    table = [0]
+    for _ in range(count):
+        table = [mirror[q] * weight + rest for q in range(pegs) for rest in table]
+        weight *= pegs
+    return table
+
+
+def _mirror_search(pegs: int, discs: int):
+    """(distance, geodesic count, states explored) between the perfect
+    towers on pegs 0 and p-1, by a BFS from the first to about half the
+    distance; see the module docstring for the meeting rule.
+
+    sigma(high * base + low) is ``high_swap[high] + low_swap[low]``, with
+    the block split of :func:`_move_tables`.
+    """
+    low = discs // 2
+    base = pegs**low
+    low_swap = _block_swap(pegs, low, 1)
+    high_swap = _block_swap(pegs, discs - low, base)
+    explored = 0
+    for d, layer, seen, counts in _layers(pegs, discs, 0, True):
+        explored += len(layer)
+        odd_tag, even_tag = 1 + (d - 1) % 3, 1 + d % 3
+        odd = even = 0
+        for v in layer:
+            high, low = divmod(v, base)
+            w = high_swap[high] + low_swap[low]
+            tw = seen[w]
+            if tw == odd_tag:
+                odd += counts[v] * counts[w]
+            elif tw == even_tag:
+                even += counts[v] * counts[w]
+        if odd:
+            return 2 * d - 1, odd, explored
+        if even:
+            return 2 * d, even, explored
+    raise HanoiError("state graph unexpectedly disconnected")
 
 
 def _perfect_peg(code: int, pegs: int, discs: int) -> int | None:
@@ -340,12 +411,37 @@ def bfs_distance(
     return OracleReport(pegs, discs, distance, geodesics, explored, dp_cost, agrees)
 
 
+def tower_distance(
+    pegs: int,
+    discs: int,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+    solver: HanoiSolver | None = None,
+) -> OracleReport:
+    """Certified distance and geodesic count between the perfect towers on
+    the first and last pegs, by the mirror half-depth search.
+
+    Gives the distance, geodesic count, ``dp_cost`` and ``agrees`` of
+    ``bfs_distance(pegs, discs)``, but ``states_explored`` counts only the
+    states within about half the distance of the source, where
+    :func:`bfs_distance` counts the whole ball around it.  The budget
+    bounds p**n, as there: the visited array still holds a byte per state.
+    """
+    size = _check_space(pegs, discs)
+    if size > state_budget:
+        raise StateBudgetExceeded(size, state_budget)
+    distance, geodesics, explored = _mirror_search(pegs, discs)
+    dp_cost = _resolve(solver).cost(pegs, discs) if discs else 0
+    return OracleReport(
+        pegs, discs, distance, geodesics, explored, dp_cost, distance == dp_cost
+    )
+
+
 def geodesic_uniqueness(
     discs: int, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> int:
     """Number of distinct shortest paths between the two perfect
     three-peg towers.  The optimal solution is unique, so this is 1."""
-    return bfs_distance(3, discs, state_budget=state_budget).geodesic_count
+    return tower_distance(3, discs, state_budget=state_budget).geodesic_count
 
 
 def graph_metrics(

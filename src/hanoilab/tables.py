@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TextIO
 
-from .errors import DomainError
+from .errors import DomainError, render_exact
 from .recurrences import (
     HanoiSolver,
     _resolve,
@@ -192,7 +192,7 @@ def emit_table(
     elif kind == "growth":
         rows = growth_table(pegs, (lo, hi), s)
         lines = ["n," + ",".join(f"t{p}" for p in sorted(set(pegs)))]
-        lines += [f"{row.discs}," + ",".join(map(str, row.costs)) for row in rows]
+        lines += [f"{row.discs}," + ",".join(map(render_exact, row.costs)) for row in rows]
     else:  # deltas
         if lo < 3:
             raise DomainError(f"delta rows start at n=3, got {lo}")

@@ -1,4 +1,7 @@
 import dataclasses
+import decimal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,6 +16,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m hanoilab`` in a fresh interpreter, with its default
+    int-to-str digit limit."""
+    return subprocess.run(
+        [sys.executable, "-m", "hanoilab", *argv], capture_output=True, text=True
+    )
 
 
 class TestSolve:
@@ -54,6 +65,17 @@ class TestSolve:
         )
         assert code == 0
         assert "cost:" in out
+
+    def test_cost_longer_than_the_int_to_str_limit(self):
+        # 2**15000 - 1 has 4,516 digits, past CPython's 4,300-digit str() limit
+        proc = run_module(
+            "solve", "--pegs", "3", "--discs", "15000", "--max-discs", "15000"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert lines[:2] == ["pegs: 3", "discs: 15000"]
+        assert lines[2].startswith("cost: ")
+        assert int(decimal.Decimal(lines[2][len("cost: "):])) == 2**15000 - 1
 
     def test_ceiling_via_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("HANOILAB_MAX_DISCS", "4")
@@ -112,6 +134,18 @@ class TestTable:
     def test_unknown_kind(self, capsys):
         code, _, _ = run(capsys, "table", "--kind", "everything")
         assert code == 1
+
+    def test_growth_past_the_int_to_str_limit(self):
+        proc = run_module(
+            "table", "--kind", "growth", "--pegs", "3",
+            "--from", "14990", "--to", "15000", "--max-discs", "15000",
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = proc.stdout.splitlines()
+        assert rows[0] == "n,t3" and len(rows) == 12
+        n, cost = rows[-1].split(",")
+        assert n == "15000"
+        assert int(decimal.Decimal(cost)) == 2**15000 - 1
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
@@ -282,6 +316,21 @@ class TestVerifyAll:
         assert "references: 120 checked, 0 mismatches" in out
         assert "skipped" in err
         assert out.splitlines()[-1] == "PASS"
+
+    def test_never_runs_a_full_bfs(self, capsys, monkeypatch):
+        def full_bfs(*args, **kwargs):
+            raise AssertionError("verify-all ran a full BFS")
+
+        monkeypatch.setattr(hanoilab.oracle, "bfs_distance", full_bfs)
+        monkeypatch.setattr(hanoilab.oracle, "certify_range", full_bfs)
+        code, out, err = run(capsys, "verify-all")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "references: 120 checked, 0 mismatches",
+            "oracle p=3: 10 certified, 0 disagreements, 0 skipped",
+            "oracle p=4: 10 certified, 0 disagreements, 0 skipped",
+            "PASS",
+        ]
 
     def test_corrupted_reference_fails(self, capsys, monkeypatch):
         bad_rows = list(REFERENCE.table1_rows)

@@ -20,6 +20,7 @@ from hanoilab.oracle import (
     neighbors,
     pack,
     perfect_state,
+    tower_distance,
     unpack,
 )
 
@@ -248,6 +249,60 @@ class TestGeodesics:
 
     def test_four_pegs_have_many(self):
         assert bfs_distance(4, 4).geodesic_count == 22
+
+
+# Every perfect-tower space with p in 3..8 and at most 65,536 states.
+MIRROR_SPACES = [
+    (pegs, discs)
+    for pegs in range(3, 9)
+    for discs in range(17)
+    if pegs**discs <= 65_536
+]
+
+
+class TestTowerDistance:
+    @pytest.mark.parametrize("pegs,discs", MIRROR_SPACES)
+    def test_matches_full_bfs(self, pegs, discs, solver):
+        mirror = tower_distance(pegs, discs, solver=solver)
+        full = bfs_distance(pegs, discs, solver=solver)
+        assert (mirror.pegs, mirror.discs) == (pegs, discs)
+        assert mirror.distance == full.distance
+        assert mirror.geodesic_count == full.geodesic_count
+        assert mirror.dp_cost == full.dp_cost
+        assert mirror.agrees is full.agrees is True
+        assert mirror.states_explored <= full.states_explored
+
+    @pytest.mark.parametrize("pegs,discs", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3)])
+    def test_against_networkx(self, pegs, discs):
+        graph = build_graph(pegs, discs)
+        source = perfect_state(pegs, discs, 0)
+        target = perfect_state(pegs, discs, pegs - 1)
+        report = tower_distance(pegs, discs)
+        assert report.distance == nx.shortest_path_length(graph, source, target)
+        expected_paths = len(list(nx.all_shortest_paths(graph, source, target)))
+        assert report.geodesic_count == expected_paths
+
+    def test_zero_discs(self):
+        report = tower_distance(4, 0)
+        assert (report.distance, report.geodesic_count, report.states_explored) == (0, 1, 1)
+        assert report.dp_cost == 0 and report.agrees
+
+    def test_budget_checked_before_allocation(self, monkeypatch):
+        def unaffordable(*args):
+            raise AssertionError(f"tables built for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
+        monkeypatch.setattr(hanoilab.oracle, "_block_swap", unaffordable)
+        with pytest.raises(StateBudgetExceeded) as err:
+            tower_distance(4, 20)
+        assert err.value.required == 4**20
+
+    def test_searches_half_deep(self, solver):
+        # the full BFS explores all 4**10 = 1,048,576 states here
+        report = tower_distance(4, 10, solver=solver)
+        assert (report.distance, report.geodesic_count) == (49, 2178)
+        assert report.states_explored == 50_428
+        assert report.agrees
 
 
 class TestMetrics:
