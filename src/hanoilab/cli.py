@@ -256,24 +256,18 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     mismatches += len(report.mismatches)
 
     for pegs in (3, 4):
-        reports = []
-        skipped = []
-        for n in range(1, 11):
-            try:
-                reports.append(orc.tower_distance(pegs, n, budget, solver))
-            except StateBudgetExceeded as exc:
-                skipped.append((n, exc))
-        bad = [r for r in reports if not r.agrees]
+        sweep = orc._sweep(orc.tower_distance, pegs, 10, budget, solver)
+        bad = [r for r in sweep.reports if not r.agrees]
         print(
-            f"oracle p={pegs}: {len(reports)} certified, "
-            f"{len(bad)} disagreements, {len(skipped)} skipped"
+            f"oracle p={pegs}: {len(sweep.reports)} certified, "
+            f"{len(bad)} disagreements, {len(sweep.skipped)} skipped"
         )
         for r in bad:
             print(f"  n={r.discs}: bfs {r.distance} != dp {r.dp_cost}")
-        for n, exc in skipped:
+        for skip in sweep.skipped:
             _err(
-                f"oracle p={pegs}: skipped n={n} "
-                f"(needs {exc.required} states, budget {exc.budget})"
+                f"oracle p={pegs}: skipped n={skip.discs} "
+                f"(needs {skip.required} states, budget {skip.budget})"
             )
         mismatches += len(bad)
 

@@ -3,25 +3,16 @@
 from __future__ import annotations
 
 import decimal
-import math
-
-#: Counts up to this many bits (at most 3,914 digits) are shown exactly;
-#: CPython refuses to convert ints above 4,300 digits to text by default.
-_EXACT_BITS = 13_000
 
 
 def render_count(value: int) -> str:
     """Decimal text of a positive count, or ``at least 10^e`` for counts
-    too long to convert, with e the exact floor of log10(value)."""
-    if value.bit_length() <= _EXACT_BITS:
+    too long for the int-to-str digit limit in force, with e the exact
+    floor of log10(value)."""
+    try:
         return str(value)
-    e = int(math.log10(value))
-    # the float logarithm can land one off next to a power of ten
-    if 10**e > value:
-        e -= 1
-    elif 10 ** (e + 1) <= value:
-        e += 1
-    return f"at least 10^{e}"
+    except ValueError:
+        return f"at least 10^{decimal.Decimal(value).adjusted()}"
 
 
 def render_exact(value: int) -> str:

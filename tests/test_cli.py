@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import os
 import subprocess
 import sys
 import time
@@ -18,11 +19,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """``python -m hanoilab`` in a fresh interpreter, with its default
-    int-to-str digit limit."""
+def run_module(*argv, int_max_str_digits=4300):
+    """``python -m hanoilab`` in a fresh interpreter, by default with
+    CPython's default int-to-str digit limit."""
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": str(int_max_str_digits)}
     return subprocess.run(
-        [sys.executable, "-m", "hanoilab", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "hanoilab", *argv], capture_output=True, text=True, env=env
     )
 
 
@@ -290,8 +292,13 @@ class TestOracle:
         assert code == 3
         assert "skipped n=3" in err
 
+    def test_disc_ceiling_exits_three(self, capsys):
+        code, out, err = run(capsys, "oracle", "--pegs", "4", "--max", "10", "--max-discs", "9")
+        assert (code, out) == (3, "")
+        assert err == "hanoilab: disc count 10 exceeds the configured maximum 9\n"
+
     def test_disagreement_exits_two(self, capsys, monkeypatch):
-        def lying_search(pegs, discs, source, target, want_counts):
+        def lying_search(pegs, discs, source, target):
             return 999, 1, 1
 
         monkeypatch.setattr(hanoilab.oracle, "_search", lying_search)
@@ -313,9 +320,18 @@ class TestVerifyAll:
     def test_partial_oracle_coverage_is_reported(self, capsys):
         code, out, err = run(capsys, "verify-all", "--state-budget", str(4**3))
         assert code == 0
-        assert "references: 120 checked, 0 mismatches" in out
-        assert "skipped" in err
-        assert out.splitlines()[-1] == "PASS"
+        assert out.splitlines() == [
+            "references: 120 checked, 0 mismatches",
+            "oracle p=3: 3 certified, 0 disagreements, 7 skipped",
+            "oracle p=4: 3 certified, 0 disagreements, 7 skipped",
+            "PASS",
+        ]
+        assert err.splitlines() == [
+            f"hanoilab: oracle p={pegs}: skipped n={n} "
+            f"(needs {pegs**n} states, budget 64)"
+            for pegs in (3, 4)
+            for n in range(4, 11)
+        ]
 
     def test_never_runs_a_full_bfs(self, capsys, monkeypatch):
         def full_bfs(*args, **kwargs):
@@ -390,3 +406,34 @@ class TestCommandLineSurface:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 100000**128 = 10**640 has 641 digits
+            (
+                ["oracle", "--pegs", "100000", "--max", "150", "--state-budget", "10"],
+                "skipped n=128: needs at least 10^640 states, budget is 10",
+            ),
+            # 2**3000 has 904 digits
+            (
+                ["moves", "--pegs", "3", "--discs", "3000", "--max-discs", "3000"],
+                "search needs at least 10^903 states",
+            ),
+        ],
+        ids=["oracle", "moves"],
+    )
+    def test_lowered_int_to_str_limit_exits_three(self, argv, message):
+        proc = run_module(*argv, int_max_str_digits=640)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+    def test_counts_within_the_int_to_str_limit_print_exactly(self):
+        proc = run_module("oracle", "--pegs", "100000", "--max", "860", "--state-budget", "10")
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 860
+        for n in (1, 783, 859):  # 5n + 1 digits, up to 4,296
+            assert lines[n - 1] == f"hanoilab: skipped n={n}: needs 1{'0' * (5 * n)} states, budget is 10"
+        assert lines[-1] == "hanoilab: skipped n=860: needs at least 10^4300 states, budget is 10"

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hanoilab.oracle
-from hanoilab.errors import DomainError, StateBudgetExceeded
+from hanoilab.errors import DiscLimitError, DomainError, StateBudgetExceeded
 from hanoilab.moves import Configuration
 from hanoilab.oracle import (
     DEFAULT_STATE_BUDGET,
+    SkippedLevel,
     _move_tables,
     _search,
     bfs_distance,
@@ -23,6 +24,7 @@ from hanoilab.oracle import (
     tower_distance,
     unpack,
 )
+from hanoilab.recurrences import HanoiSolver
 
 
 def build_graph(pegs, discs):
@@ -159,6 +161,46 @@ class TestMoveTables:
             bfs_distance(4, 20)
         with pytest.raises(StateBudgetExceeded):
             graph_metrics(3, 13)
+
+    @pytest.mark.parametrize("call", [bfs_distance, tower_distance], ids=lambda f: f.__name__)
+    def test_disc_ceiling_checked_before_the_search(self, monkeypatch, call):
+        def unaffordable(pegs, discs):
+            raise AssertionError(f"move tables built for ({pegs}, {discs})")
+
+        monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
+        with pytest.raises(DiscLimitError):
+            call(4, 10, solver=HanoiSolver(max_discs=9))
+
+
+# One search on (pegs, discs) under the budget b, for each budgeted entry point.
+GATED_CALLS = [
+    pytest.param(lambda p, n, b: bfs_distance(p, n, state_budget=b), 4, 3, id="bfs_distance"),
+    pytest.param(lambda p, n, b: tower_distance(p, n, state_budget=b), 4, 3, id="tower_distance"),
+    pytest.param(
+        lambda p, n, b: geodesic_uniqueness(n, state_budget=b), 3, 4, id="geodesic_uniqueness"
+    ),
+    pytest.param(lambda p, n, b: graph_metrics(p, n, metrics_budget=b), 3, 4, id="graph_metrics"),
+]
+
+
+class TestBudgetGate:
+    @pytest.mark.parametrize("call, pegs, discs", GATED_CALLS)
+    def test_admits_exactly_the_state_count(self, call, pegs, discs):
+        size = pegs**discs
+        call(pegs, discs, size)
+        with pytest.raises(StateBudgetExceeded) as err:
+            call(pegs, discs, size - 1)
+        assert (err.value.required, err.value.budget) == (size, size - 1)
+
+    @pytest.mark.parametrize("pegs, discs", [(3, 4), (4, 3)])
+    def test_sweep_skips_a_level_one_state_short(self, pegs, discs, solver):
+        size = pegs**discs
+        sweep = certify_range(pegs, discs, state_budget=size, solver=solver)
+        assert [r.discs for r in sweep.reports] == list(range(1, discs + 1))
+        assert sweep.skipped == ()
+        sweep = certify_range(pegs, discs, state_budget=size - 1, solver=solver)
+        assert [r.discs for r in sweep.reports] == list(range(1, discs))
+        assert sweep.skipped == (SkippedLevel(discs, size, size - 1),)
 
 
 class TestDistances:
@@ -327,7 +369,7 @@ class TestMetrics:
         assert metrics.diameter == nx.diameter(graph)
         eccentricity = nx.eccentricity(graph)
         for v in graph:
-            assert _search(pegs, discs, v, None, False)[0] == eccentricity[v]
+            assert _search(pegs, discs, v, None)[0] == eccentricity[v]
 
     @pytest.mark.parametrize("pegs", [3, 4])
     def test_zero_discs(self, pegs):
