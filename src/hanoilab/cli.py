@@ -5,6 +5,8 @@ golden-file comparisons.  Exit codes: 0 success, 1 bad arguments,
 2 verification mismatch, 3 resource budget exceeded.  The two budgets
 can also be set via HANOILAB_MAX_DISCS and HANOILAB_STATE_BUDGET; the
 state budget also bounds moves traces (L moves count as L + 1 states).
+For moves it bounds time only: the trace is written and checked chunk by
+chunk as it is generated, so memory is O(n * p**2) plus one chunk.
 """
 
 from __future__ import annotations
@@ -196,30 +198,33 @@ def _cmd_moves(args: argparse.Namespace) -> int:
     budget = _budget_for(args)
     if length + 1 > budget:  # L moves pass through L + 1 states
         raise StateBudgetExceeded(length + 1, budget)
-    if args.pegs == 3:
-        trace = mv.generate_three_peg(args.discs)
-    else:
-        trace = mv.generate_frame_stewart(args.pegs, args.discs, strategy, solver)
-    sys.stdout.write(mv.trace_to_csv(trace))
+    chunks = mv.trace_chunks(args.pegs, args.discs, strategy, solver)
+    check = mv.TraceCheck(mv.Configuration.perfect(args.discs, args.pegs), strategy, solver)
+    csv = mv.TraceCsv()
+    write = sys.stdout.write
+    write(csv.HEADER)
+    for chunk in chunks:
+        write(csv.rows(chunk))
+        if args.verify:
+            check.feed(chunk)
     if not args.verify:
         return EXIT_OK
-    failures = mv.verify_trace(trace, strategy, solver)
+    failures = check.failures()
     for failure in failures:
         _err(f"verify: {failure}")
     if failures:
         return EXIT_MISMATCH
-    _err(f"verify: ok ({len(trace)} moves)")
+    _err(f"verify: ok ({check.moves} moves)")
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     solver = _solver_for(args)
-    sweep = orc.certify_range(
-        args.pegs,
-        args.max_discs_swept,
-        state_budget=_budget_for(args),
-        solver=solver,
-    )
+    budget = _budget_for(args)
+    if args.metrics:  # prints the full BFS ball's states_explored
+        sweep = orc.certify_range(args.pegs, args.max_discs_swept, budget, solver)
+    else:  # the same rows from the mirror search, which explores far less
+        sweep = orc._sweep(orc.tower_distance, args.pegs, args.max_discs_swept, budget, solver)
     header = "n,distance,dp_cost,agree"
     if args.metrics:
         header += ",geodesics,states_explored"

@@ -4,12 +4,21 @@ Pegs are 0-based indices rendered as labels A, B, C, D, P5, P6, ...;
 discs are 1-based ranks with 1 the smallest.  A configuration stores one
 peg per disc -- stacking order on a peg is forced by rank, so the
 mapping alone determines every stack.
+
+Traces stream.  :func:`trace_chunks` yields a trace as lists of at most
+:data:`CHUNK_MOVES` ``(disc, source, target)`` tuples, :class:`TraceCsv`
+renders those chunks as CSV and :class:`TraceCheck` replays and checks
+them in one pass, so a trace of any length needs memory for one chunk
+plus O(n * p**2) for the generator's task stack, split cache and CSV
+tails.  :class:`MoveTrace` and the functions that take one hold a trace
+whole for library callers; they are thin wrappers over the same path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     LARGER_ON_SMALLER,
@@ -21,6 +30,13 @@ from .errors import (
 from .recurrences import HanoiSolver, _resolve
 
 _LETTERS = "ABCD"
+
+#: Moves per chunk of a streamed trace: enough to amortise the per-chunk
+#: work, few enough that a chunk's memory is negligible.
+CHUNK_MOVES = 4096
+
+#: A move as it streams: (disc, source peg, target peg).
+Step = tuple[int, int, int]
 
 
 def peg_label(index: int) -> str:
@@ -131,73 +147,49 @@ class MoveTrace:
         return current
 
 
+def _chunked(moves: Iterable[Move]) -> Iterator[list[Step]]:
+    """Move objects as a chunk stream."""
+    it = iter(moves)
+    while chunk := [(m.disc, m.source, m.target) for m in islice(it, CHUNK_MOVES)]:
+        yield chunk
+
+
+def _held(initial: Configuration, chunks: Iterable[list[Step]]) -> MoveTrace:
+    """A streamed trace held whole; equal moves share one Move object."""
+    shared: dict[Step, Move] = {}
+    moves = tuple(
+        shared.get(m) or shared.setdefault(m, Move(*m)) for chunk in chunks for m in chunk
+    )
+    return MoveTrace(initial, moves)
+
+
+class TraceCsv:
+    """``step,disc,from,to`` rows of a streamed trace, one chunk at a time.
+
+    Steps are 1-based and run on across chunks.  The ``disc,from,to``
+    tail of each distinct move is rendered once and then reused.
+    """
+
+    HEADER = "step,disc,from,to\n"
+
+    def __init__(self) -> None:
+        self.steps = 0
+        self._tails: dict[Step, str] = {}
+
+    def rows(self, chunk: list[Step]) -> str:
+        tails = self._tails
+        for move in set(chunk).difference(tails):
+            disc, source, target = move
+            tails[move] = f"{disc},{peg_label(source)},{peg_label(target)}\n"
+        first = self.steps + 1
+        self.steps += len(chunk)
+        return "".join([f"{step},{tails[move]}" for step, move in enumerate(chunk, first)])
+
+
 def trace_to_csv(trace: MoveTrace) -> str:
     """Trace export: ``step,disc,from_label,to_label`` with 1-based steps."""
-    lines = ["step,disc,from,to"]
-    for step, move in enumerate(trace.moves, 1):
-        lines.append(
-            f"{step},{move.disc},{peg_label(move.source)},{peg_label(move.target)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _emit_three(count: int, lowest: int, src: int, dst: int, spare: int, out: list[Move]) -> None:
-    if count == 0:
-        return
-    _emit_three(count - 1, lowest, src, spare, dst, out)
-    out.append(Move(lowest + count - 1, src, dst))
-    _emit_three(count - 1, lowest, spare, dst, src, out)
-
-
-def generate_three_peg(discs: int, source: int = 0, target: int = 2) -> MoveTrace:
-    """Optimal three-peg trace (move n-1 aside, move largest, rebuild).
-
-    Length is exactly 2**n - 1.
-    """
-    if discs < 0:
-        raise DomainError(f"disc count must be non-negative, got {discs}")
-    for peg in (source, target):
-        if not 0 <= peg < 3:
-            raise DomainError(f"peg {peg} out of range for 3 pegs")
-    if source == target:
-        raise DomainError("source and target pegs must differ")
-    spare = 3 - source - target
-    out: list[Move] = []
-    _emit_three(discs, 1, source, target, spare, out)
-    return MoveTrace(Configuration.perfect(discs, 3, source), tuple(out))
-
-
-def _emit_multi(
-    count: int,
-    lowest: int,
-    src: int,
-    dst: int,
-    pegs: tuple[int, ...],
-    out: list[Move],
-    solver: HanoiSolver,
-    override: int | None = None,
-) -> None:
-    if count == 0:
-        return
-    if count == 1:
-        out.append(Move(lowest, src, dst))
-        return
-    if len(pegs) == 3:
-        spare = next(q for q in pegs if q != src and q != dst)
-        _emit_three(count, lowest, src, dst, spare, out)
-        return
-    if override is None:
-        k = solver.solve(len(pegs), count).canonical_split
-    else:
-        k = override
-    # Park the k smallest on the lowest-index spare peg, shuttle the rest
-    # with that peg frozen, then unpark.  Discs below the active block are
-    # always larger, so they never constrain these sub-solves.
-    staging = min(q for q in pegs if q != src and q != dst)
-    shuttle_pegs = tuple(q for q in pegs if q != staging)
-    _emit_multi(k, lowest, src, staging, pegs, out, solver)
-    _emit_multi(count - k, lowest + k, src, dst, shuttle_pegs, out, solver)
-    _emit_multi(k, lowest, staging, dst, pegs, out, solver)
+    csv = TraceCsv()
+    return csv.HEADER + "".join(csv.rows(chunk) for chunk in _chunked(trace.moves))
 
 
 def _top_split(pegs: int, discs: int, strategy: str | int) -> int | None:
@@ -219,6 +211,114 @@ def _top_split(pegs: int, discs: int, strategy: str | int) -> int | None:
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
+def trace_chunks(
+    pegs: int,
+    discs: int,
+    strategy: str | int = "optimal",
+    solver: HanoiSolver | None = None,
+    source: int = 0,
+    target: int | None = None,
+) -> Iterator[list[Step]]:
+    """The trace as successive lists of at most :data:`CHUNK_MOVES` moves.
+
+    The arguments are checked before this returns, so a bad call raises
+    before any move is made.  ``strategy`` selects the top-level split
+    as for :func:`generate_frame_stewart`; three pegs take only
+    ``"optimal"``.  ``target`` defaults to the last peg.
+    """
+    if pegs < 3:
+        raise DomainError(f"need at least 3 pegs, got {pegs}")
+    split = _top_split(pegs, discs, strategy)
+    if target is None:
+        target = pegs - 1
+    for peg in (source, target):
+        if not 0 <= peg < pegs:
+            raise DomainError(f"peg {peg} out of range for {pegs} pegs")
+    if source == target:
+        raise DomainError("source and target pegs must differ")
+    return _walk(pegs, discs, source, target, split, _resolve(solver))
+
+
+def _walk(
+    pegs: int, discs: int, source: int, target: int, split: int | None, solver: HanoiSolver
+) -> Iterator[list[Step]]:
+    """Park / shuttle / rebuild without recursion: park the k smallest on
+    the lowest-index spare peg, shuttle the rest with that peg frozen,
+    then unpark.  Discs below the active block are always larger, so they
+    never constrain these sub-solves.  Three-peg blocks follow the ruler
+    rule of :func:`_ruler`."""
+    splits: dict[tuple[int, int], int] = {}  # (pegs, discs) -> canonical split
+    chunk: list[Step] = []
+    # (count, lowest disc, from, to, usable pegs, forced split or None);
+    # popped last in, first out, so each level pushes rebuild, shuttle, park
+    tasks = [(discs, 1, source, target, tuple(range(pegs)), split)]
+    while tasks:
+        count, lowest, src, dst, usable, k = tasks.pop()
+        if count == 1:
+            chunk.append((lowest, src, dst))
+            if len(chunk) == CHUNK_MOVES:
+                yield chunk
+                chunk = []
+        elif len(usable) == 3:
+            spare = next(q for q in usable if q != src and q != dst)
+            chunk = yield from _ruler(chunk, count, lowest, src, dst, spare)
+        elif count:
+            if k is None:
+                key = (len(usable), count)
+                if key not in splits:
+                    splits[key] = solver.solve(*key).canonical_split
+                k = splits[key]
+            staging = min(q for q in usable if q != src and q != dst)
+            shuttle = tuple(q for q in usable if q != staging)
+            tasks += (
+                (k, lowest, staging, dst, usable, None),
+                (count - k, lowest + k, src, dst, shuttle, None),
+                (k, lowest, src, staging, usable, None),
+            )
+    if chunk:
+        yield chunk
+
+
+def _ruler(
+    chunk: list[Step], count: int, lowest: int, src: int, dst: int, spare: int
+) -> Iterator[list[Step]]:
+    """Extend ``chunk`` with the optimal three-peg moves of a tower of
+    ``count`` discs from ``lowest`` up, yielding it each time it is full;
+    returns the partly filled last chunk.
+
+    Step t moves the j-th smallest disc, j = 1 + (trailing zeros of t),
+    for the (t >> j)-th time counting from 0.  That disc cycles
+    src -> dst -> spare when count - j is even and src -> spare -> dst
+    when it is odd (Hinz, Klavzar, Milutinovic & Petr, *The Tower of
+    Hanoi -- Myths and Maths*, 2013).
+    """
+    cycles: list[tuple[Step, Step, Step]] = [((0, 0, 0),) * 3]  # j = 0 is unused
+    for j in range(1, count + 1):
+        a, b, c = (src, dst, spare) if (count - j) % 2 == 0 else (src, spare, dst)
+        disc = lowest + j - 1
+        cycles.append(((disc, a, b), (disc, b, c), (disc, c, a)))
+    step, end = 1, 1 << count  # steps 1 .. 2**count - 1
+    while step < end:
+        stop = min(step + CHUNK_MOVES - len(chunk), end)
+        chunk += [
+            cycles[j][(t >> j) % 3] for t in range(step, stop) for j in ((t & -t).bit_length(),)
+        ]
+        step = stop
+        if len(chunk) == CHUNK_MOVES:
+            yield chunk
+            chunk = []
+    return chunk
+
+
+def generate_three_peg(discs: int, source: int = 0, target: int = 2) -> MoveTrace:
+    """Optimal three-peg trace (move n-1 aside, move largest, rebuild).
+
+    Length is exactly 2**n - 1.
+    """
+    chunks = trace_chunks(3, discs, source=source, target=target)
+    return _held(Configuration.perfect(discs, 3, source), chunks)
+
+
 def generate_frame_stewart(
     pegs: int,
     discs: int,
@@ -236,20 +336,8 @@ def generate_frame_stewart(
     """
     if pegs < 4:
         raise DomainError(f"need at least 4 pegs, got {pegs}")
-    override = _top_split(pegs, discs, strategy)
-    if target is None:
-        target = pegs - 1
-    for peg in (source, target):
-        if not 0 <= peg < pegs:
-            raise DomainError(f"peg {peg} out of range for {pegs} pegs")
-    if source == target:
-        raise DomainError("source and target pegs must differ")
-
-    out: list[Move] = []
-    _emit_multi(
-        discs, 1, source, target, tuple(range(pegs)), out, _resolve(solver), override
-    )
-    return MoveTrace(Configuration.perfect(discs, pegs, source), tuple(out))
+    chunks = trace_chunks(pegs, discs, strategy, solver, source, target)
+    return _held(Configuration.perfect(discs, pegs, source), chunks)
 
 
 def trace_length(
@@ -264,6 +352,48 @@ def trace_length(
     return 2 * s.cost(pegs, k) + s.cost(pegs - 1, discs - k)
 
 
+def _replay(stacks: list[list[int]], chunk: list[Step], first: int, discs: int) -> None:
+    """Apply a chunk of moves, numbered from step ``first``, to per-peg
+    stacks (bottom first), raising at the first one that breaks a rule."""
+    index = 0
+    try:
+        for index, (disc, src, dst) in enumerate(chunk):
+            from_stack = stacks[src]
+            if not from_stack or from_stack[-1] != disc:
+                break
+            to_stack = stacks[dst]
+            if to_stack and to_stack[-1] < disc:
+                break
+            from_stack.pop()
+            to_stack.append(disc)
+        else:
+            return
+    except IndexError:  # a peg outside the board
+        pass
+    _reject(stacks, chunk[index], first + index, discs)
+
+
+def _reject(stacks: list[list[int]], move: Step, step: int, discs: int) -> None:
+    """Raise the error for a move that :func:`_replay` could not apply."""
+    disc, src, dst = move
+    if not 1 <= disc <= discs:
+        raise DomainError(f"move {step} references unknown disc {disc}")
+    if src >= len(stacks) or dst >= len(stacks):
+        raise DomainError(f"move {step} references a peg outside the board")
+    actual = next(q for q, stack in enumerate(stacks) if disc in stack)
+    if actual != src:
+        raise IllegalMove(
+            step,
+            WRONG_SOURCE_PEG,
+            f"disc {disc} is on {peg_label(actual)}, not {peg_label(src)}",
+        )
+    if stacks[src][-1] != disc:
+        raise IllegalMove(step, NOT_TOP_DISC, f"disc {disc} is buried on {peg_label(src)}")
+    raise IllegalMove(
+        step, LARGER_ON_SMALLER, f"disc {disc} onto smaller disc {stacks[dst][-1]}"
+    )
+
+
 def validate_sequence(initial: Configuration, moves: Sequence[Move]) -> Configuration:
     """Replay moves under the rules and return the final configuration.
 
@@ -271,38 +401,15 @@ def validate_sequence(initial: Configuration, moves: Sequence[Move]) -> Configur
     top disc (if any) is larger; otherwise :class:`IllegalMove` reports
     the 1-based step and the reason.
     """
-    n = initial.num_discs
-    where = list(initial.pegs)
     stacks = initial.stacks()
-    for step, move in enumerate(moves, 1):
-        if not 1 <= move.disc <= n:
-            raise DomainError(f"move {step} references unknown disc {move.disc}")
-        if move.source >= initial.num_pegs or move.target >= initial.num_pegs:
-            raise DomainError(f"move {step} references a peg outside the board")
-        actual = where[move.disc - 1]
-        if actual != move.source:
-            raise IllegalMove(
-                step,
-                WRONG_SOURCE_PEG,
-                f"disc {move.disc} is on {peg_label(actual)}, "
-                f"not {peg_label(move.source)}",
-            )
-        if stacks[move.source][-1] != move.disc:
-            raise IllegalMove(
-                step,
-                NOT_TOP_DISC,
-                f"disc {move.disc} is buried on {peg_label(move.source)}",
-            )
-        dest = stacks[move.target]
-        if dest and dest[-1] < move.disc:
-            raise IllegalMove(
-                step,
-                LARGER_ON_SMALLER,
-                f"disc {move.disc} onto smaller disc {dest[-1]}",
-            )
-        stacks[move.source].pop()
-        dest.append(move.disc)
-        where[move.disc - 1] = move.target
+    first = 1
+    for chunk in _chunked(moves):
+        _replay(stacks, chunk, first, initial.num_discs)
+        first += len(chunk)
+    where = [0] * initial.num_discs
+    for peg, stack in enumerate(stacks):
+        for disc in stack:
+            where[disc - 1] = peg
     return Configuration(initial.num_pegs, tuple(where))
 
 
@@ -334,11 +441,10 @@ class GrayReport:
     ruler_pattern: bool
 
 
-def _follows_ruler(moves: Sequence[Move]) -> bool:
-    """Whether the disc moved at step t is always 1 + (trailing zeros of t)."""
-    return all(
-        move.disc == (step & -step).bit_length() for step, move in enumerate(moves, 1)
-    )
+def _follows_ruler(discs: list[int], first: int) -> bool:
+    """Whether the disc moved at each step t, counting from step
+    ``first``, is 1 + (trailing zeros of t)."""
+    return discs == [(t & -t).bit_length() for t in range(first, first + len(discs))]
 
 
 def gray_trace(trace: MoveTrace) -> GrayReport:
@@ -358,8 +464,7 @@ def gray_trace(trace: MoveTrace) -> GrayReport:
     single = all(
         (a ^ b).bit_count() == 1 for a, b in zip(vectors, vectors[1:])
     )
-    ruler = _follows_ruler(trace.moves)
-    return GrayReport(tuple(vectors), tuple(flips), single, ruler)
+    return GrayReport(tuple(vectors), tuple(flips), single, _follows_ruler(flips, 1))
 
 
 def moment_trace(trace: MoveTrace, order: int) -> list[int]:
@@ -404,6 +509,71 @@ class SubtowerReport:
     independent: bool
 
 
+class _SubtowerFold:
+    """The subtower report of a trace with discs, folded over chunks that
+    have already been replayed."""
+
+    def __init__(self, initial: Configuration) -> None:
+        self._pegs = initial.num_pegs
+        self._largest = initial.num_discs
+        self._where = list(initial.pegs)  # kept up to the critical move
+        self._hits = 0
+        self._sink: int | None = None
+        self._subtowers: tuple[tuple[int, frozenset[int]], ...] = ()
+        # after the critical move: each disc's group, and per peg its disc
+        # count and the group holding it
+        self._group_of: list[int] | None = None
+        self._held: list[int] = []
+        self._owner: list[int | None] = []
+        self._independent = True
+
+    def feed(self, chunk: list[Step]) -> None:
+        largest, where, group_of = self._largest, self._where, self._group_of
+        held, owner = self._held, self._owner
+        for disc, src, dst in chunk:
+            if disc == largest:
+                self._hits += 1
+                if group_of is None:
+                    group_of, held, owner = self._split(src, dst)
+            elif group_of is None:
+                where[disc - 1] = dst
+            elif self._independent:
+                g = group_of[disc - 1]
+                if dst != self._sink and owner[dst] not in (None, g):
+                    self._independent = False
+                    continue
+                held[src] -= 1
+                if not held[src]:
+                    owner[src] = None
+                held[dst] += 1
+                owner[dst] = g
+
+    def _split(self, src: int, dst: int):
+        # At this moment the source peg holds only the largest disc and the
+        # target peg is empty, so every other disc sits on a spare peg, and
+        # its group is named after that peg.
+        group_of = self._where[: self._largest - 1]
+        self._sink = dst
+        self._subtowers = tuple(
+            (q, frozenset(d for d, home in enumerate(group_of, 1) if home == q))
+            for q in range(self._pegs)
+            if q != src and q != dst
+        )
+        held = [group_of.count(q) for q in range(self._pegs)]
+        owner = [q if held[q] else None for q in range(self._pegs)]
+        self._group_of, self._held, self._owner = group_of, held, owner
+        return group_of, held, owner
+
+    def report(self) -> SubtowerReport:
+        n = self._largest
+        if self._hits != 1:
+            return SubtowerReport(n, self._hits, False, None, (), False, False, False)
+        independent = self._independent
+        return SubtowerReport(
+            n, 1, True, self._sink, self._subtowers, True, independent, independent
+        )
+
+
 def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     """Check the two-independent-subtowers structure of a trace.
 
@@ -413,47 +583,80 @@ def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     """
     if trace.initial.num_discs < 1:
         raise DomainError("trace has no discs")
-    validate_sequence(trace.initial, trace.moves)
-    return _subtowers(trace)
+    stacks = trace.initial.stacks()
+    fold = _SubtowerFold(trace.initial)
+    first = 1
+    for chunk in _chunked(trace.moves):
+        _replay(stacks, chunk, first, trace.initial.num_discs)
+        fold.feed(chunk)
+        first += len(chunk)
+    return fold.report()
 
 
-def _subtowers(trace: MoveTrace) -> SubtowerReport:
-    """Subtower report of a trace with discs that has already been replayed."""
-    cfg = trace.initial
-    n = cfg.num_discs
-    hits = [i for i, move in enumerate(trace.moves) if move.disc == n]
-    if len(hits) != 1:
-        return SubtowerReport(n, len(hits), False, None, (), False, False, False)
-    split_at = hits[0]
+class TraceCheck:
+    """Every check of :func:`verify_trace`, folded over a chunk stream.
 
-    where = list(cfg.pegs)
-    for move in trace.moves[:split_at]:
-        where[move.disc - 1] = move.target
-    critical = trace.moves[split_at]
-    sink = critical.target
-    # At this moment the source peg holds only the largest disc and the
-    # target peg is empty, so every other disc sits on a spare peg, and
-    # its group is named after that peg.
-    group_of = where[: n - 1]
-    subtowers = tuple(
-        (q, frozenset(d for d, home in enumerate(group_of, 1) if home == q))
-        for q in range(cfg.num_pegs)
-        if q != critical.source and q != sink
-    )
-    held = [group_of.count(q) for q in range(cfg.num_pegs)]
-    owner = [q if held[q] else None for q in range(cfg.num_pegs)]
-    independent = True
-    for move in trace.moves[split_at + 1 :]:
-        g = group_of[move.disc - 1]
-        if move.target != sink and owner[move.target] not in (None, g):
-            independent = False
-            break
-        held[move.source] -= 1
-        if not held[move.source]:
-            owner[move.source] = None
-        held[move.target] += 1
-        owner[move.target] = g
-    return SubtowerReport(n, 1, True, sink, subtowers, True, independent, independent)
+    Feed the chunks in order with :meth:`feed`, then read
+    :meth:`failures`.  An illegal move ends the replay, and with it the
+    ruler and subtower checks, which need a legal trace; the moves after
+    it are still counted for the length check.
+    """
+
+    def __init__(
+        self,
+        initial: Configuration,
+        strategy: str | int = "optimal",
+        solver: HanoiSolver | None = None,
+    ) -> None:
+        self._initial = initial
+        self.moves = 0
+        self._strategy = strategy
+        self._solver = solver
+        self._stacks = initial.stacks()
+        self._illegal: IllegalMove | None = None
+        self._ruler_ok = True
+        self._subtowers = (
+            _SubtowerFold(initial) if initial.num_pegs == 4 and initial.num_discs else None
+        )
+
+    def feed(self, chunk: list[Step]) -> None:
+        first = self.moves + 1
+        self.moves += len(chunk)
+        if self._illegal is not None:
+            return
+        try:
+            _replay(self._stacks, chunk, first, self._initial.num_discs)
+        except IllegalMove as exc:
+            self._illegal = exc
+            return
+        if self._initial.num_pegs == 3 and self._ruler_ok:
+            self._ruler_ok = _follows_ruler([move[0] for move in chunk], first)
+        if self._subtowers is not None:
+            self._subtowers.feed(chunk)
+
+    def failures(self) -> tuple[str, ...]:
+        """Failure messages of the replay, length, ruler (three pegs) and
+        subtower (four pegs) checks; empty when the trace passed."""
+        pegs, discs = self._initial.num_pegs, self._initial.num_discs
+        failures: list[str] = []
+        if self._illegal is not None:
+            failures.append(f"replay failed: {self._illegal}")
+        elif discs and len(self._stacks[pegs - 1]) != discs:
+            failures.append("replay does not end all-on-target")
+        predicted = trace_length(pegs, discs, self._strategy, self._solver)
+        if self.moves != predicted:
+            failures.append(f"length {self.moves} differs from predicted {predicted}")
+        if self._illegal is None and pegs == 3 and not self._ruler_ok:
+            failures.append("flip sequence does not follow the ruler pattern")
+        if self._illegal is None and self._subtowers is not None:
+            report = self._subtowers.report()
+            if not report.single_largest_move:
+                failures.append(
+                    f"largest disc moved {report.largest_move_count} times, expected once"
+                )
+            elif not report.independent:
+                failures.append("subtowers interfere after the largest-disc move")
+        return tuple(failures)
 
 
 def verify_trace(
@@ -461,26 +664,7 @@ def verify_trace(
 ) -> tuple[str, ...]:
     """Failure messages of the replay, length, ruler (three pegs) and
     subtower (four pegs) checks; an empty tuple means the trace passed."""
-    pegs, discs = trace.initial.num_pegs, trace.initial.num_discs
-    failures: list[str] = []
-    try:
-        final = validate_sequence(trace.initial, trace.moves)
-        if discs and final.pegs != (pegs - 1,) * discs:
-            failures.append("replay does not end all-on-target")
-    except IllegalMove as exc:
-        failures.append(f"replay failed: {exc}")
-        final = None
-    predicted = trace_length(pegs, discs, strategy, solver)
-    if len(trace) != predicted:
-        failures.append(f"length {len(trace)} differs from predicted {predicted}")
-    if final is not None and pegs == 3 and not _follows_ruler(trace.moves):
-        failures.append("flip sequence does not follow the ruler pattern")
-    if final is not None and pegs == 4 and discs >= 1:
-        report = _subtowers(trace)
-        if not report.single_largest_move:
-            failures.append(
-                f"largest disc moved {report.largest_move_count} times, expected once"
-            )
-        elif not report.independent:
-            failures.append("subtowers interfere after the largest-disc move")
-    return tuple(failures)
+    check = TraceCheck(trace.initial, strategy, solver)
+    for chunk in _chunked(trace.moves):
+        check.feed(chunk)
+    return check.failures()

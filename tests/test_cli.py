@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -215,20 +217,52 @@ class TestMoves:
         assert code == 1
 
     def test_verification_failure_exits_two(self, capsys, monkeypatch):
-        # force a wrong trace by sabotaging the generator
+        # force a wrong trace by dropping the last move of the stream the
+        # command writes and checks
         import hanoilab.cli as cli
-        import hanoilab.moves as mv
 
-        real = mv.generate_three_peg
+        real = cli.mv.trace_chunks
 
-        def broken(discs, source=0, target=2):
-            trace = real(discs, source, target)
-            return mv.MoveTrace(trace.initial, trace.moves[:-1])
+        def broken(*args, **kwargs):
+            chunks = list(real(*args, **kwargs))
+            chunks[-1] = chunks[-1][:-1]
+            return iter(chunks)
 
-        monkeypatch.setattr(cli.mv, "generate_three_peg", broken)
-        code, _, err = run(capsys, "moves", "--pegs", "3", "--discs", "3", "--verify")
+        monkeypatch.setattr(cli.mv, "trace_chunks", broken)
+        code, out, err = run(capsys, "moves", "--pegs", "3", "--discs", "3", "--verify")
         assert code == 2
         assert "verify:" in err
+        assert len(out.splitlines()) == 7  # header + the six moves left
+
+    def test_memory_does_not_grow_with_the_trace(self):
+        """``moves --verify`` holds a chunk, not the trace: 65,535 moves
+        peak within 1 MiB of 255 moves."""
+
+        class ByteCounter:
+            def __init__(self):
+                self.count = 0
+
+            def write(self, text):
+                self.count += len(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        def peak(discs):
+            out, err = ByteCounter(), ByteCounter()
+            tracemalloc.start()
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["moves", "--pegs", "3", "--discs", str(discs), "--verify"])
+                peak_bytes = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert out.count > 8 * (2**discs - 1)  # every row was written
+            return peak_bytes
+
+        assert peak(16) - peak(8) < 1 << 20
 
     def test_trace_over_state_budget_exits_before_generating(self, capsys):
         start = time.perf_counter()
@@ -297,14 +331,47 @@ class TestOracle:
         assert (code, out) == (3, "")
         assert err == "hanoilab: disc count 10 exceeds the configured maximum 9\n"
 
+    @pytest.mark.parametrize(
+        "pegs, top, budget", [(3, 8, None), (4, 7, None), (5, 5, None), (6, 5, None), (4, 8, 4**5)]
+    )
+    def test_rows_match_certify_range_without_a_full_bfs(
+        self, capsys, monkeypatch, pegs, top, budget
+    ):
+        budget = budget or hanoilab.oracle.DEFAULT_STATE_BUDGET
+        sweep = hanoilab.oracle.certify_range(pegs, top, state_budget=budget)
+        rows = ["n,distance,dp_cost,agree"] + [
+            f"{r.discs},{r.distance},{r.dp_cost},{'true' if r.agrees else 'false'}"
+            for r in sweep.reports
+        ]
+        skips = [
+            f"hanoilab: skipped n={s.discs}: needs {s.required} states, budget is {budget}"
+            for s in sweep.skipped
+        ]
+
+        def full_bfs(*args, **kwargs):
+            raise AssertionError("oracle without --metrics ran a full BFS")
+
+        monkeypatch.setattr(hanoilab.oracle, "bfs_distance", full_bfs)
+        code, out, err = run(
+            capsys, "oracle", "--pegs", str(pegs), "--max", str(top), "--state-budget", str(budget)
+        )
+        assert (code, out.splitlines(), err.splitlines()) == (3 if skips else 0, rows, skips)
+        assert len(rows) - 1 + len(skips) == top
+
     def test_disagreement_exits_two(self, capsys, monkeypatch):
         def lying_search(pegs, discs, source, target):
             return 999, 1, 1
 
+        def lying_mirror_search(pegs, discs):
+            return 999, 1, 1
+
+        # the full BFS serves --metrics, the mirror search the plain sweep
         monkeypatch.setattr(hanoilab.oracle, "_search", lying_search)
-        code, out, _ = run(capsys, "oracle", "--pegs", "3", "--max", "2")
-        assert code == 2
-        assert "false" in out
+        monkeypatch.setattr(hanoilab.oracle, "_mirror_search", lying_mirror_search)
+        for metrics in ((), ("--metrics",)):
+            code, out, _ = run(capsys, "oracle", "--pegs", "3", "--max", "2", *metrics)
+            assert code == 2
+            assert "false" in out
 
 
 class TestVerifyAll:

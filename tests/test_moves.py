@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,15 @@ from hanoilab.moves import (
     Configuration,
     Move,
     MoveTrace,
+    TraceCheck,
+    TraceCsv,
     disc_move_counts,
     generate_frame_stewart,
     generate_three_peg,
     gray_trace,
     moment_trace,
     peg_label,
+    trace_chunks,
     trace_length,
     trace_to_csv,
     validate_sequence,
@@ -28,7 +32,8 @@ from hanoilab.moves import (
     verify_trace,
 )
 import hanoilab.moves as moves_module
-from hanoilab.recurrences import fs_split, t3_closed, tp_optimal
+from hanoilab.cli import main
+from hanoilab.recurrences import HanoiSolver, fs_split, t3_closed, tp_optimal
 
 
 def legal_moves(config: Configuration) -> list[Move]:
@@ -93,6 +98,71 @@ INTERFERING_WALK = MoveTrace(
         Move(1, 2, 1), Move(2, 2, 3), Move(1, 1, 3),
     ),
 )
+
+
+# The recursive generators and the per-Move CSV loop the library used
+# before traces streamed, kept unchanged as the independent reference.
+def _emit_three(count: int, lowest: int, src: int, dst: int, spare: int, out: list[Move]) -> None:
+    if count == 0:
+        return
+    _emit_three(count - 1, lowest, src, spare, dst, out)
+    out.append(Move(lowest + count - 1, src, dst))
+    _emit_three(count - 1, lowest, spare, dst, src, out)
+
+
+def _emit_multi(
+    count: int,
+    lowest: int,
+    src: int,
+    dst: int,
+    pegs: tuple[int, ...],
+    out: list[Move],
+    solver: HanoiSolver,
+    override: int | None = None,
+) -> None:
+    if count == 0:
+        return
+    if count == 1:
+        out.append(Move(lowest, src, dst))
+        return
+    if len(pegs) == 3:
+        spare = next(q for q in pegs if q != src and q != dst)
+        _emit_three(count, lowest, src, dst, spare, out)
+        return
+    if override is None:
+        k = solver.solve(len(pegs), count).canonical_split
+    else:
+        k = override
+    # Park the k smallest on the lowest-index spare peg, shuttle the rest
+    # with that peg frozen, then unpark.  Discs below the active block are
+    # always larger, so they never constrain these sub-solves.
+    staging = min(q for q in pegs if q != src and q != dst)
+    shuttle_pegs = tuple(q for q in pegs if q != staging)
+    _emit_multi(k, lowest, src, staging, pegs, out, solver)
+    _emit_multi(count - k, lowest + k, src, dst, shuttle_pegs, out, solver)
+    _emit_multi(k, lowest, staging, dst, pegs, out, solver)
+
+
+def reference_csv(moves: list[Move]) -> str:
+    lines = ["step,disc,from,to"]
+    for step, move in enumerate(moves, 1):
+        lines.append(
+            f"{step},{move.disc},{peg_label(move.source)},{peg_label(move.target)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_moves(pegs, discs, strategy, solver, source, target) -> list[Move]:
+    out: list[Move] = []
+    if pegs == 3:
+        _emit_three(discs, 1, source, target, 3 - source - target, out)
+        return out
+    if strategy == "balanced":
+        override = discs // 2 if discs >= 2 else None
+    else:
+        override = None if strategy == "optimal" else strategy
+    _emit_multi(discs, 1, source, target, tuple(range(pegs)), out, solver, override)
+    return out
 
 
 class TestLabels:
@@ -511,18 +581,30 @@ class TestTraceChecks:
         )
 
     @pytest.mark.parametrize("pegs", [3, 4])
-    def test_replays_once(self, pegs, monkeypatch):
+    def test_replays_once(self, pegs, monkeypatch, capsys):
+        """verify_trace and ``moves --verify`` replay every step exactly
+        once, in order, over a trace of more than one chunk."""
+        discs = 13 if pegs == 3 else 46
         calls = []
-        real = moves_module.validate_sequence
+        real = moves_module._replay
 
-        def counting(initial, moves):
-            calls.append(len(moves))
-            return real(initial, moves)
+        def counting(stacks, chunk, first, n):
+            calls.append((first, len(chunk)))
+            return real(stacks, chunk, first, n)
 
-        monkeypatch.setattr(moves_module, "validate_sequence", counting)
-        trace = generate_three_peg(5) if pegs == 3 else generate_frame_stewart(4, 8)
+        def replayed_steps():
+            steps = [first + i for first, size in calls for i in range(size)]
+            calls.clear()
+            return steps
+
+        monkeypatch.setattr(moves_module, "_replay", counting)
+        trace = generate_three_peg(discs) if pegs == 3 else generate_frame_stewart(4, discs)
+        assert len(trace) > moves_module.CHUNK_MOVES
         assert verify_trace(trace) == ()
-        assert calls == [len(trace)]
+        assert replayed_steps() == list(range(1, len(trace) + 1))
+        assert main(["moves", "--pegs", str(pegs), "--discs", str(discs), "--verify"]) == 0
+        capsys.readouterr()
+        assert replayed_steps() == list(range(1, len(trace) + 1))
 
     def test_public_checks_still_replay(self):
         trace = generate_three_peg(3)
@@ -531,3 +613,67 @@ class TestTraceChecks:
             gray_trace(illegal)
         with pytest.raises(IllegalMove):
             verify_subtower_independence(illegal)
+
+
+def _streamed_csv(pegs, discs, strategy, solver, source, target) -> str:
+    csv = TraceCsv()
+    chunks = trace_chunks(pegs, discs, strategy, solver, source, target)
+    return csv.HEADER + "".join(csv.rows(chunk) for chunk in chunks)
+
+
+class TestAgainstRecursiveReference:
+    @pytest.mark.parametrize("pegs", [3, 4, 5, 6])
+    def test_moves_and_csv_bytes(self, pegs, solver):
+        pairs = [(a, b) for a in range(pegs) for b in range(pegs) if a != b]
+        for n in range(13):
+            for strategy in _strategies(pegs, n):
+                for source, target in pairs:
+                    expected = reference_moves(pegs, n, strategy, solver, source, target)
+                    if pegs == 3:
+                        trace = generate_three_peg(n, source, target)
+                    else:
+                        trace = generate_frame_stewart(pegs, n, strategy, solver, source, target)
+                    assert trace.moves == tuple(expected)
+                    text = reference_csv(expected)
+                    assert trace_to_csv(trace) == text
+                    assert _streamed_csv(pegs, n, strategy, solver, source, target) == text
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_chunk_size_streams_the_reference(self, data):
+        """Every chunk but the last is full, the chunks concatenate to the
+        reference trace, and the one-pass check gives the same verdict
+        whatever the chunk size."""
+        solver = HanoiSolver()
+        pegs = data.draw(st.integers(3, 7), label="pegs")
+        discs = data.draw(st.integers(0, 10 if pegs == 3 else 16), label="discs")
+        strategy = data.draw(st.sampled_from(_strategies(pegs, discs)), label="strategy")
+        source, target = data.draw(st.permutations(range(pegs)), label="pegs order")[:2]
+        size = data.draw(st.integers(1, 40), label="chunk size")
+        with mock.patch.object(moves_module, "CHUNK_MOVES", size):
+            chunks = list(trace_chunks(pegs, discs, strategy, solver, source, target))
+        assert all(len(chunk) == size for chunk in chunks[:-1])
+        assert all(1 <= len(chunk) <= size for chunk in chunks)
+        expected = reference_moves(pegs, discs, strategy, solver, source, target)
+        assert [move for chunk in chunks for move in chunk] == [
+            (m.disc, m.source, m.target) for m in expected
+        ]
+        check = TraceCheck(Configuration.perfect(discs, pegs, source), strategy, solver)
+        for chunk in chunks:
+            check.feed(chunk)
+        ends_elsewhere = discs and target != pegs - 1
+        assert check.failures() == (
+            ("replay does not end all-on-target",) if ends_elsewhere else ()
+        )
+        assert check.moves == len(expected)
+
+    def test_illegal_step_is_numbered_across_chunks(self):
+        trace = generate_three_peg(13)
+        cut = moves_module.CHUNK_MOVES
+        moves = list(trace.moves)
+        moves[cut - 1], moves[cut] = moves[cut], moves[cut - 1]
+        with pytest.raises(IllegalMove) as err:
+            validate_sequence(trace.initial, moves)
+        assert err.value.step in (cut, cut + 1)
+        failures = verify_trace(MoveTrace(trace.initial, tuple(moves)))
+        assert failures == (f"replay failed: {err.value}",)
