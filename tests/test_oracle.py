@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -13,6 +14,7 @@ from hanoilab.oracle import (
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
     _move_tables,
+    _orbit_codes,
     _search,
     bfs_distance,
     certify_range,
@@ -157,6 +159,7 @@ class TestMoveTables:
             raise AssertionError(f"move tables built for ({pegs}, {discs})")
 
         monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
+        monkeypatch.setattr(hanoilab.oracle, "_orbit_codes", unaffordable)
         with pytest.raises(StateBudgetExceeded):
             bfs_distance(4, 20)
         with pytest.raises(StateBudgetExceeded):
@@ -347,6 +350,21 @@ class TestTowerDistance:
         assert report.agrees
 
 
+def relabel(code, pegs, discs, perm):
+    """The state with every disc moved from peg q to peg perm[q]."""
+    config = unpack(code, pegs, discs)
+    return pack(Configuration(pegs, tuple(perm[q] for q in config.pegs)))
+
+
+# Every space with p in 3..9 and at most 729 states, n = 0 and 1 included.
+SWEPT_SPACES = [
+    (pegs, discs)
+    for pegs in range(3, 10)
+    for discs in range(7)
+    if pegs**discs <= 729
+]
+
+
 class TestMetrics:
     def test_single_disc_triangle(self):
         metrics = graph_metrics(3, 1)
@@ -379,6 +397,61 @@ class TestMetrics:
     def test_budget(self):
         with pytest.raises(StateBudgetExceeded):
             graph_metrics(3, 13)
+
+    @pytest.mark.parametrize("pegs,discs", SWEPT_SPACES)
+    def test_diameter_matches_all_vertex_sweep(self, pegs, discs):
+        expected = max(_search(pegs, discs, v, None)[0] for v in range(pegs**discs))
+        assert graph_metrics(pegs, discs).diameter == expected
+
+    @pytest.mark.parametrize("discs", range(10))
+    def test_three_peg_diameter(self, discs):
+        assert graph_metrics(3, discs).diameter == 2**discs - 1
+
+    @pytest.mark.parametrize("pegs,discs,diameter", [(3, 7, 127), (4, 5, 13)])
+    def test_few_bfs_runs(self, pegs, discs, diameter):
+        # the all-vertex sweep ran one BFS per state: 2,187 and 1,024 here
+        metrics = graph_metrics(pegs, discs)
+        assert metrics.diameter == diameter
+        assert 1 <= metrics.bfs_runs <= 20
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bounding_sweep_on_random_graphs(self, monkeypatch, seed):
+        # On every Hanoi space with p^n <= 4,096 the first source, a perfect
+        # tower, already has the largest eccentricity, so a bound too tight
+        # goes unseen there; random graphs with one orbit per vertex start
+        # the sweep anywhere.
+        rng = random.Random(seed)
+        graph = nx.gnp_random_graph(rng.randrange(2, 60), rng.uniform(0.03, 0.3), seed=seed)
+        graph = nx.convert_node_labels_to_integers(
+            graph.subgraph(max(nx.connected_components(graph), key=len))
+        )
+        def layers(pegs, discs, source):
+            for d, layer in enumerate(nx.bfs_layers(graph, source)):
+                yield d, layer, None, None
+
+        monkeypatch.setattr(hanoilab.oracle, "_orbit_codes", lambda p, n: list(graph))
+        monkeypatch.setattr(hanoilab.oracle, "_layers", layers)
+        diameter, runs = hanoilab.oracle._diameter(0, 0)
+        assert diameter == nx.diameter(graph)
+        assert 1 <= runs <= len(graph)
+
+    def test_eccentricity_is_invariant_under_relabelling(self):
+        rng = random.Random(44)
+        for code in rng.sample(range(4**4), 12):
+            eccentricity = _search(4, 4, code, None)[0]
+            for perm in itertools.permutations(range(4)):
+                image = relabel(code, 4, 4, perm)
+                assert _search(4, 4, image, None)[0] == eccentricity
+
+    @pytest.mark.parametrize("pegs,discs,orbits", [(3, 6, 122), (4, 4, 15), (5, 3, 5)])
+    def test_orbit_codes_name_one_state_per_orbit(self, pegs, discs, orbits):
+        reps = _orbit_codes(pegs, discs)
+        assert len(reps) == pegs**discs
+        assert len(set(reps)) == orbits  # set partitions into at most p blocks
+        for code, rep in enumerate(reps):
+            assert reps[rep] == rep
+            for perm in itertools.permutations(range(pegs)):
+                assert reps[relabel(code, pegs, discs, perm)] == rep
 
 
 class TestCertify:
