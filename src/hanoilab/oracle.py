@@ -20,6 +20,34 @@ d, which the layer tags tell apart.  Every geodesic crosses layer
 floor(D/2) exactly once, through a v of the matching kind, so the sum of
 count(v) * count(sigma(v)) over those v is the exact geodesic count.
 
+A search between two states that both leave a set M of two or more pegs
+empty -- the p-2 middle pegs between the perfect towers on pegs 0 and
+p-1 -- runs over the orbits of the relabellings of M.  Those relabellings
+map legal moves to legal moves and fix both ends (and commute with
+sigma), so every state of an orbit has the same distance and geodesic
+count.  The canonical form of a state renames the pegs of M in order of
+first use, smallest disc first; a layer lists canonical codes only.  The
+count slot of a representative r holds its orbit's mass
+M(r) = |O(r)| * c(r), and masses add along edges as counts do: the mass
+of an orbit is the sum, over the edges reaching it from the layer
+before, of the count at the edge's near end, and the edges leaving an
+orbit are |O| copies of those leaving its representative.  So the kernel expands representatives
+unchanged and then merges the new codes of the layer: a code whose orbit
+is new hands its mass to the canonical code, which becomes the orbit's
+representative; a code whose representative is already tagged in this
+layer adds its mass to it; a code whose orbit was reached in an earlier
+layer is dropped.  The target's orbit is itself alone, so its mass is
+its geodesic count; ``states_explored`` sums |O(r)|; and the mirror sum
+becomes the sum of M(r) * M(sigma(r)) / |O(r)|, exact term by term.
+
+A dropped code keeps its tag, which need not be its true layer, yet the
+three tags stay sound.  A code first reached in the expansion that makes
+layer d lies at distance d-2, d-1 or d, so it can be reached again only
+by the expansions that make layers d..d+2 at most; those carry the tag
+of d only while making d itself, where adding to the dropped slot is
+harmless, and the code is never listed again.  A canonical code is tagged
+only when its orbit is first reached, with that layer's tag.
+
 Every search keeps one geodesic count per state, so one kernel,
 :func:`_layers`, serves distances, geodesic counts and eccentricities
 alike.  One gate, :func:`_check_space` with a budget, refuses a space
@@ -30,6 +58,7 @@ over disc counts lists such a refusal as a :class:`SkippedLevel`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -130,6 +159,9 @@ class OracleReport:
 
     ``dp_cost`` is filled only for n = 0 and when source and target are
     two distinct perfect towers; ``agrees`` is None in the other cases.
+    ``states_explored`` counts states; ``orbits_explored`` counts the
+    orbit representatives among them that the search expanded, and
+    equals ``states_explored`` when the search folds nothing.
     """
 
     pegs: int
@@ -139,6 +171,7 @@ class OracleReport:
     states_explored: int
     dp_cost: int | None
     agrees: bool | None
+    orbits_explored: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,7 +275,7 @@ def _move_tables(pegs: int, discs: int):
     return base, low_occupied, low_deltas, high_moves
 
 
-def _layers(pegs: int, discs: int, source: int):
+def _layers(pegs: int, discs: int, source: int, fold=None):
     """Layered BFS from ``source``, one yield per completed layer.
 
     Yields ``(d, layer, seen, counts)`` for d = 0, 1, ... while layers are
@@ -260,6 +293,10 @@ def _layers(pegs: int, discs: int, source: int):
     layer d-1 state lies in layer d-2, d-1 or d; those three tags are
     distinct, so a tag tells a new state from one already in layer d (add
     to its path count) and from an older one.
+
+    With ``fold`` tables from :func:`_fold_tables` the layers list orbit
+    representatives and ``counts`` holds their masses; the merge after
+    each expansion is described in the module docstring.
     """
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
     size = pegs**discs
@@ -304,27 +341,132 @@ def _layers(pegs: int, discs: int, source: int):
                         counts[v] = cu
                     elif tv == tag:
                         counts[v] += cu
-        frontier = nxt
+        frontier = nxt if fold is None else _merge(fold, nxt, tag, seen, counts)
+
+
+def _merge(fold, new: list[int], tag: int, seen: bytearray, counts: list[int]) -> list[int]:
+    """Orbit representatives of a layer's new codes, their masses merged
+    into the ``counts`` slots; see the module docstring."""
+    base, low_canon, low_ids, width, high_canon, _ = fold
+    reps: list[int] = []
+    for v in new:
+        low = v % base  # measured faster than divmod here
+        r = high_canon[v // base * width + low_ids[low]] + low_canon[low]
+        if r == v:
+            reps.append(v)
+            continue
+        tr = seen[r]
+        if tr == tag:
+            counts[r] += counts[v]
+        elif not tr:
+            seen[r] = tag
+            counts[r] = counts[v]
+            reps.append(r)
+    return reps
+
+
+def _first_use(pegs: int, count: int, weight: int, fold, orders, entering):
+    """First-use relabelling of a block of ``count`` consecutive discs.
+
+    The pegs in ``fold`` (ascending) are renamed in order of first use,
+    smallest disc first: the first of them a disc uses becomes fold[0],
+    the next fold[1], and so on; other pegs keep their names.  ``orders``
+    maps each first-use order (a tuple of fold pegs) to its id, ids in
+    insertion order, and grows as new orders appear.  A block code holds
+    one digit per disc, smallest first, and its smallest disc has weight
+    ``weight``, as in :func:`_block_moves`.
+
+    Returns ``(labels, leaving)``, indexed by ``code * len(entering) + i``
+    for the block code and the i-th entering order id: the relabelled
+    block code, taken at ``weight``, and the order id after the block's
+    discs.  Discs are added largest last, so the next disc's label is a
+    lookup by the order id its smaller discs leave.
+    """
+    labels, ids = [0] * len(entering), list(entering)
+    for _ in range(count):
+        label: list[list[int]] = [[] for _ in range(pegs)]  # per peg, per order id
+        after: list[list[int]] = [[] for _ in range(pegs)]
+        for order in list(orders):
+            for q in range(pegs):
+                if q in fold:
+                    grown = order if q in order else order + (q,)
+                    label[q].append(fold[grown.index(q)] * weight)
+                    after[q].append(orders.setdefault(grown, len(orders)))
+                else:
+                    label[q].append(q * weight)
+                    after[q].append(orders[order])
+        labels = [lab + row[o] for row in label for lab, o in zip(labels, ids)]
+        ids = [row[o] for row in after for o in ids]
+        weight *= pegs
+    return labels, ids
+
+
+@lru_cache(maxsize=1)
+def _fold_tables(pegs: int, discs: int, fold: tuple[int, ...]):
+    """(base, low canon, low order ids, width, high canon, high orbit sizes)
+    for the relabellings of the pegs in ``fold``.
+
+    With the block split of :func:`_move_tables` and ``i = high * width +
+    low_ids[low]``, the canonical form of ``high * base + low`` is
+    ``high_canon[i] + low_canon[low]`` and its orbit holds
+    ``high_sizes[i]`` states: m!/(m-k)! when k of the m fold pegs are in
+    use.  The low block leaves one of ``width`` first-use orders, at most
+    one per low code, so the high tables hold at most p**n entries.
+    """
+    low = discs // 2
+    base = pegs**low
+    orders = {(): 0}
+    low_canon, low_ids = _first_use(pegs, low, 1, fold, orders, [0])
+    width = len(orders)
+    high_canon, high_ids = _first_use(pegs, discs - low, base, fold, orders, range(width))
+    sizes = [math.perm(len(fold), len(order)) for order in orders]
+    high_sizes = [sizes[i] for i in high_ids]
+    return base, low_canon, low_ids, width, high_canon, high_sizes
+
+
+def _fold(pegs: int, discs: int, *ends: int):
+    """Fold tables for the pegs every code in ``ends`` leaves empty, or
+    None when fewer than two are empty and no relabelling moves a state."""
+    free = set(range(pegs))
+    for code in ends:
+        for _ in range(discs):
+            code, q = divmod(code, pegs)
+            free.discard(q)
+    return _fold_tables(pegs, discs, tuple(sorted(free))) if len(free) > 1 else None
+
+
+def _sizes(fold, layer: list[int]) -> list[int]:
+    """Orbit size of each code in a layer; all 1 when nothing is folded."""
+    if fold is None:
+        return [1] * len(layer)
+    base, _, low_ids, width, _, high_sizes = fold
+    return [high_sizes[v // base * width + low_ids[v % base]] for v in layer]
 
 
 def _search(pegs: int, discs: int, source: int, target: int | None):
-    """Layered BFS; returns (depth, geodesic count, states explored).
+    """Layered BFS; returns (depth, geodesic count, states explored,
+    orbits explored).
 
     With a target, depth is its distance from the source; the layer
     containing the target is always completed so that the geodesic count
     and the explored-state tally are independent of expansion order.  The
-    state graph is connected, so the target is always reached.  With
-    ``target=None`` the whole graph is swept, depth is the source's
-    eccentricity and the count is None.
+    state graph is connected, so the target is always reached.  A source
+    and target that both leave two or more pegs empty are searched over
+    the orbits of those pegs' relabellings; the target's orbit is itself
+    alone, so its mass is its geodesic count.  With ``target=None`` the
+    whole graph is swept unfolded, depth is the source's eccentricity and
+    the count is None.
     """
-    explored = 0
-    for d, layer, seen, counts in _layers(pegs, discs, source):
-        explored += len(layer)
+    fold = None if target is None else _fold(pegs, discs, source, target)
+    explored = orbits = 0
+    for d, layer, seen, counts in _layers(pegs, discs, source, fold):
+        orbits += len(layer)
+        explored += len(layer) if fold is None else sum(_sizes(fold, layer))
         if target is not None and seen[target]:
-            return d, counts[target], explored
+            return d, counts[target], explored, orbits
     if target is not None:
         raise HanoiError("state graph unexpectedly disconnected")
-    return d, None, explored
+    return d, None, explored, orbits
 
 
 def _block_swap(pegs: int, count: int, weight: int) -> list[int]:
@@ -342,34 +484,38 @@ def _block_swap(pegs: int, count: int, weight: int) -> list[int]:
 
 
 def _mirror_search(pegs: int, discs: int):
-    """(distance, geodesic count, states explored) between the perfect
-    towers on pegs 0 and p-1, by a BFS from the first to about half the
-    distance; see the module docstring for the meeting rule.
+    """(distance, geodesic count, states explored, orbits explored)
+    between the perfect towers on pegs 0 and p-1, by a BFS from the first
+    to about half the distance; see the module docstring for the meeting
+    rule and the fold over the middle pegs.
 
     sigma(high * base + low) is ``high_swap[high] + low_swap[low]``, with
     the block split of :func:`_move_tables`.
     """
+    fold = _fold(pegs, discs, 0, pegs**discs - 1)
     low = discs // 2
     base = pegs**low
     low_swap = _block_swap(pegs, low, 1)
     high_swap = _block_swap(pegs, discs - low, base)
-    explored = 0
-    for d, layer, seen, counts in _layers(pegs, discs, 0):
-        explored += len(layer)
+    explored = orbits = 0
+    for d, layer, seen, counts in _layers(pegs, discs, 0, fold):
+        sizes = _sizes(fold, layer)
+        explored += sum(sizes)
+        orbits += len(layer)
         odd_tag, even_tag = 1 + (d - 1) % 3, 1 + d % 3
         odd = even = 0
-        for v in layer:
+        for v, size in zip(layer, sizes):
             high, low = divmod(v, base)
             w = high_swap[high] + low_swap[low]
             tw = seen[w]
             if tw == odd_tag:
-                odd += counts[v] * counts[w]
+                odd += counts[v] * counts[w] // size
             elif tw == even_tag:
-                even += counts[v] * counts[w]
+                even += counts[v] * counts[w] // size
         if odd:
-            return 2 * d - 1, odd, explored
+            return 2 * d - 1, odd, explored, orbits
         if even:
-            return 2 * d, even, explored
+            return 2 * d, even, explored, orbits
     raise HanoiError("state graph unexpectedly disconnected")
 
 
@@ -396,9 +542,13 @@ def _report(
         dp_cost = 0
     elif towers:
         dp_cost = _resolve(solver).cost(pegs, discs)
-    distance, geodesics, explored = search(pegs, discs, *args)
+    # a search that folds nothing may leave out the orbit tally
+    distance, geodesics, explored, *orbits = search(pegs, discs, *args)
     agrees = None if dp_cost is None else distance == dp_cost
-    return OracleReport(pegs, discs, distance, geodesics, explored, dp_cost, agrees)
+    orbits_explored = orbits[0] if orbits else explored
+    return OracleReport(
+        pegs, discs, distance, geodesics, explored, dp_cost, agrees, orbits_explored
+    )
 
 
 def bfs_distance(
@@ -458,29 +608,13 @@ def _orbit_codes(pegs: int, discs: int) -> list[int]:
     """Per state code, the code of its orbit's representative under the p!
     relabellings of the pegs.
 
-    The representative names pegs in order of first use, smallest disc
-    first: disc 1 sits on peg 0, and a disc on a peg no smaller disc uses
+    The representative is the :func:`_first_use` relabelling of all p
+    pegs: disc 1 sits on peg 0, and a disc on a peg no smaller disc uses
     gets the lowest label not yet given.  Its digits form a restricted
     growth string, so the orbits are the set partitions of the discs into
-    at most p blocks.  Discs are added largest last, as in
-    :func:`_block_moves`; each code carries the id of the order in which
-    its discs first use the pegs, so the next disc's label is a lookup.
+    at most p blocks.
     """
-    order_ids = {(): 0}  # pegs in first-use order -> id, ids in insertion order
-    reps, ids = [0], [0]  # per code: representative code, order id
-    weight = 1
-    for _ in range(discs):
-        label = [[] for _ in range(pegs)]  # per peg, per order id
-        after = [[] for _ in range(pegs)]
-        for order in list(order_ids):
-            for q in range(pegs):
-                grown = order if q in order else order + (q,)
-                label[q].append(grown.index(q) * weight)
-                after[q].append(order_ids.setdefault(grown, len(order_ids)))
-        reps = [rep + row[o] for row in label for rep, o in zip(reps, ids)]
-        ids = [row[o] for row in after for o in ids]
-        weight *= pegs
-    return reps
+    return _first_use(pegs, discs, 1, tuple(range(pegs)), {(): 0}, [0])[0]
 
 
 def _diameter(pegs: int, discs: int) -> tuple[int, int]:

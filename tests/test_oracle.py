@@ -13,6 +13,8 @@ from hanoilab.moves import Configuration
 from hanoilab.oracle import (
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
+    _fold,
+    _layers,
     _move_tables,
     _orbit_codes,
     _search,
@@ -155,13 +157,16 @@ class TestMoveTables:
         assert elapsed < 1.0
 
     def test_tables_built_after_budget_check(self, monkeypatch):
-        def unaffordable(pegs, discs):
-            raise AssertionError(f"move tables built for ({pegs}, {discs})")
+        def unaffordable(*args):
+            raise AssertionError(f"tables built for {args}")
 
         monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
         monkeypatch.setattr(hanoilab.oracle, "_orbit_codes", unaffordable)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", unaffordable)
         with pytest.raises(StateBudgetExceeded):
             bfs_distance(4, 20)
+        with pytest.raises(StateBudgetExceeded):
+            tower_distance(5, 20)
         with pytest.raises(StateBudgetExceeded):
             graph_metrics(3, 13)
 
@@ -347,7 +352,129 @@ class TestTowerDistance:
         report = tower_distance(4, 10, solver=solver)
         assert (report.distance, report.geodesic_count) == (49, 2178)
         assert report.states_explored == 50_428
+        assert report.orbits_explored == 25_278
         assert report.agrees
+
+
+def unfolded(monkeypatch):
+    """Make every search run unfolded, by patching `_fold_tables` out."""
+    monkeypatch.setattr(hanoilab.oracle, "_fold_tables", lambda *args: None)
+
+
+def nx_search(graph, source, target):
+    """(distance, geodesic count, states within the distance) by networkx."""
+    depth = nx.single_source_shortest_path_length(graph, source)
+    paths = {source: 1}
+    for v in sorted(depth, key=depth.__getitem__)[1:]:
+        paths[v] = sum(paths[u] for u in graph[v] if depth[u] == depth[v] - 1)
+    distance = depth[target]
+    return distance, paths[target], sum(d <= distance for d in depth.values())
+
+
+def is_canonical(code, pegs, discs, free):
+    """True when the pegs in ``free`` are first used in ascending order."""
+    used = []
+    for q in unpack(code, pegs, discs).pegs:
+        if q in free and q not in used:
+            used.append(q)
+    return used == list(free[: len(used)])
+
+
+def shared_empty_pairs(pegs, discs, count=12):
+    """Seeded state pairs that both leave at least two pegs empty."""
+    rng = random.Random(pegs * 100 + discs)
+    pairs = []
+    for _ in range(count):
+        used = rng.sample(range(pegs), rng.randint(1, pegs - 2))
+        source, target = (
+            pack(Configuration(pegs, tuple(rng.choice(used) for _ in range(discs))))
+            for _ in range(2)
+        )
+        pairs.append((source, target))
+    return pairs
+
+
+# Every perfect-tower space with p in 4..8 and at most 2**16 states.
+FOLDED_TOWERS = [(pegs, discs) for pegs, discs in MIRROR_SPACES if pegs >= 4]
+# A tower pair, a pair sharing one empty peg and a three-peg pair: none folds.
+UNFOLDED_CALLS = [
+    pytest.param(lambda: tower_distance(3, 6), id="three-peg towers"),
+    pytest.param(lambda: bfs_distance(3, 6), id="three-peg bfs"),
+    pytest.param(lambda: bfs_distance(4, 5, 0, pack(Configuration(4, (1, 2, 2, 1, 2)))),
+                 id="one shared empty peg"),
+    pytest.param(lambda: bfs_distance(5, 4, 7, 600), id="no shared empty peg"),
+    pytest.param(lambda: graph_metrics(4, 3), id="graph_metrics"),
+]
+
+
+class TestOrbitFold:
+    @pytest.mark.parametrize("pegs,discs", FOLDED_TOWERS)
+    @pytest.mark.parametrize("call", [bfs_distance, tower_distance], ids=lambda f: f.__name__)
+    def test_folded_matches_unfolded(self, monkeypatch, call, pegs, discs, solver):
+        folded = call(pegs, discs, solver=solver)
+        unfolded(monkeypatch)
+        plain = call(pegs, discs, solver=solver)
+        assert plain.orbits_explored == plain.states_explored
+        assert (folded.distance, folded.geodesic_count, folded.states_explored) == (
+            plain.distance,
+            plain.geodesic_count,
+            plain.states_explored,
+        )
+        assert folded.orbits_explored <= folded.states_explored
+        if discs >= 2:
+            assert folded.orbits_explored < folded.states_explored
+
+    @pytest.mark.parametrize(
+        "pegs,discs", [(4, 5), (5, 4), (5, 5), (6, 4), (6, 5), (7, 4)]
+    )
+    def test_shared_empty_pegs(self, monkeypatch, pegs, discs):
+        pairs = shared_empty_pairs(pegs, discs)
+        assert all(_fold(pegs, discs, *pair) is not None for pair in pairs)
+        reports = [bfs_distance(pegs, discs, *pair) for pair in pairs]
+        if pegs**discs <= 2401:
+            graph = build_graph(pegs, discs)
+            expected = [nx_search(graph, *pair) for pair in pairs]
+        else:
+            unfolded(monkeypatch)
+            expected = [
+                (r.distance, r.geodesic_count, r.states_explored)
+                for r in (bfs_distance(pegs, discs, *pair) for pair in pairs)
+            ]
+        got = [(r.distance, r.geodesic_count, r.states_explored) for r in reports]
+        assert got == expected
+        assert any(r.orbits_explored < r.states_explored for r in reports)
+
+    @pytest.mark.parametrize("pegs,discs", [(4, 6), (5, 5), (6, 4), (7, 4)])
+    def test_layers_yield_canonical_codes(self, pegs, discs):
+        ends = [(0, pegs**discs - 1), *shared_empty_pairs(pegs, discs, 4)]
+        for source, target in ends:
+            used = unpack(source, pegs, discs).pegs + unpack(target, pegs, discs).pegs
+            free = tuple(q for q in range(pegs) if q not in used)
+            yielded = []
+            for _, layer, _, _ in _layers(pegs, discs, source, _fold(pegs, discs, source, target)):
+                yielded += layer
+            assert len(yielded) == len(set(yielded))
+            assert all(is_canonical(code, pegs, discs, free) for code in yielded)
+
+    @pytest.mark.parametrize("call", UNFOLDED_CALLS)
+    def test_fewer_than_two_shared_empty_pegs_never_fold(self, monkeypatch, call):
+        def no_fold(*args):
+            raise AssertionError(f"fold tables built for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", no_fold)
+        report = call()
+        if not hasattr(report, "diameter"):
+            assert report.orbits_explored == report.states_explored
+
+    @pytest.mark.parametrize(
+        "pegs,discs,distance,geodesics,orbits",
+        [(5, 7, 19, 32_598, 14_157), (6, 7, 17, 431_064, 16_537), (4, 10, 49, 2178, 524_800)],
+    )
+    def test_full_ball_orbits(self, pegs, discs, distance, geodesics, orbits):
+        report = bfs_distance(pegs, discs)
+        assert (report.distance, report.geodesic_count) == (distance, geodesics)
+        assert report.states_explored == pegs**discs
+        assert report.orbits_explored == orbits
 
 
 def relabel(code, pegs, discs, perm):
