@@ -306,9 +306,7 @@ def delta_k(n: int, k: int, solver: HanoiSolver | None = None) -> DeltaValue:
     if k < 1 or k > n - 2:
         raise DomainError(f"split must satisfy 1 <= k <= n-2, got k={k} for n={n}")
     s = _resolve(solver)
-    after = 2 * s.cost(4, k + 1) + t3_closed(n - k - 1)
-    before = 2 * s.cost(4, k) + t3_closed(n - k)
-    return DeltaValue(n, k, after - before)
+    return DeltaValue(n, k, fs_split(n, k + 1, s) - fs_split(n, k, s))
 
 
 def sensitivity_profile(n: int, solver: HanoiSolver | None = None) -> SensitivityProfile:

@@ -360,10 +360,10 @@ class TestOracle:
 
     def test_disagreement_exits_two(self, capsys, monkeypatch):
         def lying_search(pegs, discs, source, target):
-            return 999, 1, 1
+            return 999, 1, 1, 1
 
         def lying_mirror_search(pegs, discs):
-            return 999, 1, 1
+            return 999, 1, 1, 1
 
         # the full BFS serves --metrics, the mirror search the plain sweep
         monkeypatch.setattr(hanoilab.oracle, "_search", lying_search)

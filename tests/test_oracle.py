@@ -13,11 +13,11 @@ from hanoilab.moves import Configuration
 from hanoilab.oracle import (
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
+    _canon,
     _fold,
     _layers,
     _move_tables,
     _orbit_codes,
-    _search,
     bfs_distance,
     certify_range,
     geodesic_uniqueness,
@@ -342,7 +342,7 @@ class TestTowerDistance:
             raise AssertionError(f"tables built for {args}")
 
         monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
-        monkeypatch.setattr(hanoilab.oracle, "_block_swap", unaffordable)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", unaffordable)
         with pytest.raises(StateBudgetExceeded) as err:
             tower_distance(4, 20)
         assert err.value.required == 4**20
@@ -476,11 +476,30 @@ class TestOrbitFold:
         assert report.states_explored == pegs**discs
         assert report.orbits_explored == orbits
 
+    @pytest.mark.parametrize(
+        "pegs,discs", [(4, 1), (4, 5), (4, 7), (5, 5), (6, 4), (7, 4), (8, 3)]
+    )
+    def test_canonical_reversal_is_the_mirror(self, pegs, discs):
+        # the mirror search reads sigma(v) as the canonical form of p**n - 1 - v
+        top = pegs**discs - 1
+        fold = _fold(pegs, discs, 0, top)
+        swap = [pegs - 1, *range(1, pegs - 1), 0]
+        canonical = [v for v in range(top + 1) if _canon(fold, v) == v]
+        mirrors = [relabel(v, pegs, discs, swap) for v in canonical]
+        assert [_canon(fold, top - v) for v in canonical] == mirrors
+        # the raw reversal is not canonical for some v, so it alone would miss
+        assert any(top - v != w for v, w in zip(canonical, mirrors))
+
 
 def relabel(code, pegs, discs, perm):
     """The state with every disc moved from peg q to peg perm[q]."""
     config = unpack(code, pegs, discs)
     return pack(Configuration(pegs, tuple(perm[q] for q in config.pegs)))
+
+
+def eccentricity(pegs, discs, source):
+    """Depth of the last layer of an unfolded BFS from ``source``."""
+    return max(d for d, *_ in _layers(pegs, discs, source))
 
 
 # Every space with p in 3..9 and at most 729 states, n = 0 and 1 included.
@@ -512,9 +531,9 @@ class TestMetrics:
         metrics = graph_metrics(pegs, discs)
         assert metrics.edges == graph.number_of_edges()
         assert metrics.diameter == nx.diameter(graph)
-        eccentricity = nx.eccentricity(graph)
+        expected = nx.eccentricity(graph)
         for v in graph:
-            assert _search(pegs, discs, v, None)[0] == eccentricity[v]
+            assert eccentricity(pegs, discs, v) == expected[v]
 
     @pytest.mark.parametrize("pegs", [3, 4])
     def test_zero_discs(self, pegs):
@@ -527,7 +546,7 @@ class TestMetrics:
 
     @pytest.mark.parametrize("pegs,discs", SWEPT_SPACES)
     def test_diameter_matches_all_vertex_sweep(self, pegs, discs):
-        expected = max(_search(pegs, discs, v, None)[0] for v in range(pegs**discs))
+        expected = max(eccentricity(pegs, discs, v) for v in range(pegs**discs))
         assert graph_metrics(pegs, discs).diameter == expected
 
     @pytest.mark.parametrize("discs", range(10))
@@ -565,10 +584,10 @@ class TestMetrics:
     def test_eccentricity_is_invariant_under_relabelling(self):
         rng = random.Random(44)
         for code in rng.sample(range(4**4), 12):
-            eccentricity = _search(4, 4, code, None)[0]
+            expected = eccentricity(4, 4, code)
             for perm in itertools.permutations(range(4)):
                 image = relabel(code, 4, 4, perm)
-                assert _search(4, 4, image, None)[0] == eccentricity
+                assert eccentricity(4, 4, image) == expected
 
     @pytest.mark.parametrize("pegs,discs,orbits", [(3, 6, 122), (4, 4, 15), (5, 3, 5)])
     def test_orbit_codes_name_one_state_per_orbit(self, pegs, discs, orbits):
