@@ -3,16 +3,27 @@
 from __future__ import annotations
 
 import decimal
+import math
+
+_LOG10_2 = math.log10(2)
 
 
 def render_count(value: int) -> str:
     """Decimal text of a positive count, or ``at least 10^e`` for counts
     too long for the int-to-str digit limit in force, with e the exact
-    floor of log10(value)."""
+    floor of log10(value).
+
+    The value lies in [2**(b-1), 2**b) for b its bit length, so
+    floor(b * log10 2) is e or e + 1, and one comparison with a power of
+    ten tells which; ``decimal`` would convert every digit.
+    """
     try:
         return str(value)
     except ValueError:
-        return f"at least 10^{decimal.Decimal(value).adjusted()}"
+        exponent = int(value.bit_length() * _LOG10_2)
+        if value < 10**exponent:
+            exponent -= 1
+        return f"at least 10^{exponent}"
 
 
 def render_exact(value: int) -> str:
@@ -48,16 +59,21 @@ class DiscLimitError(ResourceBudgetError):
 class StateBudgetExceeded(ResourceBudgetError):
     """State space larger than the configured search budget.
 
-    Raised before any allocation happens, never mid-search.
+    Raised before any allocation happens, never mid-search.  The message
+    is built only when asked for: a budget sweep catches one refusal per
+    disc count and reads only the two fields.
     """
 
     def __init__(self, required: int, budget: int) -> None:
-        super().__init__(
-            f"search needs {render_count(required)} states, "
-            f"budget is {render_count(budget)}"
-        )
+        super().__init__()
         self.required = required
         self.budget = budget
+
+    def __str__(self) -> str:
+        return (
+            f"search needs {render_count(self.required)} states, "
+            f"budget is {render_count(self.budget)}"
+        )
 
 
 # Reason codes carried by IllegalMove.

@@ -9,9 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import hanoilab.errors
 import hanoilab.oracle
 import hanoilab.tables
 from hanoilab.cli import main
+from hanoilab.errors import StateBudgetExceeded, render_count
 from hanoilab.tables import REFERENCE, Table1Row
 
 
@@ -504,3 +506,25 @@ class TestCommandLineSurface:
         for n in (1, 783, 859):  # 5n + 1 digits, up to 4,296
             assert lines[n - 1] == f"hanoilab: skipped n={n}: needs 1{'0' * (5 * n)} states, budget is 10"
         assert lines[-1] == "hanoilab: skipped n=860: needs at least 10^4300 states, budget is 10"
+
+    def test_exponent_past_the_limit_matches_decimal(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for k in [*range(641, 700), 1_000, 4_817, 12_041]:
+                for value in (10**k - 1, 10**k, 10**k + 1, 2**k, 2**k - 1):
+                    if len(str(decimal.Decimal(value))) > 640:
+                        expected = f"at least 10^{decimal.Decimal(value).adjusted()}"
+                        assert render_count(value) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_budget_message_is_built_only_when_read(self, monkeypatch):
+        def no_render(value):
+            raise AssertionError("count rendered")
+
+        monkeypatch.setattr(hanoilab.errors, "render_count", no_render)
+        exc = StateBudgetExceeded(4**20_000, 10)
+        assert (exc.required, exc.budget) == (4**20_000, 10)
+        monkeypatch.undo()
+        assert str(exc) == "search needs at least 10^12041 states, budget is 10"

@@ -14,10 +14,12 @@ from hanoilab.oracle import (
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
     _canon,
+    _dense_search,
     _fold,
     _layers,
     _move_tables,
     _orbit_codes,
+    _shift_masks,
     bfs_distance,
     certify_range,
     geodesic_uniqueness,
@@ -163,8 +165,11 @@ class TestMoveTables:
         monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
         monkeypatch.setattr(hanoilab.oracle, "_orbit_codes", unaffordable)
         monkeypatch.setattr(hanoilab.oracle, "_fold_tables", unaffordable)
+        monkeypatch.setattr(hanoilab.oracle, "_shift_masks", unaffordable)
         with pytest.raises(StateBudgetExceeded):
             bfs_distance(4, 20)
+        with pytest.raises(StateBudgetExceeded):
+            bfs_distance(5, 20, 1, 2)
         with pytest.raises(StateBudgetExceeded):
             tower_distance(5, 20)
         with pytest.raises(StateBudgetExceeded):
@@ -489,6 +494,104 @@ class TestOrbitFold:
         assert [_canon(fold, top - v) for v in canonical] == mirrors
         # the raw reversal is not canonical for some v, so it alone would miss
         assert any(top - v != w for v, w in zip(canonical, mirrors))
+
+
+def layers_search(pegs, discs, source, target):
+    """(distance, geodesics, states, orbits) from an unfolded `_layers` BFS."""
+    explored = 0
+    for d, layer, seen, counts in _layers(pegs, discs, source):
+        explored += len(layer)
+        if seen[target]:
+            return d, counts[target], explored, explored
+    raise AssertionError("target never reached")
+
+
+def dense_pairs(pegs, discs, count=6):
+    """Seeded random pairs, then a pair with s = t and an adjacent pair."""
+    rng = random.Random(pegs * 100 + discs)
+    size = pegs**discs
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
+    source = rng.randrange(size)
+    pairs.append((source, source))
+    if discs:
+        pairs.append((source, rng.choice(neighbors(source, pegs, discs))))
+    return pairs
+
+
+# Every space with p in 4..8 and at most 2**15 states, n = 0 included.
+DENSE_SPACES = [
+    (pegs, discs)
+    for pegs in range(4, 9)
+    for discs in range(12)
+    if pegs**discs <= 2**15
+]
+
+
+class TestDenseSearch:
+    @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
+    def test_masks_give_the_legal_moves(self, pegs, discs):
+        masks = _shift_masks(pegs, discs)
+        assert len(masks) == discs * (pegs - 1)
+        for code in range(pegs**discs):
+            moved = [code + shift for shift, mask in masks if mask >> code & 1]
+            moved += [
+                code - shift
+                for shift, mask in masks
+                if code >= shift and mask >> (code - shift) & 1
+            ]
+            assert sorted(moved) == sorted(neighbors(code, pegs, discs))
+
+    @pytest.mark.parametrize("pegs,discs", DENSE_SPACES)
+    def test_matches_layers(self, monkeypatch, pegs, discs):
+        pairs = dense_pairs(pegs, discs)
+        for pair in pairs:
+            assert _dense_search(pegs, discs, *pair) == layers_search(pegs, discs, *pair)
+        reports = [bfs_distance(pegs, discs, *pair) for pair in pairs]
+        monkeypatch.setattr(hanoilab.oracle, "_dense_search", layers_search)
+        assert [bfs_distance(pegs, discs, *pair) for pair in pairs] == reports
+
+    @pytest.mark.parametrize("pegs,discs", [(4, 4), (4, 5), (5, 3), (5, 4), (6, 3)])
+    def test_against_networkx(self, pegs, discs):
+        graph = build_graph(pegs, discs)
+        for source, target in dense_pairs(pegs, discs):
+            distance, geodesics, explored, orbits = _dense_search(pegs, discs, source, target)
+            assert (distance, geodesics, explored) == nx_search(graph, source, target)
+            assert orbits == explored
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: bfs_distance(3, 6, 100, 600), id="three pegs"),
+            pytest.param(lambda: bfs_distance(5, 4), id="towers"),
+            pytest.param(
+                lambda: [bfs_distance(5, 5, *pair) for pair in shared_empty_pairs(5, 5, 4)],
+                id="shared empty pegs",
+            ),
+            pytest.param(lambda: tower_distance(4, 6), id="tower_distance"),
+            pytest.param(lambda: graph_metrics(4, 4), id="graph_metrics"),
+        ],
+    )
+    def test_three_pegs_and_folds_build_no_masks(self, monkeypatch, call):
+        def no_masks(*args):
+            raise AssertionError(f"shift masks built for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_shift_masks", no_masks)
+        call()
+
+    @pytest.mark.parametrize("pegs,discs", [(4, 5), (5, 4), (6, 4), (7, 4)])
+    def test_unfolded_pairs_never_enter_layers(self, monkeypatch, pegs, discs):
+        pairs = [pair for pair in dense_pairs(pegs, discs) if _fold(pegs, discs, *pair) is None]
+        assert pairs
+        expected = [layers_search(pegs, discs, *pair) for pair in pairs]
+
+        def no_layers(*args):
+            raise AssertionError(f"_layers entered for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        got = [bfs_distance(pegs, discs, *pair) for pair in pairs]
+        assert [
+            (r.distance, r.geodesic_count, r.states_explored, r.orbits_explored) for r in got
+        ] == expected
 
 
 def relabel(code, pegs, discs, perm):
