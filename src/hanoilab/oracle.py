@@ -20,28 +20,27 @@ d, which the layer tags tell apart.  Every geodesic crosses layer
 floor(D/2) exactly once, through a v of the matching kind, so the sum of
 count(v) * count(sigma(v)) over those v is the exact geodesic count.
 
-A search between two states that both leave a set M of two or more pegs
-empty -- the p-2 middle pegs between the perfect towers on pegs 0 and
-p-1 -- runs over the orbits of the relabellings of M.  Those relabellings
-map legal moves to legal moves and fix both ends (and commute with
-sigma), so every state of an orbit has the same distance and geodesic
-count.  The canonical form of a state renames the pegs of M in order of
-first use, smallest disc first; a layer lists canonical codes only.  The
-digit reversal rho(v) = p**n - 1 - v is sigma followed by the
-relabelling that reverses M, and sigma changes no peg of M, so the
-canonical form of rho(v) is sigma(v) for a canonical v.  The
+On p >= 4 pegs the mirror search, and no other, runs over the orbits of
+the relabellings of the set M of the p-2 middle pegs, which both towers
+leave empty.  Those relabellings map legal moves to legal moves and fix
+both towers (and commute with sigma), so every state of an orbit has the
+same distance and geodesic count.  The canonical form of a state renames
+the pegs of M in order of first use, smallest disc first; a layer lists
+canonical codes only.  The digit reversal rho(v) = p**n - 1 - v is sigma
+followed by the relabelling that reverses M, and sigma changes no peg of
+M, so the canonical form of rho(v) is sigma(v) for a canonical v.  The
 count slot of a representative r holds its orbit's mass
 M(r) = |O(r)| * c(r), and masses add along edges as counts do: the mass
 of an orbit is the sum, over the edges reaching it from the layer
 before, of the count at the edge's near end, and the edges leaving an
-orbit are |O| copies of those leaving its representative.  So the kernel expands representatives
-unchanged and then merges the new codes of the layer: a code whose orbit
-is new hands its mass to the canonical code, which becomes the orbit's
-representative; a code whose representative is already tagged in this
-layer adds its mass to it; a code whose orbit was reached in an earlier
-layer is dropped.  The target's orbit is itself alone, so its mass is
-its geodesic count; ``states_explored`` sums |O(r)|; and the mirror sum
-becomes the sum of M(r) * M(sigma(r)) / |O(r)|, exact term by term.
+orbit are |O| copies of those leaving its representative.  So the kernel
+expands representatives unchanged and then merges the new codes of the
+layer: a code whose orbit is new hands its mass to the canonical code,
+which becomes the orbit's representative; a code whose representative
+is already tagged in this layer adds its mass to it; a code whose orbit
+was reached in an earlier layer is dropped.  ``states_explored`` sums
+|O(r)|, and the mirror sum becomes the sum of M(r) * M(sigma(r)) /
+|O(r)|, exact term by term.
 
 A dropped code keeps its tag, which need not be its true layer, yet the
 three tags stay sound.  A code first reached in the expansion that makes
@@ -51,20 +50,23 @@ of d only while making d itself, where adding to the dropped slot is
 harmless, and the code is never listed again.  A canonical code is tagged
 only when its orbit is first reached, with that layer's tag.
 
-Two kernels run the searches, on purpose.  :func:`_layers` keeps a
-layer tag and a geodesic count per state and serves the mirror search,
-every folded search, three-peg pairs and the eccentricity sweeps of the
-diameter.  :func:`_dense_search` serves the pairs on p >= 4 pegs that
-fold nothing.  It holds a set of states as one big int with a bit per
-code, expands a whole layer with a few dozen big-int operations, one
-shift-and-mask pair per disc and peg offset, and counts geodesics
-afterwards over the states on some geodesic only.  On four or more pegs
-an unfolded pair's layers are wide, so the whole-set operations win;
-on three pegs the layers are a few hundred states wide, over 3**n
-states and up to 2**n - 1 layers, and they measured 5-15x slower than
-:func:`_layers` on (3,11) pairs.  An unfolded pair leaves at most one
-peg empty, so p <= 2n + 1, and its n(p-1) move masks hold at most 72
-bits per state within the default budget (at (13,6)).
+Two kernels run the searches, on purpose, and the peg count alone picks
+the one a pair search runs.  :func:`_layers` keeps a layer tag and a
+geodesic count per state and serves three-peg pairs, the mirror search,
+which reads the counts of each layer's mirror images as soon as the
+layer is complete, and the eccentricity sweeps of the diameter.
+:func:`_dense_search` serves every pair on p >= 4 pegs, perfect towers
+included.  It holds a set of states as one big int with a bit per code,
+expands a whole layer with one shift-and-mask pair per disc and peg
+offset, and counts geodesics afterwards over the states on some geodesic
+only.  On four or more pegs the layers are wide, so the whole-set
+operations win, even against the orbit fold: a full ball between the
+towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
+0.77 s (one core of a shared 2-core host).  On three pegs the layers are
+a few hundred states wide, over 3**n states and up to 2**n - 1 layers,
+and they measured 5-15x slower than :func:`_layers` on (3,11) pairs.
+The n(p-1) move masks hold up to n(p-1) bits per state: 27 at (4,10), 90
+at (16,6), 2,046 at (1024,2).
 
 One gate, :func:`_check_space` with a budget, refuses a space before
 any allocation: a search that would not fit raises
@@ -176,8 +178,9 @@ class OracleReport:
     ``dp_cost`` is filled only for n = 0 and when source and target are
     two distinct perfect towers; ``agrees`` is None in the other cases.
     ``states_explored`` counts states; ``orbits_explored`` counts the
-    orbit representatives among them that the search expanded, and
-    equals ``states_explored`` when the search folds nothing.
+    orbit representatives among them that the search expanded.  Only
+    :func:`tower_distance` on four or more pegs folds, so every other
+    report has ``orbits_explored == states_explored``.
     """
 
     pegs: int
@@ -384,27 +387,29 @@ def _shift_masks(pegs: int, discs: int) -> tuple[tuple[int, int], ...]:
     and no smaller disc's digit is a or a + delta.  Shifted up by
     ``shift``, the same mask is the set of codes where the reverse move,
     back down by delta, is legal.  A mask depends on the discs up to j
-    only, so it is a block of p**(j+1) bits repeated.  ``avoid`` holds,
-    per peg pair, the codes of the j smallest discs that leave both pegs
-    empty.
+    only, so it is a block of p**(j+1) bits repeated.  Within a block,
+    ``tops`` is the set of codes where no smaller disc shares disc j's
+    peg; shifted down by ``shift`` it is the set where none is on the peg
+    delta above, so the block is the two sets' intersection.  ``free[q]``
+    holds the codes of the j smallest discs that leave peg q empty.  Each
+    set is built by whole-set operations, so the masks cost time in
+    proportion to their bits, even where p is in the hundreds.
     """
     size = pegs**discs
-    pairs = [(a, b) for a in range(pegs) for b in range(a + 1, pegs)]
-    avoid = dict.fromkeys(pairs, 1)
+    free = [1] * pegs
     masks = []
     weight = 1
     for j in range(discs):
         width = weight * pegs
+        tops = sum(codes << q * weight for q, codes in enumerate(free))
         for delta in range(1, pegs):
-            block = 0
-            for a in range(pegs - delta):
-                block |= avoid[a, a + delta] << a * weight
+            block = tops & tops >> delta * weight
             masks.append((delta * weight, _repeat(block, width, size // width)))
         if j + 1 < discs:
-            avoid = {
-                (a, b): sum(codes << q * weight for q in range(pegs) if q != a and q != b)
-                for (a, b), codes in avoid.items()
-            }
+            free = [
+                _repeat(codes, weight, pegs) ^ codes << q * weight
+                for q, codes in enumerate(free)
+            ]
         weight = width
     return tuple(masks)
 
@@ -418,12 +423,13 @@ def _expand(states: int, masks) -> int:
 
 
 def _dense_search(pegs: int, discs: int, source: int, target: int):
-    """:func:`_search` without a fold on p >= 4 pegs, with the layers held
-    as big-int state sets.
+    """:func:`_search` on p >= 4 pegs, with the layers held as big-int
+    state sets.
 
     One move changes one digit, disc j's, by some delta, so a layer's
-    successors are :func:`_expand` over the :func:`_shift_masks`: a few
-    dozen whole-set big-int operations per layer, not a loop over edges.
+    successors are :func:`_expand` over the :func:`_shift_masks`: n(p-1)
+    whole-set big-int shift-and-mask pairs per layer, not a loop over
+    edges.
     The layers are kept as three sets, ``classes[d % 3]`` the union of the
     layers d, d+3, ...: a neighbour of a layer-k state lies in layer k-1,
     k or k+1, and those three fall in different classes, as the tags of
@@ -529,17 +535,18 @@ def _first_use(pegs: int, count: int, weight: int, fold, orders, entering):
 
 
 @lru_cache(maxsize=1)
-def _fold_tables(pegs: int, discs: int, fold: tuple[int, ...]):
+def _fold_tables(pegs: int, discs: int):
     """(base, low canon, low order ids, width, high canon, high orbit sizes)
-    for the relabellings of the pegs in ``fold``.
+    for the relabellings of the middle pegs 1..p-2.
 
     With the block split of :func:`_move_tables` and ``i = high * width +
     low_ids[low]``, the canonical form of ``high * base + low`` is
     ``high_canon[i] + low_canon[low]`` and its orbit holds
-    ``high_sizes[i]`` states: m!/(m-k)! when k of the m fold pegs are in
+    ``high_sizes[i]`` states: m!/(m-k)! when k of the m middle pegs are in
     use.  The low block leaves one of ``width`` first-use orders, at most
     one per low code, so the high tables hold at most p**n entries.
     """
+    fold = tuple(range(1, pegs - 1))
     low = discs // 2
     base = pegs**low
     orders = {(): 0}
@@ -551,17 +558,6 @@ def _fold_tables(pegs: int, discs: int, fold: tuple[int, ...]):
     return base, low_canon, low_ids, width, high_canon, high_sizes
 
 
-def _fold(pegs: int, discs: int, *ends: int):
-    """Fold tables for the pegs every code in ``ends`` leaves empty, or
-    None when fewer than two are empty and no relabelling moves a state."""
-    free = set(range(pegs))
-    for code in ends:
-        for _ in range(discs):
-            code, q = divmod(code, pegs)
-            free.discard(q)
-    return _fold_tables(pegs, discs, tuple(sorted(free))) if len(free) > 1 else None
-
-
 def _sizes(fold, layer: list[int]) -> list[int]:
     """Orbit size of each code in a layer; all 1 when nothing is folded."""
     if fold is None:
@@ -571,26 +567,23 @@ def _sizes(fold, layer: list[int]) -> list[int]:
 
 
 def _search(pegs: int, discs: int, source: int, target: int):
-    """Layered BFS; returns (distance, geodesic count, states explored,
-    orbits explored) from the source to the target.
+    """BFS; returns (distance, geodesic count, states explored, orbits
+    explored) from the source to the target.
 
-    The layer containing the target is always completed so that the
-    geodesic count and the explored-state tally are independent of
-    expansion order.  The state graph is connected, so the target is
-    always reached.  A source and target that both leave two or more pegs
-    empty are searched over the orbits of those pegs' relabellings; the
-    target's orbit is itself alone, so its mass is its geodesic count.
-    A pair on p >= 4 pegs that folds nothing runs :func:`_dense_search`.
+    Pairs on p >= 4 pegs run :func:`_dense_search` and three-peg pairs
+    run :func:`_layers`; neither folds, so orbits explored equals states
+    explored.  The layer containing the target is always completed so
+    that the geodesic count and the explored-state tally are independent
+    of expansion order.  The state graph is connected, so the target is
+    always reached.
     """
-    fold = _fold(pegs, discs, source, target)
-    if fold is None and pegs >= 4:
+    if pegs >= 4:
         return _dense_search(pegs, discs, source, target)
-    explored = orbits = 0
-    for d, layer, seen, counts in _layers(pegs, discs, source, fold):
-        orbits += len(layer)
-        explored += len(layer) if fold is None else sum(_sizes(fold, layer))
+    explored = 0
+    for d, layer, seen, counts in _layers(pegs, discs, source):
+        explored += len(layer)
         if seen[target]:
-            return d, counts[target], explored, orbits
+            return d, counts[target], explored, explored
     raise HanoiError("state graph unexpectedly disconnected")
 
 
@@ -601,11 +594,12 @@ def _mirror_search(pegs: int, discs: int):
     rule and the fold over the middle pegs.
 
     The mirror image of a listed code v is read as the canonical form of
-    its digit reversal ``p**n - 1 - v``, which is sigma(v); with nothing
-    folded (p = 3, where the reversal is sigma) it is the reversal itself.
+    its digit reversal ``p**n - 1 - v``, which is sigma(v).  Three pegs
+    have one middle peg, which no relabelling moves, so nothing is folded
+    there and the reversal, which is sigma, is read as it is.
     """
     top = pegs**discs - 1
-    fold = _fold(pegs, discs, 0, top)
+    fold = _fold_tables(pegs, discs) if pegs > 3 else None
     explored = orbits = 0
     for d, layer, seen, counts in _layers(pegs, discs, 0, fold):
         sizes = _sizes(fold, layer)
@@ -668,11 +662,11 @@ def bfs_distance(
     """Certified shortest distance between two states.
 
     Defaults to the perfect towers on the first and last pegs.  Geodesics
-    are counted exactly by layered predecessor accumulation.  A pair that
-    leaves two or more pegs empty at both ends is searched over orbits
-    (see the module docstring); any other pair on four or more pegs runs
-    the bit-parallel :func:`_dense_search`, and three-peg pairs run
-    :func:`_layers`.  The report does not depend on the kernel.
+    are counted exactly by layered predecessor accumulation.  Every pair
+    on four or more pegs runs the bit-parallel :func:`_dense_search`, and
+    three-peg pairs run :func:`_layers`; nothing is folded, so
+    ``orbits_explored`` equals ``states_explored``.  The report does not
+    depend on the kernel.
     """
     _check_space(pegs, discs, state_budget)
     if source is None:

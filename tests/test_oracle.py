@@ -15,7 +15,7 @@ from hanoilab.oracle import (
     SkippedLevel,
     _canon,
     _dense_search,
-    _fold,
+    _fold_tables,
     _layers,
     _move_tables,
     _orbit_codes,
@@ -362,7 +362,8 @@ class TestTowerDistance:
 
 
 def unfolded(monkeypatch):
-    """Make every search run unfolded, by patching `_fold_tables` out."""
+    """Make the mirror search, the one search that folds, run unfolded by
+    patching `_fold_tables` out."""
     monkeypatch.setattr(hanoilab.oracle, "_fold_tables", lambda *args: None)
 
 
@@ -401,7 +402,7 @@ def shared_empty_pairs(pegs, discs, count=12):
 
 # Every perfect-tower space with p in 4..8 and at most 2**16 states.
 FOLDED_TOWERS = [(pegs, discs) for pegs, discs in MIRROR_SPACES if pegs >= 4]
-# A tower pair, a pair sharing one empty peg and a three-peg pair: none folds.
+# Searches that fold nothing: only tower_distance on four or more pegs folds.
 UNFOLDED_CALLS = [
     pytest.param(lambda: tower_distance(3, 6), id="three-peg towers"),
     pytest.param(lambda: bfs_distance(3, 6), id="three-peg bfs"),
@@ -416,50 +417,44 @@ class TestOrbitFold:
     @pytest.mark.parametrize("pegs,discs", FOLDED_TOWERS)
     @pytest.mark.parametrize("call", [bfs_distance, tower_distance], ids=lambda f: f.__name__)
     def test_folded_matches_unfolded(self, monkeypatch, call, pegs, discs, solver):
-        folded = call(pegs, discs, solver=solver)
+        report = call(pegs, discs, solver=solver)
         unfolded(monkeypatch)
+        monkeypatch.setattr(hanoilab.oracle, "_dense_search", layers_search)
         plain = call(pegs, discs, solver=solver)
         assert plain.orbits_explored == plain.states_explored
-        assert (folded.distance, folded.geodesic_count, folded.states_explored) == (
-            plain.distance,
-            plain.geodesic_count,
-            plain.states_explored,
-        )
-        assert folded.orbits_explored <= folded.states_explored
-        if discs >= 2:
-            assert folded.orbits_explored < folded.states_explored
+        fields = ("distance", "geodesic_count", "states_explored", "dp_cost", "agrees")
+        assert [getattr(report, f) for f in fields] == [getattr(plain, f) for f in fields]
+        # only the mirror search folds; bfs_distance counts every state as an orbit
+        if call is bfs_distance:
+            assert report.orbits_explored == report.states_explored
+        else:
+            assert report.orbits_explored <= report.states_explored
+            if discs >= 2:
+                assert report.orbits_explored < report.states_explored
 
     @pytest.mark.parametrize(
         "pegs,discs", [(4, 5), (5, 4), (5, 5), (6, 4), (6, 5), (7, 4)]
     )
-    def test_shared_empty_pegs(self, monkeypatch, pegs, discs):
+    def test_shared_empty_pegs(self, pegs, discs):
         pairs = shared_empty_pairs(pegs, discs)
-        assert all(_fold(pegs, discs, *pair) is not None for pair in pairs)
         reports = [bfs_distance(pegs, discs, *pair) for pair in pairs]
         if pegs**discs <= 2401:
             graph = build_graph(pegs, discs)
             expected = [nx_search(graph, *pair) for pair in pairs]
         else:
-            unfolded(monkeypatch)
-            expected = [
-                (r.distance, r.geodesic_count, r.states_explored)
-                for r in (bfs_distance(pegs, discs, *pair) for pair in pairs)
-            ]
+            expected = [layers_search(pegs, discs, *pair)[:3] for pair in pairs]
         got = [(r.distance, r.geodesic_count, r.states_explored) for r in reports]
         assert got == expected
-        assert any(r.orbits_explored < r.states_explored for r in reports)
+        assert all(r.orbits_explored == r.states_explored for r in reports)
 
     @pytest.mark.parametrize("pegs,discs", [(4, 6), (5, 5), (6, 4), (7, 4)])
     def test_layers_yield_canonical_codes(self, pegs, discs):
-        ends = [(0, pegs**discs - 1), *shared_empty_pairs(pegs, discs, 4)]
-        for source, target in ends:
-            used = unpack(source, pegs, discs).pegs + unpack(target, pegs, discs).pegs
-            free = tuple(q for q in range(pegs) if q not in used)
-            yielded = []
-            for _, layer, _, _ in _layers(pegs, discs, source, _fold(pegs, discs, source, target)):
-                yielded += layer
-            assert len(yielded) == len(set(yielded))
-            assert all(is_canonical(code, pegs, discs, free) for code in yielded)
+        middle = tuple(range(1, pegs - 1))
+        yielded = []
+        for _, layer, _, _ in _layers(pegs, discs, 0, _fold_tables(pegs, discs)):
+            yielded += layer
+        assert len(yielded) == len(set(yielded))
+        assert all(is_canonical(code, pegs, discs, middle) for code in yielded)
 
     @pytest.mark.parametrize("call", UNFOLDED_CALLS)
     def test_fewer_than_two_shared_empty_pegs_never_fold(self, monkeypatch, call):
@@ -472,14 +467,13 @@ class TestOrbitFold:
             assert report.orbits_explored == report.states_explored
 
     @pytest.mark.parametrize(
-        "pegs,discs,distance,geodesics,orbits",
-        [(5, 7, 19, 32_598, 14_157), (6, 7, 17, 431_064, 16_537), (4, 10, 49, 2178, 524_800)],
+        "pegs,discs,distance,geodesics,states",
+        [(5, 7, 19, 32_598, 78_125), (6, 7, 17, 431_064, 279_936), (4, 10, 49, 2178, 1_048_576)],
     )
-    def test_full_ball_orbits(self, pegs, discs, distance, geodesics, orbits):
+    def test_full_ball_orbits(self, pegs, discs, distance, geodesics, states):
         report = bfs_distance(pegs, discs)
         assert (report.distance, report.geodesic_count) == (distance, geodesics)
-        assert report.states_explored == pegs**discs
-        assert report.orbits_explored == orbits
+        assert report.states_explored == report.orbits_explored == states == pegs**discs
 
     @pytest.mark.parametrize(
         "pegs,discs", [(4, 1), (4, 5), (4, 7), (5, 5), (6, 4), (7, 4), (8, 3)]
@@ -487,7 +481,7 @@ class TestOrbitFold:
     def test_canonical_reversal_is_the_mirror(self, pegs, discs):
         # the mirror search reads sigma(v) as the canonical form of p**n - 1 - v
         top = pegs**discs - 1
-        fold = _fold(pegs, discs, 0, top)
+        fold = _fold_tables(pegs, discs)
         swap = [pegs - 1, *range(1, pegs - 1), 0]
         canonical = [v for v in range(top + 1) if _canon(fold, v) == v]
         mirrors = [relabel(v, pegs, discs, swap) for v in canonical]
@@ -507,7 +501,8 @@ def layers_search(pegs, discs, source, target):
 
 
 def dense_pairs(pegs, discs, count=6):
-    """Seeded random pairs, then a pair with s = t and an adjacent pair."""
+    """Seeded random pairs, a pair with s = t and an adjacent pair, then the
+    perfect towers and pairs that leave two or more pegs empty at both ends."""
     rng = random.Random(pegs * 100 + discs)
     size = pegs**discs
     pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(count)]
@@ -515,7 +510,8 @@ def dense_pairs(pegs, discs, count=6):
     pairs.append((source, source))
     if discs:
         pairs.append((source, rng.choice(neighbors(source, pegs, discs))))
-    return pairs
+    pairs.append((0, size - 1))
+    return pairs + shared_empty_pairs(pegs, discs, 4)
 
 
 # Every space with p in 4..8 and at most 2**15 states, n = 0 included.
@@ -527,19 +523,34 @@ DENSE_SPACES = [
 ]
 
 
+def mask_moves(code, masks):
+    """States one move from ``code``, read from the shift masks."""
+    moved = [code + shift for shift, mask in masks if mask >> code & 1]
+    moved += [code - shift for shift, mask in masks if code >= shift and mask >> (code - shift) & 1]
+    return sorted(moved)
+
+
 class TestDenseSearch:
     @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
     def test_masks_give_the_legal_moves(self, pegs, discs):
         masks = _shift_masks(pegs, discs)
         assert len(masks) == discs * (pegs - 1)
         for code in range(pegs**discs):
-            moved = [code + shift for shift, mask in masks if mask >> code & 1]
-            moved += [
-                code - shift
-                for shift, mask in masks
-                if code >= shift and mask >> (code - shift) & 1
-            ]
-            assert sorted(moved) == sorted(neighbors(code, pegs, discs))
+            assert mask_moves(code, masks) == sorted(neighbors(code, pegs, discs))
+
+    @pytest.mark.parametrize("pegs,discs", [(512, 2), (64, 3)])
+    def test_wide_spaces_build_masks_quickly(self, pegs, discs):
+        # every pair on p >= 4 runs the dense kernel, so the masks must cost
+        # time in proportion to their bits, not to the p**2 peg pairs
+        _shift_masks.cache_clear()
+        started = time.perf_counter()
+        masks = _shift_masks(pegs, discs)
+        elapsed = time.perf_counter() - started
+        _shift_masks.cache_clear()
+        assert len(masks) == discs * (pegs - 1)
+        for code in random.Random(pegs).sample(range(pegs**discs), 6):
+            assert mask_moves(code, masks) == sorted(neighbors(code, pegs, discs))
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("pegs,discs", DENSE_SPACES)
     def test_matches_layers(self, monkeypatch, pegs, discs):
@@ -562,11 +573,6 @@ class TestDenseSearch:
         "call",
         [
             pytest.param(lambda: bfs_distance(3, 6, 100, 600), id="three pegs"),
-            pytest.param(lambda: bfs_distance(5, 4), id="towers"),
-            pytest.param(
-                lambda: [bfs_distance(5, 5, *pair) for pair in shared_empty_pairs(5, 5, 4)],
-                id="shared empty pegs",
-            ),
             pytest.param(lambda: tower_distance(4, 6), id="tower_distance"),
             pytest.param(lambda: graph_metrics(4, 4), id="graph_metrics"),
         ],
@@ -580,14 +586,15 @@ class TestDenseSearch:
 
     @pytest.mark.parametrize("pegs,discs", [(4, 5), (5, 4), (6, 4), (7, 4)])
     def test_unfolded_pairs_never_enter_layers(self, monkeypatch, pegs, discs):
-        pairs = [pair for pair in dense_pairs(pegs, discs) if _fold(pegs, discs, *pair) is None]
-        assert pairs
+        # on four or more pegs every pair, towers included, runs the dense kernel
+        pairs = dense_pairs(pegs, discs)
         expected = [layers_search(pegs, discs, *pair) for pair in pairs]
 
         def no_layers(*args):
-            raise AssertionError(f"_layers entered for {args}")
+            raise AssertionError(f"_layers or _fold_tables entered for {args}")
 
         monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", no_layers)
         got = [bfs_distance(pegs, discs, *pair) for pair in pairs]
         assert [
             (r.distance, r.geodesic_count, r.states_explored, r.orbits_explored) for r in got
