@@ -9,15 +9,28 @@ Traces stream.  :func:`trace_chunks` yields a trace as lists of at most
 :data:`CHUNK_MOVES` ``(disc, source, target)`` tuples, :class:`TraceCsv`
 renders those chunks as CSV and :class:`TraceCheck` replays and checks
 them in one pass, so a trace of any length needs memory for one chunk
-plus O(n * p**2) for the generator's task stack, split cache and CSV
-tails.  :class:`MoveTrace` and the functions that take one hold a trace
-whole for library callers; they are thin wrappers over the same path.
+plus O(n * p**2) for the generator's task stack, split and plan caches,
+the replay's linked stacks and the CSV tails, plus fixed tables shared
+by every trace and built on first use: four tuples of 4,095 ints for
+the ruler and the 2,000 numerals of :func:`_numerals`.  :class:`MoveTrace`
+and the functions that take one hold a trace whole for library callers;
+they are thin wrappers over the same path.
+
+Per move, generation, the ruler check and CSV run list operations, and
+the replay loop does the least a move needs: a three-peg tower's moves
+index its table of 3 * count cycle moves through the step templates of
+:func:`_ruler_templates`, the ruler check compares slices of their disc
+template, the replay keeps linked stacks (:func:`_replay`) and each CSV
+chunk is one join of cached numerals and move tails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
+from math import inf
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -37,6 +50,11 @@ CHUNK_MOVES = 4096
 
 #: A move as it streams: (disc, source peg, target peg).
 Step = tuple[int, int, int]
+
+#: Steps per ruler template block: a fixed power of two, independent of
+#: :data:`CHUNK_MOVES`, so the templates are the same whatever the chunk.
+_BLOCK_BITS = 12
+_BLOCK = 1 << _BLOCK_BITS
 
 
 def peg_label(index: int) -> str:
@@ -163,11 +181,22 @@ def _held(initial: Configuration, chunks: Iterable[list[Step]]) -> MoveTrace:
     return MoveTrace(initial, moves)
 
 
+@cache
+def _numerals() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """0 .. 999 in decimal, plain and padded to three digits, built on
+    first use: step q * 1000 + r renders as ``str(q)`` and the padded r,
+    or as the plain r when q is 0."""
+    return tuple(map(str, range(1000))), tuple(f"{r:03d}" for r in range(1000))
+
+
 class TraceCsv:
     """``step,disc,from,to`` rows of a streamed trace, one chunk at a time.
 
-    Steps are 1-based and run on across chunks.  The ``disc,from,to``
-    tail of each distinct move is rendered once and then reused.
+    Steps are 1-based and run on across chunks.  The ``,disc,from,to``
+    tail of each distinct move is rendered once and then reused.  A
+    chunk's rows are one join of three pieces per row -- the step's
+    thousands, its last three digits and the move's tail -- each filled
+    in by slice assignment, so no row is formatted on its own.
     """
 
     HEADER = "step,disc,from,to\n"
@@ -180,10 +209,22 @@ class TraceCsv:
         tails = self._tails
         for move in set(chunk).difference(tails):
             disc, source, target = move
-            tails[move] = f"{disc},{peg_label(source)},{peg_label(target)}\n"
-        first = self.steps + 1
-        self.steps += len(chunk)
-        return "".join([f"{step},{tails[move]}" for step, move in enumerate(chunk, first)])
+            tails[move] = f",{disc},{peg_label(source)},{peg_label(target)}\n"
+        plain, padded = _numerals()
+        pieces = [""] * (3 * len(chunk))
+        at, step, stop = 0, self.steps + 1, self.steps + 1 + len(chunk)
+        while step < stop:
+            q, r = divmod(step, 1000)
+            end = min(stop, (q + 1) * 1000)
+            width = 3 * (end - step)
+            if q:
+                pieces[at : at + width : 3] = [str(q)] * (end - step)
+            pieces[at + 1 : at + width : 3] = (padded if q else plain)[r : r + end - step]
+            at += width
+            step = end
+        pieces[2::3] = map(tails.__getitem__, chunk)
+        self.steps = stop - 1
+        return "".join(pieces)
 
 
 def trace_to_csv(trace: MoveTrace) -> str:
@@ -248,6 +289,9 @@ def _walk(
     never constrain these sub-solves.  Three-peg blocks follow the ruler
     rule of :func:`_ruler`."""
     splits: dict[tuple[int, int], int] = {}  # (pegs, discs) -> canonical split
+    # (usable pegs, from, to) -> (staging peg, shuttle pegs); on three
+    # usable pegs the staging peg is the one spare
+    plans: dict[tuple[tuple[int, ...], int, int], tuple[int, tuple[int, ...]]] = {}
     chunk: list[Step] = []
     # (count, lowest disc, from, to, usable pegs, forced split or None);
     # popped last in, first out, so each level pushes rebuild, shuttle, park
@@ -259,24 +303,52 @@ def _walk(
             if len(chunk) == CHUNK_MOVES:
                 yield chunk
                 chunk = []
-        elif len(usable) == 3:
-            spare = next(q for q in usable if q != src and q != dst)
-            chunk = yield from _ruler(chunk, count, lowest, src, dst, spare)
-        elif count:
-            if k is None:
-                key = (len(usable), count)
-                if key not in splits:
-                    splits[key] = solver.solve(*key).canonical_split
-                k = splits[key]
+            continue
+        if not count:
+            continue
+        plan = plans.get((usable, src, dst))
+        if plan is None:
             staging = min(q for q in usable if q != src and q != dst)
-            shuttle = tuple(q for q in usable if q != staging)
-            tasks += (
-                (k, lowest, staging, dst, usable, None),
-                (count - k, lowest + k, src, dst, shuttle, None),
-                (k, lowest, src, staging, usable, None),
-            )
+            plan = plans[usable, src, dst] = staging, tuple(q for q in usable if q != staging)
+        staging, shuttle = plan
+        if len(usable) == 3:
+            chunk = yield from _ruler(chunk, count, lowest, src, dst, staging)
+            continue
+        if k is None:
+            key = (len(usable), count)
+            if key not in splits:
+                splits[key] = solver.solve(*key).canonical_split
+            k = splits[key]
+        tasks += (
+            (k, lowest, staging, dst, usable, None),
+            (count - k, lowest + k, src, dst, shuttle, None),
+            (k, lowest, src, staging, usable, None),
+        )
     if chunk:
         yield chunk
+
+
+@cache
+def _ruler_templates() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The disc template and the three step templates of the ruler rule,
+    built on first use and then shared: ``_BLOCK - 1`` ints each.
+
+    For step t = m * _BLOCK + r with 1 <= r < _BLOCK, the moved disc is
+    j = 1 + (trailing zeros of r), and ``discs[r - 1]`` holds it.  Its
+    move is entry ``3 * j + (t >> j) % 3`` of a tower's cycle table (see
+    :func:`_ruler`); since t >> j = m * 2**(_BLOCK_BITS - j) + (r >> j),
+    that index depends only on m % 3 and r, and ``steps[m % 3][r - 1]``
+    holds it.
+    """
+    discs = tuple((r & -r).bit_length() for r in range(1, _BLOCK))
+    steps = tuple(
+        tuple(
+            3 * j + ((m << (_BLOCK_BITS - j)) + (r >> j)) % 3
+            for r, j in enumerate(discs, 1)
+        )
+        for m in range(3)
+    )
+    return discs, steps
 
 
 def _ruler(
@@ -290,20 +362,31 @@ def _ruler(
     for the (t >> j)-th time counting from 0.  That disc cycles
     src -> dst -> spare when count - j is even and src -> spare -> dst
     when it is odd (Hinz, Klavzar, Milutinovic & Petr, *The Tower of
-    Hanoi -- Myths and Maths*, 2013).
+    Hanoi -- Myths and Maths*, 2013).  Entry 3 * j + i of the table
+    built here is the j-th smallest disc's i-th move of its cycle, so
+    step t makes move ``table[3 * j + (t >> j) % 3]``.  The step
+    templates of :func:`_ruler_templates` hold those indices for every
+    step but the multiples of ``_BLOCK``, which are computed one by one,
+    so a chunk is filled by mapping a template slice through the table.
+    Besides the chunk, a call holds only its table of 3 * count moves.
     """
-    cycles: list[tuple[Step, Step, Step]] = [((0, 0, 0),) * 3]  # j = 0 is unused
+    table: list[Step] = [(0, 0, 0)] * 3  # j = 0 is unused
     for j in range(1, count + 1):
         a, b, c = (src, dst, spare) if (count - j) % 2 == 0 else (src, spare, dst)
         disc = lowest + j - 1
-        cycles.append(((disc, a, b), (disc, b, c), (disc, c, a)))
+        table += ((disc, a, b), (disc, b, c), (disc, c, a))
+    templates = _ruler_templates()[1]
     step, end = 1, 1 << count  # steps 1 .. 2**count - 1
     while step < end:
-        stop = min(step + CHUNK_MOVES - len(chunk), end)
-        chunk += [
-            cycles[j][(t >> j) % 3] for t in range(step, stop) for j in ((t & -t).bit_length(),)
-        ]
-        step = stop
+        m, r = divmod(step, _BLOCK)
+        if r:  # up to the chunk's end, the tower's end or the block's end
+            stop = min(step + CHUNK_MOVES - len(chunk), end, (m + 1) * _BLOCK)
+            chunk += map(table.__getitem__, templates[m % 3][r - 1 : stop - m * _BLOCK - 1])
+            step = stop
+        else:
+            j = (step & -step).bit_length()
+            chunk.append(table[3 * j + (step >> j) % 3])
+            step += 1
         if len(chunk) == CHUNK_MOVES:
             yield chunk
             chunk = []
@@ -352,33 +435,73 @@ def trace_length(
     return 2 * s.cost(pegs, k) + s.cost(pegs - 1, discs - k)
 
 
-def _replay(stacks: list[list[int]], chunk: list[Step], first: int, discs: int) -> None:
-    """Apply a chunk of moves, numbered from step ``first``, to per-peg
-    stacks (bottom first), raising at the first one that breaks a rule."""
+#: Replay state: ``(top, below)``.  ``top[q]`` is the top disc of peg q
+#: and ``below[d]`` the disc under disc d; n + 1 marks an empty peg and
+#: the bottom of a stack.  ``top`` carries p + 1 entries of -inf after the
+#: p pegs, which no disc equals and every disc exceeds, so a move from or
+#: onto peg -(p + 1) .. -1 or p .. 2p fails the legality test, and
+#: ``below`` has exactly n + 1 slots, so lifting the bogus disc n + 1 off
+#: an empty peg raises IndexError before anything is written.
+_Linked = tuple[list[float], list[int]]
+
+
+def _linked(initial: Configuration) -> _Linked:
+    """Linked stacks of a configuration."""
+    pegs, discs = initial.num_pegs, initial.num_discs
+    top: list[float] = [discs + 1] * pegs + [-inf] * (pegs + 1)
+    below = [discs + 1] * (discs + 1)
+    for disc in range(discs, 0, -1):  # largest first, so smaller discs land on top
+        peg = initial.pegs[disc - 1]
+        below[disc] = top[peg]
+        top[peg] = disc
+    return top, below
+
+
+def _stacks(state: _Linked) -> list[list[int]]:
+    """Per-peg disc lists, bottom (largest) first, of linked stacks."""
+    top, below = state
+    bottom = len(below)
+    stacks = []
+    for disc in top[: len(top) // 2]:
+        stack = []
+        while disc != bottom:
+            stack.append(disc)
+            disc = below[disc]
+        stacks.append(stack[::-1])
+    return stacks
+
+
+def _replay(state: _Linked, chunk: list[Step], first: int, discs: int) -> None:
+    """Apply a chunk of moves, numbered from step ``first``, to linked
+    stacks, raising at the first one that breaks a rule.
+
+    A legal move costs two comparisons and three stores: its disc must be
+    the source peg's top and must not exceed the target peg's top.
+    """
+    top, below = state
     index = 0
     try:
         for index, (disc, src, dst) in enumerate(chunk):
-            from_stack = stacks[src]
-            if not from_stack or from_stack[-1] != disc:
+            if top[src] != disc or top[dst] < disc:
                 break
-            to_stack = stacks[dst]
-            if to_stack and to_stack[-1] < disc:
-                break
-            from_stack.pop()
-            to_stack.append(disc)
+            top[src] = below[disc]
+            below[disc] = top[dst]
+            top[dst] = disc
         else:
             return
-    except IndexError:  # a peg outside the board
+    except IndexError:  # a peg outside the padded board, or disc n + 1
         pass
-    _reject(stacks, chunk[index], first + index, discs)
+    _reject(state, chunk[index], first + index, discs)
 
 
-def _reject(stacks: list[list[int]], move: Step, step: int, discs: int) -> None:
+def _reject(state: _Linked, move: Step, step: int, discs: int) -> None:
     """Raise the error for a move that :func:`_replay` could not apply."""
     disc, src, dst = move
     if not 1 <= disc <= discs:
         raise DomainError(f"move {step} references unknown disc {disc}")
-    if src >= len(stacks) or dst >= len(stacks):
+    stacks = _stacks(state)
+    pegs = len(stacks)
+    if not (0 <= src < pegs and 0 <= dst < pegs):
         raise DomainError(f"move {step} references a peg outside the board")
     actual = next(q for q, stack in enumerate(stacks) if disc in stack)
     if actual != src:
@@ -401,13 +524,13 @@ def validate_sequence(initial: Configuration, moves: Sequence[Move]) -> Configur
     top disc (if any) is larger; otherwise :class:`IllegalMove` reports
     the 1-based step and the reason.
     """
-    stacks = initial.stacks()
+    state = _linked(initial)
     first = 1
     for chunk in _chunked(moves):
-        _replay(stacks, chunk, first, initial.num_discs)
+        _replay(state, chunk, first, initial.num_discs)
         first += len(chunk)
     where = [0] * initial.num_discs
-    for peg, stack in enumerate(stacks):
+    for peg, stack in enumerate(_stacks(state)):
         for disc in stack:
             where[disc - 1] = peg
     return Configuration(initial.num_pegs, tuple(where))
@@ -441,10 +564,26 @@ class GrayReport:
     ruler_pattern: bool
 
 
-def _follows_ruler(discs: list[int], first: int) -> bool:
+def _follows_ruler(discs: tuple[int, ...], first: int) -> bool:
     """Whether the disc moved at each step t, counting from step
-    ``first``, is 1 + (trailing zeros of t)."""
-    return discs == [(t & -t).bit_length() for t in range(first, first + len(discs))]
+    ``first``, is 1 + (trailing zeros of t): slices of the disc template
+    of :func:`_ruler_templates`, with the steps at multiples of
+    ``_BLOCK`` computed one by one."""
+    template = _ruler_templates()[0]
+    at, step, stop = 0, first, first + len(discs)
+    while step < stop:
+        m, r = divmod(step, _BLOCK)
+        if r:
+            end = min(stop, (m + 1) * _BLOCK)
+            if discs[at : at + end - step] != template[r - 1 : end - m * _BLOCK - 1]:
+                return False
+        else:
+            end = step + 1
+            if discs[at] != (step & -step).bit_length():
+                return False
+        at += end - step
+        step = end
+    return True
 
 
 def gray_trace(trace: MoveTrace) -> GrayReport:
@@ -456,15 +595,14 @@ def gray_trace(trace: MoveTrace) -> GrayReport:
     validate_sequence(trace.initial, trace.moves)
     vec = 0
     vectors = [0]
-    flips: list[int] = []
     for move in trace.moves:
         vec ^= 1 << (move.disc - 1)
         vectors.append(vec)
-        flips.append(move.disc)
+    flips = tuple(move.disc for move in trace.moves)
     single = all(
         (a ^ b).bit_count() == 1 for a, b in zip(vectors, vectors[1:])
     )
-    return GrayReport(tuple(vectors), tuple(flips), single, _follows_ruler(flips, 1))
+    return GrayReport(tuple(vectors), flips, single, _follows_ruler(flips, 1))
 
 
 def moment_trace(trace: MoveTrace, order: int) -> list[int]:
@@ -583,11 +721,11 @@ def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     """
     if trace.initial.num_discs < 1:
         raise DomainError("trace has no discs")
-    stacks = trace.initial.stacks()
+    state = _linked(trace.initial)
     fold = _SubtowerFold(trace.initial)
     first = 1
     for chunk in _chunked(trace.moves):
-        _replay(stacks, chunk, first, trace.initial.num_discs)
+        _replay(state, chunk, first, trace.initial.num_discs)
         fold.feed(chunk)
         first += len(chunk)
     return fold.report()
@@ -612,7 +750,7 @@ class TraceCheck:
         self.moves = 0
         self._strategy = strategy
         self._solver = solver
-        self._stacks = initial.stacks()
+        self._state = _linked(initial)
         self._illegal: IllegalMove | None = None
         self._ruler_ok = True
         self._subtowers = (
@@ -625,12 +763,12 @@ class TraceCheck:
         if self._illegal is not None:
             return
         try:
-            _replay(self._stacks, chunk, first, self._initial.num_discs)
+            _replay(self._state, chunk, first, self._initial.num_discs)
         except IllegalMove as exc:
             self._illegal = exc
             return
         if self._initial.num_pegs == 3 and self._ruler_ok:
-            self._ruler_ok = _follows_ruler([move[0] for move in chunk], first)
+            self._ruler_ok = _follows_ruler(tuple(map(itemgetter(0), chunk)), first)
         if self._subtowers is not None:
             self._subtowers.feed(chunk)
 
@@ -641,7 +779,7 @@ class TraceCheck:
         failures: list[str] = []
         if self._illegal is not None:
             failures.append(f"replay failed: {self._illegal}")
-        elif discs and len(self._stacks[pegs - 1]) != discs:
+        elif discs and len(_stacks(self._state)[pegs - 1]) != discs:
             failures.append("replay does not end all-on-target")
         predicted = trace_length(pegs, discs, self._strategy, self._solver)
         if self.moves != predicted:

@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from unittest import mock
 
 import pytest
@@ -163,6 +164,61 @@ def reference_moves(pegs, discs, strategy, solver, source, target) -> list[Move]
         override = None if strategy == "optimal" else strategy
     _emit_multi(discs, 1, source, target, tuple(range(pegs)), out, solver, override)
     return out
+
+
+def reference_ruler(chunk, count, lowest, src, dst, spare):
+    """The three-peg ruler generator before step templates, unchanged:
+    one comprehension per chunk, every step computed on its own."""
+    cycles = [((0, 0, 0),) * 3]
+    for j in range(1, count + 1):
+        a, b, c = (src, dst, spare) if (count - j) % 2 == 0 else (src, spare, dst)
+        disc = lowest + j - 1
+        cycles.append(((disc, a, b), (disc, b, c), (disc, c, a)))
+    step, end = 1, 1 << count
+    while step < end:
+        stop = min(step + moves_module.CHUNK_MOVES - len(chunk), end)
+        chunk += [
+            cycles[j][(t >> j) % 3] for t in range(step, stop) for j in ((t & -t).bit_length(),)
+        ]
+        step = stop
+        if len(chunk) == moves_module.CHUNK_MOVES:
+            yield chunk
+            chunk = []
+    return chunk
+
+
+def reference_replay(initial: Configuration, moves) -> list[list[int]]:
+    """Per-peg stacks (bottom first) after replaying ``(disc, source,
+    target)`` moves, raising the library's error for the first bad one:
+    unknown disc, then a peg off the board (negative ones included), then
+    wrong source, buried disc and larger on smaller."""
+    pegs, discs = initial.num_pegs, initial.num_discs
+    stacks = initial.stacks()
+    for step, (disc, src, dst) in enumerate(moves, 1):
+        if not 1 <= disc <= discs:
+            raise DomainError(f"move {step} references unknown disc {disc}")
+        if not (0 <= src < pegs and 0 <= dst < pegs):
+            raise DomainError(f"move {step} references a peg outside the board")
+        actual = next(q for q, stack in enumerate(stacks) if disc in stack)
+        if actual != src:
+            raise IllegalMove(
+                step,
+                WRONG_SOURCE_PEG,
+                f"disc {disc} is on {peg_label(actual)}, not {peg_label(src)}",
+            )
+        if stacks[src][-1] != disc:
+            raise IllegalMove(step, NOT_TOP_DISC, f"disc {disc} is buried on {peg_label(src)}")
+        if stacks[dst] and stacks[dst][-1] < disc:
+            raise IllegalMove(
+                step, LARGER_ON_SMALLER, f"disc {disc} onto smaller disc {stacks[dst][-1]}"
+            )
+        stacks[src].pop()
+        stacks[dst].append(disc)
+    return stacks
+
+
+# A move that skips Move's own checks, so the replay sees any values.
+RawMove = namedtuple("RawMove", "disc source target")
 
 
 class TestLabels:
@@ -574,6 +630,16 @@ class TestTraceChecks:
             "largest disc moved 2 times, expected once",
         )
 
+    @pytest.mark.parametrize("pegs", [3, 4, 5])
+    def test_negative_pegs_are_off_the_board(self, pegs):
+        """A negative peg is not counted from the end of the board."""
+        for bad in range(-pegs - 1, 0):
+            for move in ((1, 0, bad), (1, bad, 1)):
+                check = TraceCheck(Configuration.perfect(1, pegs))
+                with pytest.raises(DomainError) as err:
+                    check.feed([move])
+                assert str(err.value) == "move 1 references a peg outside the board"
+
     def test_interfering_walk(self):
         assert verify_trace(INTERFERING_WALK) == (
             "length 7 differs from predicted 5",
@@ -677,3 +743,121 @@ class TestAgainstRecursiveReference:
         assert err.value.step in (cut, cut + 1)
         failures = verify_trace(MoveTrace(trace.initial, tuple(moves)))
         assert failures == (f"replay failed: {err.value}",)
+
+
+class TestRulerTemplates:
+    """The step templates cover blocks of 4,096 steps, so only towers of
+    13 or more discs reach the block boundaries and all three templates."""
+
+    @pytest.mark.parametrize("size", [4096, 4095, 1000, 5000])
+    @pytest.mark.parametrize(
+        "pegs, discs, strategy", [(3, 13, "optimal"), (3, 14, "optimal"), (4, 80, 66)]
+    )
+    def test_streams_the_reference_ruler(self, pegs, discs, strategy, size, solver):
+        # (4, 80, fixed:66) runs one 14-disc ruler block, which starts in a
+        # partly filled chunk
+        with mock.patch.object(moves_module, "CHUNK_MOVES", size):
+            chunks = list(trace_chunks(pegs, discs, strategy, solver))
+            with mock.patch.object(moves_module, "_ruler", reference_ruler):
+                expected = list(trace_chunks(pegs, discs, strategy, solver))
+        assert chunks == expected
+        assert all(len(chunk) == size for chunk in chunks[:-1])
+        assert [move for chunk in chunks for move in chunk] == [
+            (m.disc, m.source, m.target)
+            for m in reference_moves(pegs, discs, strategy, solver, 0, pegs - 1)
+        ]
+        check = TraceCheck(Configuration.perfect(discs, pegs), strategy, solver)
+        for chunk in chunks:
+            check.feed(chunk)
+        assert check.failures() == ()
+
+    @pytest.mark.parametrize("size", [4096, 1000])
+    @pytest.mark.parametrize("step", [4096, 8192])
+    def test_ruler_failure_at_a_block_boundary(self, step, size):
+        """Disc 1 steps aside and back at ``step``, so the trace stays
+        legal but another disc moves there."""
+        moves = [move for chunk in trace_chunks(3, 14) for move in chunk]
+        disc, src, dst = moves[step - 2]  # the smallest disc moves just before
+        assert disc == 1
+        spare = 3 - src - dst
+        moves[step - 1 : step - 1] = [(1, dst, spare), (1, spare, dst)]
+        check = TraceCheck(Configuration.perfect(14, 3))
+        for at in range(0, len(moves), size):
+            check.feed(moves[at : at + size])
+        assert check.failures() == (
+            f"length {len(moves)} differs from predicted {len(moves) - 2}",
+            "flip sequence does not follow the ruler pattern",
+        )
+
+    @pytest.mark.parametrize("size", [4096, 4095, 1000, 5000])
+    def test_each_step_of_the_ruler_is_checked(self, size):
+        """A single wrong disc fails the ruler check, whether it falls on
+        a block boundary or inside a block, and however the steps are cut."""
+        discs = tuple(move[0] for chunk in trace_chunks(3, 14) for move in chunk)
+
+        def follows(flips):
+            return all(
+                moves_module._follows_ruler(flips[at : at + size], at + 1)
+                for at in range(0, len(flips), size)
+            )
+
+        assert follows(discs)
+        for step in (1, 4095, 4096, 4097, 8191, 8192, 12288, 16383):
+            changed = list(discs)
+            changed[step - 1] += 1
+            assert not follows(tuple(changed)), step
+
+
+class TestReplayErrors:
+    """The linked-stack replay gives the same error, at the same step, as
+    the stack-based reference, for one corrupted move in a legal walk."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_corrupted_move(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="walk seed"))
+        pegs, discs = data.draw(st.integers(3, 5)), data.draw(st.integers(1, 5))
+        walk = random_walk(rng, pegs, discs, data.draw(st.integers(0, 30), label="steps"))
+        moves = [(m.disc, m.source, m.target) for m in walk.moves]
+        bad = (
+            data.draw(st.integers(0, discs + 2), label="disc"),
+            data.draw(st.integers(-pegs - 1, pegs + 1), label="source"),
+            data.draw(st.integers(-pegs - 1, pegs + 1), label="target"),
+        )
+        moves.insert(data.draw(st.integers(0, len(moves)), label="at"), bad)
+        size = data.draw(st.integers(1, 8), label="chunk size")
+        try:
+            stacks = reference_replay(walk.initial, moves)
+        except (DomainError, IllegalMove) as exc:
+            expected = exc
+        else:
+            expected = None
+
+        with mock.patch.object(moves_module, "CHUNK_MOVES", size):
+            raw = [RawMove(*move) for move in moves]
+            if expected is None:
+                final = validate_sequence(walk.initial, raw)
+                assert final.stacks() == stacks
+            else:
+                with pytest.raises(type(expected)) as err:
+                    validate_sequence(walk.initial, raw)
+                assert str(err.value) == str(expected)
+
+        check = TraceCheck(walk.initial)
+
+        def feed():
+            for at in range(0, len(moves), size):
+                check.feed(moves[at : at + size])
+
+        if isinstance(expected, DomainError):
+            with pytest.raises(DomainError) as err:
+                feed()
+            assert str(err.value) == str(expected)
+            return
+        feed()
+        replay = [f for f in check.failures() if f.startswith("replay")]
+        if isinstance(expected, IllegalMove):
+            assert replay == [f"replay failed: {expected}"]
+        else:
+            on_target = len(stacks[pegs - 1]) == discs
+            assert replay == ([] if on_target else ["replay does not end all-on-target"])
