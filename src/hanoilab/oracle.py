@@ -50,23 +50,22 @@ of d only while making d itself, where adding to the dropped slot is
 harmless, and the code is never listed again.  A canonical code is tagged
 only when its orbit is first reached, with that layer's tag.
 
-Two kernels run the searches, on purpose, and the peg count alone picks
-the one a pair search runs.  :func:`_layers` keeps a layer tag and a
-geodesic count per state and serves three-peg pairs, the mirror search,
-which reads the counts of each layer's mirror images as soon as the
-layer is complete, and the eccentricity sweeps of the diameter.
-:func:`_dense_search` serves every pair on p >= 4 pegs, perfect towers
-included.  It holds a set of states as one big int with a bit per code,
-expands a whole layer with one shift-and-mask pair per disc and peg
-offset, and counts geodesics afterwards over the states on some geodesic
-only.  On four or more pegs the layers are wide, so the whole-set
-operations win, even against the orbit fold: a full ball between the
-towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
-0.77 s (one core of a shared 2-core host).  On three pegs the layers are
-a few hundred states wide, over 3**n states and up to 2**n - 1 layers,
-and they measured 5-15x slower than :func:`_layers` on (3,11) pairs.
-The n(p-1) move masks hold up to n(p-1) bits per state: 27 at (4,10), 90
-at (16,6), 2,046 at (1024,2).
+Two kernels run the searches, on purpose.  The mirror search folds and
+runs :func:`_layers`, which keeps a layer tag and a geodesic count per
+state, so it reads the counts of each layer's mirror images as soon as
+the layer is complete.  Every other search, pair or eccentricity sweep,
+runs :func:`_layers` on three pegs and :func:`_dense_layers` on four or
+more.  The latter holds a set of states as one big int with a bit per
+code and expands a whole layer with one shift-and-mask pair per disc and
+peg offset; :func:`_dense_search` counts geodesics afterwards over the
+states on some geodesic only.  On four or more pegs the layers are wide,
+so the whole-set operations win, even against the orbit fold: a full
+ball between the towers took 0.07 s at (4,10), where the folded
+:func:`_layers` loop took 0.77 s (one core of a shared 2-core host).  On
+three pegs the layers are a few hundred states wide, over 3**n states
+and up to 2**n - 1 layers, and they measured 5-15x slower than
+:func:`_layers` on (3,11) pairs.  The n(p-1) move masks hold up to
+n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at (1024,2).
 
 One gate, :func:`_check_space` with a budget, refuses a space before
 any allocation: a search that would not fit raises
@@ -77,6 +76,7 @@ over disc counts lists such a refusal as a :class:`SkippedLevel`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -302,7 +302,7 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
     ``counts`` are the same two arrays at every yield.  When layer d is
     yielded, every state at distance <= d is tagged and its geodesic
     count from the source is final.  Every search keeps the counts, even
-    an eccentricity sweep that reads only depths.
+    a three-peg eccentricity sweep that reads only depths.
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
@@ -422,18 +422,30 @@ def _expand(states: int, masks) -> int:
     return out
 
 
-def _dense_search(pegs: int, discs: int, source: int, target: int):
-    """:func:`_search` on p >= 4 pegs, with the layers held as big-int
-    state sets.
+def _dense_layers(pegs: int, discs: int, source: int):
+    """Layered BFS from ``source``: yields the set of states at distance d,
+    as a big int, for d = 0, 1, ... while layers are non-empty.  One move
+    changes one digit, disc j's, by some delta, so a layer's successors
+    are :func:`_expand` over the n(p-1) :func:`_shift_masks`, not a loop
+    over edges."""
+    masks = _shift_masks(pegs, discs)
+    seen = layer = 1 << source
+    while layer:
+        yield layer
+        layer = _expand(layer, masks) & ~seen
+        seen |= layer
 
-    One move changes one digit, disc j's, by some delta, so a layer's
-    successors are :func:`_expand` over the :func:`_shift_masks`: n(p-1)
-    whole-set big-int shift-and-mask pairs per layer, not a loop over
-    edges.
-    The layers are kept as three sets, ``classes[d % 3]`` the union of the
-    layers d, d+3, ...: a neighbour of a layer-k state lies in layer k-1,
-    k or k+1, and those three fall in different classes, as the tags of
-    :func:`_layers` do.
+
+def _members(states: int) -> list[int]:
+    """The codes in the big-int set ``states``, ascending."""
+    return [m.start() for m in re.finditer("1", format(states, "b")[::-1])]
+
+
+def _dense_search(pegs: int, discs: int, source: int, target: int):
+    """:func:`_search` on p >= 4 pegs over the :func:`_dense_layers`, kept
+    as three sets, ``classes[d % 3]`` the union of the layers d, d+3, ...:
+    a neighbour of a layer-k state lies in layer k-1, k or k+1, and those
+    three fall in different classes, as the tags of :func:`_layers` do.
 
     Geodesics are counted afterwards over the interval only, the states
     that lie on some geodesic, walking back from the target: the
@@ -442,19 +454,14 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     number of geodesics to the target added to its own.  The classes are
     read there as bytes, where testing a bit takes constant time.
     """
-    masks = _shift_masks(pegs, discs)
-    seen = frontier = 1 << source
-    classes = [frontier, 0, 0]
-    d = 0
-    while not frontier >> target & 1:
-        frontier = _expand(frontier, masks) & ~seen
-        if not frontier:
-            raise HanoiError("state graph unexpectedly disconnected")
-        d += 1
-        seen |= frontier
-        classes[d % 3] |= frontier
-    explored = seen.bit_count()
-    del seen, frontier
+    classes = [0, 0, 0]
+    for d, layer in enumerate(_dense_layers(pegs, discs, source)):
+        classes[d % 3] |= layer
+        if layer >> target & 1:
+            break
+    else:
+        raise HanoiError("state graph unexpectedly disconnected")
+    explored = sum(c.bit_count() for c in classes)
     width = (pegs**discs + 7) // 8
     for r in range(3):  # one class at a time, so only one is held twice
         classes[r] = classes[r].to_bytes(width, "little")
@@ -662,11 +669,9 @@ def bfs_distance(
     """Certified shortest distance between two states.
 
     Defaults to the perfect towers on the first and last pegs.  Geodesics
-    are counted exactly by layered predecessor accumulation.  Every pair
-    on four or more pegs runs the bit-parallel :func:`_dense_search`, and
-    three-peg pairs run :func:`_layers`; nothing is folded, so
-    ``orbits_explored`` equals ``states_explored``.  The report does not
-    depend on the kernel.
+    are counted exactly.  The peg count picks the kernel (see
+    :func:`_search`), and the report does not depend on it; nothing is
+    folded, so ``orbits_explored`` equals ``states_explored``.
     """
     _check_space(pegs, discs, state_budget)
     if source is None:
@@ -748,7 +753,11 @@ def _diameter(pegs: int, discs: int) -> tuple[int, int]:
         runs += 1
         near: dict[int, int] = {}
         far: dict[int, int] = {}
-        for ecc, layer, _, _ in _layers(pegs, discs, source):
+        if pegs >= 4:
+            layers = map(_members, _dense_layers(pegs, discs, source))
+        else:
+            layers = (layer for _, layer, _, _ in _layers(pegs, discs, source))
+        for ecc, layer in enumerate(layers):
             present = set(map(orbit.__getitem__, layer))
             near.update(dict.fromkeys(present.difference(near), ecc))
             far.update(dict.fromkeys(present, ecc))
@@ -766,7 +775,9 @@ def graph_metrics(
 ) -> GraphMetrics:
     """Vertex and edge counts plus the diameter of the state graph.
 
-    The diameter comes from :func:`_diameter`, a bounding sweep over the
+    Each peg pair allows exactly one move from every state that leaves the
+    pair not both empty, so |E| = C(p,2) * (p**n - (p-2)**n) / 2.  The
+    diameter comes from :func:`_diameter`, a bounding sweep over the
     orbits of the peg relabellings, and ``bfs_runs`` says how many full
     BFS runs it took.  Measured: n runs on three pegs for n <= 12; 7 at
     (4,5), 17 at (4,7), 49 at (4,9); 18 at (5,8).  The budget bounds the
@@ -774,20 +785,9 @@ def graph_metrics(
     is proven.
     """
     size = _check_space(pegs, discs, metrics_budget)
-    _, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
-    degree_total = sum(
-        len(deltas)
-        + sum(
-            not occ & end_bit
-            for bit, _, to in moves
-            if not occ & bit
-            for end_bit, _ in to
-        )
-        for moves in high_moves
-        for occ, deltas in zip(low_occupied, low_deltas)
-    )
+    edges = math.comb(pegs, 2) * (size - (pegs - 2) ** discs) // 2
     diameter, runs = _diameter(pegs, discs)
-    return GraphMetrics(pegs, discs, size, degree_total // 2, diameter, runs)
+    return GraphMetrics(pegs, discs, size, edges, diameter, runs)
 
 
 def _sweep(

@@ -11,12 +11,15 @@ import hanoilab.oracle
 from hanoilab.errors import DiscLimitError, DomainError, StateBudgetExceeded
 from hanoilab.moves import Configuration
 from hanoilab.oracle import (
+    DEFAULT_METRICS_BUDGET,
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
     _canon,
+    _dense_layers,
     _dense_search,
     _fold_tables,
     _layers,
+    _members,
     _move_tables,
     _orbit_codes,
     _shift_masks,
@@ -122,6 +125,23 @@ def table_successors(code, pegs, discs):
                 if not occ & end_bit
             ]
     return sorted(out)
+
+
+def table_degree_sum(pegs, discs):
+    """Sum of the degrees of all states, read from the move tables: the
+    reference for the closed-form edge count of `graph_metrics`."""
+    _, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    return sum(
+        len(deltas)
+        + sum(
+            not occ & end_bit
+            for bit, _, to in moves
+            if not occ & bit
+            for end_bit, _ in to
+        )
+        for moves in high_moves
+        for occ, deltas in zip(low_occupied, low_deltas)
+    )
 
 
 # Every space with p in 3..7 and at most 4,096 states, n = 0 and 1 included.
@@ -574,7 +594,7 @@ class TestDenseSearch:
         [
             pytest.param(lambda: bfs_distance(3, 6, 100, 600), id="three pegs"),
             pytest.param(lambda: tower_distance(4, 6), id="tower_distance"),
-            pytest.param(lambda: graph_metrics(4, 4), id="graph_metrics"),
+            pytest.param(lambda: graph_metrics(3, 5), id="graph_metrics"),
         ],
     )
     def test_three_pegs_and_folds_build_no_masks(self, monkeypatch, call):
@@ -600,6 +620,37 @@ class TestDenseSearch:
             (r.distance, r.geodesic_count, r.states_explored, r.orbits_explored) for r in got
         ] == expected
 
+    @pytest.mark.parametrize("pegs,discs", [(4, 5), (5, 4), (6, 3)])
+    def test_metrics_never_enter_layers(self, monkeypatch, pegs, discs):
+        # on four or more pegs the eccentricity sweeps run the dense kernel too,
+        # and the edges come from the closed form, not from the move tables
+        expected = max(eccentricity(pegs, discs, v) for v in range(pegs**discs))
+
+        def no_layers(*args):
+            raise AssertionError(f"_layers or a move or fold table entered for {args}")
+
+        for name in ("_layers", "_move_tables", "_fold_tables"):
+            monkeypatch.setattr(hanoilab.oracle, name, no_layers)
+        assert graph_metrics(pegs, discs).diameter == expected
+
+    @pytest.mark.parametrize("pegs,discs", [(4, 5), (5, 4), (7, 3), (4, 0)])
+    def test_dense_layers_match_layers(self, pegs, discs):
+        size = pegs**discs
+        sources = {0, size - 1, *random.Random(size).sample(range(size), min(4, size))}
+        for source in sorted(sources):
+            layers = [layer for _, layer, _, _ in _layers(pegs, discs, source)]
+            expected = [sum(1 << v for v in layer) for layer in layers]
+            assert list(_dense_layers(pegs, discs, source)) == expected
+
+    @pytest.mark.parametrize("pegs,discs", [(4, 0), (4, 5), (5, 4), (7, 3)])
+    def test_members_round_trip(self, pegs, discs):
+        size = pegs**discs
+        rng = random.Random(size)
+        sets = [set(), {0}, {size - 1}]
+        sets += [set(rng.sample(range(size), rng.randint(1, size))) for _ in range(8)]
+        for codes in sets:
+            assert _members(sum(1 << v for v in codes)) == sorted(codes)
+
 
 def relabel(code, pegs, discs, perm):
     """The state with every disc moved from peg q to peg perm[q]."""
@@ -618,6 +669,14 @@ SWEPT_SPACES = [
     for pegs in range(3, 10)
     for discs in range(7)
     if pegs**discs <= 729
+]
+
+# Every space with p in 3..8 that the default metrics budget admits, n = 0 included.
+EDGE_SPACES = [
+    (pegs, discs)
+    for pegs in range(3, 9)
+    for discs in range(13)
+    if pegs**discs <= DEFAULT_METRICS_BUDGET
 ]
 
 
@@ -644,6 +703,13 @@ class TestMetrics:
         expected = nx.eccentricity(graph)
         for v in graph:
             assert eccentricity(pegs, discs, v) == expected[v]
+
+    @pytest.mark.parametrize("pegs,discs", EDGE_SPACES)
+    def test_edges_match_move_table_degree_sum(self, monkeypatch, pegs, discs):
+        # the closed form against the move tables; the diameter, tested apart,
+        # is patched out, as its sweeps take about a minute over these spaces
+        monkeypatch.setattr(hanoilab.oracle, "_diameter", lambda p, n: (0, 0))
+        assert 2 * graph_metrics(pegs, discs).edges == table_degree_sum(pegs, discs)
 
     @pytest.mark.parametrize("pegs", [3, 4])
     def test_zero_discs(self, pegs):
