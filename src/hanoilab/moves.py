@@ -10,18 +10,23 @@ Traces stream.  :func:`trace_chunks` yields a trace as lists of at most
 renders those chunks as CSV and :class:`TraceCheck` replays and checks
 them in one pass, so a trace of any length needs memory for one chunk
 plus O(n * p**2) for the generator's task stack, split and plan caches,
-the replay's linked stacks and the CSV tails, plus fixed tables shared
-by every trace and built on first use: four tuples of 4,095 ints for
-the ruler and the 2,000 numerals of :func:`_numerals`.  :class:`MoveTrace`
-and the functions that take one hold a trace whole for library callers;
-they are thin wrappers over the same path.
+the replay's linked stacks and the CSV tails, plus the generator's memo
+of three-peg blocks shorter than a chunk, at most the trace's own moves
+(32,200 of the 16,252,929 at p = 4, n = 203; 113,552 of the 688,127 at
+p = 5, n = 460), plus fixed tables shared by every trace and built on
+first use: four tuples of 4,095 ints for the ruler and the 2,000
+numerals of :func:`_numerals`.  :class:`MoveTrace` and the functions
+that take one hold a trace whole for library callers; they are thin
+wrappers over the same path.
 
 Per move, generation, the ruler check and CSV run list operations, and
 the replay loop does the least a move needs: a three-peg tower's moves
 index its table of 3 * count cycle moves through the step templates of
-:func:`_ruler_templates`, the ruler check compares slices of their disc
-template, the replay keeps linked stacks (:func:`_replay`) and each CSV
-chunk is one join of cached numerals and move tails.
+:func:`_ruler_templates`, once per trace for a tower shorter than a
+chunk, which is then spliced in as a list wherever it recurs; the ruler
+check compares slices of their disc template, the replay keeps linked
+stacks (:func:`_replay`) and each CSV chunk is one join of cached
+numerals and move tails.
 """
 
 from __future__ import annotations
@@ -189,6 +194,15 @@ def _numerals() -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(map(str, range(1000))), tuple(f"{r:03d}" for r in range(1000))
 
 
+class _Tails(dict[Step, str]):
+    """The ``,disc,from,to`` row tail of each move, rendered on first use."""
+
+    def __missing__(self, move: Step) -> str:
+        disc, source, target = move
+        tail = self[move] = f",{disc},{peg_label(source)},{peg_label(target)}\n"
+        return tail
+
+
 class TraceCsv:
     """``step,disc,from,to`` rows of a streamed trace, one chunk at a time.
 
@@ -203,13 +217,9 @@ class TraceCsv:
 
     def __init__(self) -> None:
         self.steps = 0
-        self._tails: dict[Step, str] = {}
+        self._tails = _Tails()
 
     def rows(self, chunk: list[Step]) -> str:
-        tails = self._tails
-        for move in set(chunk).difference(tails):
-            disc, source, target = move
-            tails[move] = f",{disc},{peg_label(source)},{peg_label(target)}\n"
         plain, padded = _numerals()
         pieces = [""] * (3 * len(chunk))
         at, step, stop = 0, self.steps + 1, self.steps + 1 + len(chunk)
@@ -222,7 +232,7 @@ class TraceCsv:
             pieces[at + 1 : at + width : 3] = (padded if q else plain)[r : r + end - step]
             at += width
             step = end
-        pieces[2::3] = map(tails.__getitem__, chunk)
+        pieces[2::3] = map(self._tails.__getitem__, chunk)
         self.steps = stop - 1
         return "".join(pieces)
 
@@ -287,11 +297,16 @@ def _walk(
     the lowest-index spare peg, shuttle the rest with that peg frozen,
     then unpark.  Discs below the active block are always larger, so they
     never constrain these sub-solves.  Three-peg blocks follow the ruler
-    rule of :func:`_ruler`."""
+    rule of :func:`_ruler`; one shorter than a chunk is built once and
+    then spliced in wherever it recurs.  Besides the chunk, a call holds
+    its task stack, split and plan caches and those blocks, which never
+    nest, so they hold at most the trace's own moves."""
     splits: dict[tuple[int, int], int] = {}  # (pegs, discs) -> canonical split
     # (usable pegs, from, to) -> (staging peg, shuttle pegs); on three
     # usable pegs the staging peg is the one spare
     plans: dict[tuple[tuple[int, ...], int, int], tuple[int, tuple[int, ...]]] = {}
+    # (count, lowest disc, from, to, spare) -> moves of a three-peg block
+    blocks: dict[tuple[int, int, int, int, int], list[Step]] = {}
     chunk: list[Step] = []
     # (count, lowest disc, from, to, usable pegs, forced split or None);
     # popped last in, first out, so each level pushes rebuild, shuttle, park
@@ -312,7 +327,19 @@ def _walk(
             plan = plans[usable, src, dst] = staging, tuple(q for q in usable if q != staging)
         staging, shuttle = plan
         if len(usable) == 3:
-            chunk = yield from _ruler(chunk, count, lowest, src, dst, staging)
+            if 1 << count > CHUNK_MOVES:
+                chunk = yield from _ruler(chunk, count, lowest, src, dst, staging)
+                continue
+            spec = (count, lowest, src, dst, staging)
+            if (block := blocks.get(spec)) is None:  # shorter than a chunk: never yields
+                block = blocks[spec] = yield from _ruler([], *spec)
+            room = CHUNK_MOVES - len(chunk)
+            if len(block) < room:
+                chunk += block
+            else:
+                chunk += block[:room]
+                yield chunk
+                chunk = block[room:]
             continue
         if k is None:
             key = (len(usable), count)
@@ -369,6 +396,8 @@ def _ruler(
     step but the multiples of ``_BLOCK``, which are computed one by one,
     so a chunk is filled by mapping a template slice through the table.
     Besides the chunk, a call holds only its table of 3 * count moves.
+    Given an empty chunk and fewer than :data:`CHUNK_MOVES` moves, it
+    never yields, and :func:`_walk` builds its reusable blocks that way.
     """
     table: list[Step] = [(0, 0, 0)] * 3  # j = 0 is unused
     for j in range(1, count + 1):
@@ -654,53 +683,59 @@ class _SubtowerFold:
     def __init__(self, initial: Configuration) -> None:
         self._pegs = initial.num_pegs
         self._largest = initial.num_discs
-        self._where = list(initial.pegs)  # kept up to the critical move
+        self._where = [-1, *initial.pegs]  # disc -> peg up to the critical move
         self._hits = 0
         self._sink: int | None = None
         self._subtowers: tuple[tuple[int, frozenset[int]], ...] = ()
-        # after the critical move: each disc's group, and per peg its disc
-        # count and the group holding it
+        # after the critical move: each disc's group, and per peg its bottom
+        # disc (0 if empty), which names the one group a peg off the sink holds
         self._group_of: list[int] | None = None
-        self._held: list[int] = []
-        self._owner: list[int | None] = []
+        self._bottom: list[int] = []
         self._independent = True
 
     def feed(self, chunk: list[Step]) -> None:
-        largest, where, group_of = self._largest, self._where, self._group_of
-        held, owner = self._held, self._owner
-        for disc, src, dst in chunk:
-            if disc == largest:
-                self._hits += 1
-                if group_of is None:
-                    group_of, held, owner = self._split(src, dst)
-            elif group_of is None:
-                where[disc - 1] = dst
-            elif self._independent:
-                g = group_of[disc - 1]
-                if dst != self._sink and owner[dst] not in (None, g):
-                    self._independent = False
+        largest, moves = self._largest, iter(chunk)
+        if self._group_of is None:
+            where = self._where
+            for disc, src, dst in moves:
+                if disc == largest:
+                    self._hits += 1
+                    self._split(src, dst)
+                    break
+                where[disc] = dst
+            else:
+                return
+        if self._independent:
+            group_of, bottom, sink = self._group_of, self._bottom, self._sink
+            for disc, src, dst in moves:
+                if disc == largest:
+                    self._hits += 1
                     continue
-                held[src] -= 1
-                if not held[src]:
-                    owner[src] = None
-                held[dst] += 1
-                owner[dst] = g
+                if bottom[src] == disc:
+                    bottom[src] = 0
+                under = bottom[dst]
+                if not under:
+                    bottom[dst] = disc
+                elif dst != sink and group_of[under] != group_of[disc]:
+                    self._independent = False
+                    break
+        # moves after a failed check count only towards the largest disc's
+        self._hits += list(map(itemgetter(0), moves)).count(largest)
 
-    def _split(self, src: int, dst: int):
+    def _split(self, src: int, dst: int) -> None:
         # At this moment the source peg holds only the largest disc and the
         # target peg is empty, so every other disc sits on a spare peg, and
         # its group is named after that peg.
-        group_of = self._where[: self._largest - 1]
+        group_of = self._group_of = self._where[: self._largest]
         self._sink = dst
         self._subtowers = tuple(
-            (q, frozenset(d for d, home in enumerate(group_of, 1) if home == q))
+            (q, frozenset(d for d, home in enumerate(group_of) if home == q))
             for q in range(self._pegs)
             if q != src and q != dst
         )
-        held = [group_of.count(q) for q in range(self._pegs)]
-        owner = [q if held[q] else None for q in range(self._pegs)]
-        self._group_of, self._held, self._owner = group_of, held, owner
-        return group_of, held, owner
+        bottom = self._bottom = [0] * self._pegs
+        for disc in range(1, self._largest):  # larger discs sit lower
+            bottom[group_of[disc]] = disc
 
     def report(self) -> SubtowerReport:
         n = self._largest

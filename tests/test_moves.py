@@ -1,5 +1,8 @@
+import gc
 import random
+import tracemalloc
 from collections import namedtuple
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -88,6 +91,30 @@ def brute_force_subtowers(trace: MoveTrace):
             if peg != critical.target and holder.setdefault(peg, home[d - 1]) != home[d - 1]:
                 return subtowers, False
     return subtowers, True
+
+
+def _cuts_around(rng: random.Random, hits: list[int], length: int) -> list[set[int]]:
+    """Chunk boundaries that put the move at each index in ``hits`` at the
+    start of a chunk, inside one and at its end, each with a random cut
+    elsewhere; a boundary at i starts a chunk with move i."""
+    cut_sets = []
+    for hit in hits:
+        for around in ({hit}, {hit - 1, hit + 2}, {hit + 1}):
+            cuts = around | {rng.randint(1, max(1, length - 1))}
+            cut_sets.append({c for c in cuts if 0 < c < length})
+    return cut_sets
+
+
+def _folded(trace: MoveTrace, cuts: set[int]):
+    """verify_subtower_independence with the moves cut into chunks at ``cuts``."""
+    moves = [(m.disc, m.source, m.target) for m in trace.moves]
+    state = moves_module._linked(trace.initial)
+    fold = moves_module._SubtowerFold(trace.initial)
+    bounds = [0, *sorted(cuts), len(moves)]
+    for start, stop in zip(bounds, bounds[1:]):
+        moves_module._replay(state, moves[start:stop], start + 1, trace.initial.num_discs)
+        fold.feed(moves[start:stop])
+    return fold.report()
 
 
 # Three discs on four pegs: after the largest disc moves, disc 1 lands on
@@ -508,21 +535,41 @@ class TestSubtowers:
         assert not report.disjoint_outside_sink
 
     def test_random_walks_match_brute_force_scan(self):
+        """The report matches the brute-force scan however the walk is cut
+        into chunks: each of the largest disc's moves is put at the start,
+        in the middle and at the end of a chunk, with random cuts besides.
+        A walk with one broken move fails the replay the same way."""
         rng = random.Random(20240601)
-        single = interfering = 0
+        single = interfering = twice = 0
         for _ in range(3000):
             pegs, discs = rng.randint(3, 5), rng.randint(1, 5)
             trace = random_walk(rng, pegs, discs, rng.randint(0, 40))
             report = verify_subtower_independence(trace)
             expected = brute_force_subtowers(trace)
             assert report.disjoint_outside_sink == report.independent
+            hits = [i for i, move in enumerate(trace.moves) if move.disc == discs]
+            assert report.largest_move_count == len(hits)
+            for cuts in _cuts_around(rng, hits, len(trace)):
+                assert _folded(trace, cuts) == report
+            if len(hits) > 1:
+                twice += 1
+                broken = list(trace.moves)
+                broken[hits[1]] = Move(discs, broken[hits[1]].target, broken[hits[1]].source)
+                illegal = MoveTrace(trace.initial, tuple(broken))
+                with pytest.raises(IllegalMove) as err:
+                    verify_subtower_independence(illegal)
+                for cuts in _cuts_around(rng, hits, len(trace)):
+                    with pytest.raises(IllegalMove) as cut_err:
+                        _folded(illegal, cuts)
+                    assert str(cut_err.value) == str(err.value)
             if expected is None:
                 assert not report.single_largest_move and not report.independent
                 continue
             single += 1
             interfering += not expected[1]
             assert (report.subtowers, report.independent) == expected
-        assert single > 100 and interfering > 100  # both branches are reached
+        # every branch is reached
+        assert single > 100 and interfering > 100 and twice > 100
 
 
 class TestTraceExport:
@@ -806,6 +853,104 @@ class TestRulerTemplates:
             changed = list(discs)
             changed[step - 1] += 1
             assert not follows(tuple(changed)), step
+
+
+def block_spans(pegs, count, solver, split=None, at=0) -> list[tuple[int, int]]:
+    """(index of the first move, moves) of each three-peg block of two or
+    more discs in a Frame-Stewart trace, in order, from the reference's
+    park / shuttle / rebuild recursion and the solver's costs."""
+    if count < 2:
+        return []
+    if pegs == 3:
+        return [(at, 2**count - 1)]
+    k = solver.solve(pegs, count).canonical_split if split is None else split
+    shuttle = at + solver.cost(pegs, k)
+    rebuild = shuttle + solver.cost(pegs - 1, count - k)
+    return (
+        block_spans(pegs, k, solver, None, at)
+        + block_spans(pegs - 1, count - k, solver, None, shuttle)
+        + block_spans(pegs, k, solver, None, rebuild)
+    )
+
+
+class TestBlockMemo:
+    """A three-peg block shorter than a chunk is built once per trace and
+    spliced into the chunk stream wherever it recurs."""
+
+    @pytest.mark.parametrize("size", [4096, 8])
+    @pytest.mark.parametrize(
+        "pegs, discs, strategy", [(4, 40, "optimal"), (4, 40, 30), (5, 90, "optimal"), (6, 150, 100)]
+    )
+    def test_ruler_runs_once_per_distinct_block(self, pegs, discs, strategy, size, solver):
+        """Blocks of fewer than CHUNK_MOVES moves are built once each; longer
+        ones stream from the ruler wherever they occur."""
+        real = moves_module._ruler
+        calls = []
+
+        def counting(chunk, count, lowest, src, dst, spare):
+            calls.append((count, lowest, src, dst, spare))
+            return real(chunk, count, lowest, src, dst, spare)
+
+        with mock.patch.object(moves_module, "_ruler", counting):
+            with mock.patch.object(moves_module, "CHUNK_MOVES", size):
+                chunks = list(trace_chunks(pegs, discs, strategy, solver))
+            built = calls[:]
+            calls.clear()
+            with mock.patch.object(moves_module, "CHUNK_MOVES", 1):  # every block streams
+                list(trace_chunks(pegs, discs, strategy, solver))
+        split = moves_module._top_split(pegs, discs, strategy)
+        assert len(calls) == len(block_spans(pegs, discs, solver, split))
+        short = [key for key in calls if 1 << key[0] <= size]
+        longer = [key for key in calls if 1 << key[0] > size]
+        assert len(set(short)) < len(short)  # short blocks recur
+        assert sorted(built) == sorted([*set(short), *longer])
+        assert all(len(chunk) == size for chunk in chunks[:-1])
+        assert [move for chunk in chunks for move in chunk] == [
+            (m.disc, m.source, m.target)
+            for m in reference_moves(pegs, discs, strategy, solver, 0, pegs - 1)
+        ]
+
+    @pytest.mark.parametrize("size", [4, 8, 16])
+    def test_blocks_splice_across_chunk_boundaries(self, size, solver):
+        """Blocks of exactly size - 1 moves land in partly filled chunks,
+        and blocks end exactly on a chunk boundary; every chunk but the
+        last is still full and the stream is the reference trace."""
+        into_partial = on_boundary = 0
+        for pegs in (4, 5):
+            for discs in range(2, 15):
+                for strategy in _strategies(pegs, discs):
+                    split = moves_module._top_split(pegs, discs, strategy)
+                    spans = block_spans(pegs, discs, solver, split)
+                    into_partial += sum(at % size > 0 and n == size - 1 for at, n in spans)
+                    on_boundary += sum((at + n) % size == 0 for at, n in spans)
+                    with mock.patch.object(moves_module, "CHUNK_MOVES", size):
+                        chunks = list(trace_chunks(pegs, discs, strategy, solver))
+                    assert all(len(chunk) == size for chunk in chunks[:-1])
+                    assert [move for chunk in chunks for move in chunk] == [
+                        (m.disc, m.source, m.target)
+                        for m in reference_moves(pegs, discs, strategy, solver, 0, pegs - 1)
+                    ]
+        assert into_partial > 10 and on_boundary > 10
+
+    @pytest.mark.parametrize("stop", [None, 80])
+    def test_nothing_outlives_the_trace(self, stop, solver):
+        """The blocks a trace keeps are freed with its generator, whether
+        the trace is read to the end or dropped after ``stop`` chunks."""
+        for _ in trace_chunks(5, 460, solver=solver):  # fill the solver's and the ruler's caches
+            pass
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            chunks = trace_chunks(5, 460, solver=solver)
+            read = sum(map(len, islice(chunks, stop)))
+            assert read == (688_127 if stop is None else stop * moves_module.CHUNK_MOVES)
+            del chunks
+            gc.collect()  # also empties the free lists, which tracemalloc counts as held
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start > 512 * 1024  # the 113,552 moves of its blocks, while it runs
+        assert left - start < 64 * 1024
 
 
 class TestReplayErrors:
