@@ -11,22 +11,24 @@ renders those chunks as CSV and :class:`TraceCheck` replays and checks
 them in one pass, so a trace of any length needs memory for one chunk
 plus O(n * p**2) for the generator's task stack, split and plan caches,
 the replay's linked stacks and the CSV tails, plus the generator's memo
-of three-peg blocks shorter than a chunk, at most the trace's own moves
-(32,200 of the 16,252,929 at p = 4, n = 203; 113,552 of the 688,127 at
+of three-peg blocks of at most 12 discs, which never nest and so hold at
+most the trace's own moves (12,285 of the 262,143 at p = 3, n = 18;
+347,515 of the 16,252,929 at p = 4, n = 203; 142,217 of the 688,127 at
 p = 5, n = 460), plus fixed tables shared by every trace and built on
-first use: four tuples of 4,095 ints for the ruler and the 2,000
+first use: two tuples of 4,095 ints for the ruler and the 2,000
 numerals of :func:`_numerals`.  :class:`MoveTrace` and the functions
 that take one hold a trace whole for library callers; they are thin
 wrappers over the same path.
 
 Per move, generation, the ruler check and CSV run list operations, and
-the replay loop does the least a move needs: a three-peg tower's moves
-index its table of 3 * count cycle moves through the step templates of
-:func:`_ruler_templates`, once per trace for a tower shorter than a
-chunk, which is then spliced in as a list wherever it recurs; the ruler
-check compares slices of their disc template, the replay keeps linked
-stacks (:func:`_replay`) and each CSV chunk is one join of cached
-numerals and move tails.
+the replay loop does the least a move needs: a three-peg tower taller
+than a block splits like any other Frame-Stewart tower, at k = count - 1;
+a block's moves index its table of 3 * count cycle moves through the
+step template of :func:`_ruler_templates`, once per trace, and are then
+spliced in as a list wherever the block recurs; the ruler check compares
+slices of the disc template, the replay keeps linked stacks
+(:func:`_replay`) and each CSV chunk is one join of cached numerals and
+move tails.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ Step = tuple[int, int, int]
 
 #: Steps per ruler template block: a fixed power of two, independent of
 #: :data:`CHUNK_MOVES`, so the templates are the same whatever the chunk.
-_BLOCK_BITS = 12
-_BLOCK = 1 << _BLOCK_BITS
+#: A memoised three-peg block has fewer moves, so it fits the templates.
+_BLOCK = 1 << 12
 
 
 def peg_label(index: int) -> str:
@@ -296,17 +298,20 @@ def _walk(
     """Park / shuttle / rebuild without recursion: park the k smallest on
     the lowest-index spare peg, shuttle the rest with that peg frozen,
     then unpark.  Discs below the active block are always larger, so they
-    never constrain these sub-solves.  Three-peg blocks follow the ruler
-    rule of :func:`_ruler`; one shorter than a chunk is built once and
-    then spliced in wherever it recurs.  Besides the chunk, a call holds
-    its task stack, split and plan caches and those blocks, which never
-    nest, so they hold at most the trace's own moves."""
+    never constrain these sub-solves.  On three pegs k is count - 1, down
+    to blocks that fit the step template of :func:`_ruler_templates` and
+    a chunk; each such block is built once by :func:`_ruler` and then
+    spliced in wherever it recurs.  Besides the chunk, a call holds its
+    task stack, split and plan caches and those blocks, which never nest,
+    so they hold at most the trace's own moves."""
     splits: dict[tuple[int, int], int] = {}  # (pegs, discs) -> canonical split
     # (usable pegs, from, to) -> (staging peg, shuttle pegs); on three
     # usable pegs the staging peg is the one spare
     plans: dict[tuple[tuple[int, ...], int, int], tuple[int, tuple[int, ...]]] = {}
     # (count, lowest disc, from, to, spare) -> moves of a three-peg block
+    # with 2**count <= fits, so that it fits the step template and a chunk
     blocks: dict[tuple[int, int, int, int, int], list[Step]] = {}
+    fits = min(CHUNK_MOVES, _BLOCK)
     chunk: list[Step] = []
     # (count, lowest disc, from, to, usable pegs, forced split or None);
     # popped last in, first out, so each level pushes rebuild, shuttle, park
@@ -327,21 +332,20 @@ def _walk(
             plan = plans[usable, src, dst] = staging, tuple(q for q in usable if q != staging)
         staging, shuttle = plan
         if len(usable) == 3:
-            if 1 << count > CHUNK_MOVES:
-                chunk = yield from _ruler(chunk, count, lowest, src, dst, staging)
+            if 1 << count <= fits:
+                spec = (count, lowest, src, dst, staging)
+                if (block := blocks.get(spec)) is None:
+                    block = blocks[spec] = _ruler(*spec)
+                room = CHUNK_MOVES - len(chunk)
+                if len(block) < room:
+                    chunk += block
+                else:
+                    chunk += block[:room]
+                    yield chunk
+                    chunk = block[room:]
                 continue
-            spec = (count, lowest, src, dst, staging)
-            if (block := blocks.get(spec)) is None:  # shorter than a chunk: never yields
-                block = blocks[spec] = yield from _ruler([], *spec)
-            room = CHUNK_MOVES - len(chunk)
-            if len(block) < room:
-                chunk += block
-            else:
-                chunk += block[:room]
-                yield chunk
-                chunk = block[room:]
-            continue
-        if k is None:
+            k = count - 1
+        elif k is None:
             key = (len(usable), count)
             if key not in splits:
                 splits[key] = solver.solve(*key).canonical_split
@@ -356,34 +360,26 @@ def _walk(
 
 
 @cache
-def _ruler_templates() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The disc template and the three step templates of the ruler rule,
-    built on first use and then shared: ``_BLOCK - 1`` ints each.
+def _ruler_templates() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The disc template and the step template of the ruler rule, built
+    on first use and then shared: ``_BLOCK - 1`` ints each.
 
-    For step t = m * _BLOCK + r with 1 <= r < _BLOCK, the moved disc is
-    j = 1 + (trailing zeros of r), and ``discs[r - 1]`` holds it.  Its
-    move is entry ``3 * j + (t >> j) % 3`` of a tower's cycle table (see
-    :func:`_ruler`); since t >> j = m * 2**(_BLOCK_BITS - j) + (r >> j),
-    that index depends only on m % 3 and r, and ``steps[m % 3][r - 1]``
-    holds it.
+    Step t of a tower, 1 <= t < _BLOCK, moves disc j = 1 + (trailing
+    zeros of t), which ``discs[t - 1]`` holds, and makes entry
+    ``3 * j + (t >> j) % 3`` of the tower's cycle table (see
+    :func:`_ruler`), which ``steps[t - 1]`` holds.  The disc at step
+    m * _BLOCK + t is the same as at step t, so the ruler check reads the
+    disc template for any step that is not a multiple of ``_BLOCK``.
     """
-    discs = tuple((r & -r).bit_length() for r in range(1, _BLOCK))
-    steps = tuple(
-        tuple(
-            3 * j + ((m << (_BLOCK_BITS - j)) + (r >> j)) % 3
-            for r, j in enumerate(discs, 1)
-        )
-        for m in range(3)
-    )
+    discs = tuple((t & -t).bit_length() for t in range(1, _BLOCK))
+    steps = tuple(3 * j + (t >> j) % 3 for t, j in enumerate(discs, 1))
     return discs, steps
 
 
-def _ruler(
-    chunk: list[Step], count: int, lowest: int, src: int, dst: int, spare: int
-) -> Iterator[list[Step]]:
-    """Extend ``chunk`` with the optimal three-peg moves of a tower of
-    ``count`` discs from ``lowest`` up, yielding it each time it is full;
-    returns the partly filled last chunk.
+def _ruler(count: int, lowest: int, src: int, dst: int, spare: int) -> list[Step]:
+    """The optimal three-peg moves of a tower of ``count`` discs from
+    ``lowest`` up, for 2**count <= ``_BLOCK``; a taller tower's list
+    would be cut short at ``_BLOCK - 1`` moves.
 
     Step t moves the j-th smallest disc, j = 1 + (trailing zeros of t),
     for the (t >> j)-th time counting from 0.  That disc cycles
@@ -391,35 +387,16 @@ def _ruler(
     when it is odd (Hinz, Klavzar, Milutinovic & Petr, *The Tower of
     Hanoi -- Myths and Maths*, 2013).  Entry 3 * j + i of the table
     built here is the j-th smallest disc's i-th move of its cycle, so
-    step t makes move ``table[3 * j + (t >> j) % 3]``.  The step
-    templates of :func:`_ruler_templates` hold those indices for every
-    step but the multiples of ``_BLOCK``, which are computed one by one,
-    so a chunk is filled by mapping a template slice through the table.
-    Besides the chunk, a call holds only its table of 3 * count moves.
-    Given an empty chunk and fewer than :data:`CHUNK_MOVES` moves, it
-    never yields, and :func:`_walk` builds its reusable blocks that way.
+    step t makes move ``table[3 * j + (t >> j) % 3]``, and the list is
+    the step template of :func:`_ruler_templates` mapped through the
+    table.
     """
     table: list[Step] = [(0, 0, 0)] * 3  # j = 0 is unused
     for j in range(1, count + 1):
         a, b, c = (src, dst, spare) if (count - j) % 2 == 0 else (src, spare, dst)
         disc = lowest + j - 1
         table += ((disc, a, b), (disc, b, c), (disc, c, a))
-    templates = _ruler_templates()[1]
-    step, end = 1, 1 << count  # steps 1 .. 2**count - 1
-    while step < end:
-        m, r = divmod(step, _BLOCK)
-        if r:  # up to the chunk's end, the tower's end or the block's end
-            stop = min(step + CHUNK_MOVES - len(chunk), end, (m + 1) * _BLOCK)
-            chunk += map(table.__getitem__, templates[m % 3][r - 1 : stop - m * _BLOCK - 1])
-            step = stop
-        else:
-            j = (step & -step).bit_length()
-            chunk.append(table[3 * j + (step >> j) % 3])
-            step += 1
-        if len(chunk) == CHUNK_MOVES:
-            yield chunk
-            chunk = []
-    return chunk
+    return list(map(table.__getitem__, _ruler_templates()[1][: (1 << count) - 1]))
 
 
 def generate_three_peg(discs: int, source: int = 0, target: int = 2) -> MoveTrace:

@@ -2,7 +2,7 @@ import gc
 import random
 import tracemalloc
 from collections import namedtuple
-from itertools import islice
+from itertools import islice, permutations
 from unittest import mock
 
 import pytest
@@ -193,27 +193,6 @@ def reference_moves(pegs, discs, strategy, solver, source, target) -> list[Move]
     return out
 
 
-def reference_ruler(chunk, count, lowest, src, dst, spare):
-    """The three-peg ruler generator before step templates, unchanged:
-    one comprehension per chunk, every step computed on its own."""
-    cycles = [((0, 0, 0),) * 3]
-    for j in range(1, count + 1):
-        a, b, c = (src, dst, spare) if (count - j) % 2 == 0 else (src, spare, dst)
-        disc = lowest + j - 1
-        cycles.append(((disc, a, b), (disc, b, c), (disc, c, a)))
-    step, end = 1, 1 << count
-    while step < end:
-        stop = min(step + moves_module.CHUNK_MOVES - len(chunk), end)
-        chunk += [
-            cycles[j][(t >> j) % 3] for t in range(step, stop) for j in ((t & -t).bit_length(),)
-        ]
-        step = stop
-        if len(chunk) == moves_module.CHUNK_MOVES:
-            yield chunk
-            chunk = []
-    return chunk
-
-
 def reference_replay(initial: Configuration, moves) -> list[list[int]]:
     """Per-peg stacks (bottom first) after replaying ``(disc, source,
     target)`` moves, raising the library's error for the first bad one:
@@ -257,6 +236,15 @@ class TestLabels:
             peg_label(-1)
 
 
+class TestConfiguration:
+    def test_top_and_peg_of(self):
+        config = Configuration(4, (1, 0, 1, 1, 3))  # B: 4 3 1, A: 2, C empty, D: 5
+        assert [config.top(q) for q in range(4)] == [2, 1, None, 5]
+        assert [config.peg_of(disc) for disc in range(1, 6)] == [1, 0, 1, 1, 3]
+        assert [Configuration.perfect(0, 3).top(q) for q in range(3)] == [None] * 3
+        assert Configuration.perfect(1, 3, 2).top(2) == 1
+
+
 class TestThreePeg:
     @pytest.mark.parametrize("n", range(0, 11))
     def test_length_and_replay(self, n):
@@ -282,6 +270,15 @@ class TestThreePeg:
     def test_rejects_equal_endpoints(self):
         with pytest.raises(DomainError):
             generate_three_peg(3, source=1, target=1)
+
+    def test_streams_past_the_solver_ceiling(self):
+        """A three-peg tower splits at count - 1 without asking the solver,
+        so its disc ceiling does not limit a three-peg trace."""
+        first = next(trace_chunks(3, 600, solver=HanoiSolver(max_discs=10)))
+        # the first 2**13 - 1 moves of a tower of 13 or more discs depend only
+        # on the parity of its height, so 14 discs stand in for 600
+        expected = reference_moves(3, 14, "optimal", None, 0, 2)[: moves_module.CHUNK_MOVES]
+        assert first == [(m.disc, m.source, m.target) for m in expected]
 
 
 class TestFrameStewart:
@@ -793,21 +790,30 @@ class TestAgainstRecursiveReference:
 
 
 class TestRulerTemplates:
-    """The step templates cover blocks of 4,096 steps, so only towers of
-    13 or more discs reach the block boundaries and all three templates."""
+    """The templates cover steps 1 .. 4,095, so a tower of 13 or more
+    discs splits into 12-disc blocks and single moves of its larger discs,
+    and the ruler check computes each multiple of 4,096 on its own."""
 
-    @pytest.mark.parametrize("size", [4096, 4095, 1000, 5000])
+    @pytest.mark.parametrize("lowest", [1, 5])
+    def test_ruler_is_the_recursive_tower(self, lowest):
+        for src, dst, spare in permutations(range(3)):
+            for count in range(13):
+                expected: list[Move] = []
+                _emit_three(count, lowest, src, dst, spare, expected)
+                assert moves_module._ruler(count, lowest, src, dst, spare) == [
+                    (m.disc, m.source, m.target) for m in expected
+                ]
+
+    @pytest.mark.parametrize("size", [4096, 4095, 1000, 5000, 10000])
     @pytest.mark.parametrize(
         "pegs, discs, strategy", [(3, 13, "optimal"), (3, 14, "optimal"), (4, 80, 66)]
     )
     def test_streams_the_reference_ruler(self, pegs, discs, strategy, size, solver):
-        # (4, 80, fixed:66) runs one 14-disc ruler block, which starts in a
-        # partly filled chunk
+        """Above 4,096 moves per chunk, blocks are still cut to fit the
+        templates; (4, 80, fixed:66) shuttles a 14-disc three-peg tower,
+        which starts in a partly filled chunk."""
         with mock.patch.object(moves_module, "CHUNK_MOVES", size):
             chunks = list(trace_chunks(pegs, discs, strategy, solver))
-            with mock.patch.object(moves_module, "_ruler", reference_ruler):
-                expected = list(trace_chunks(pegs, discs, strategy, solver))
-        assert chunks == expected
         assert all(len(chunk) == size for chunk in chunks[:-1])
         assert [move for chunk in chunks for move in chunk] == [
             (m.disc, m.source, m.target)
@@ -855,22 +861,38 @@ class TestRulerTemplates:
             assert not follows(tuple(changed)), step
 
 
-def block_spans(pegs, count, solver, split=None, at=0) -> list[tuple[int, int]]:
-    """(index of the first move, moves) of each three-peg block of two or
-    more discs in a Frame-Stewart trace, in order, from the reference's
-    park / shuttle / rebuild recursion and the solver's costs."""
+def block_spans(pegs, count, solver, size, split=None, at=0) -> list[tuple[int, int]]:
+    """(index of the first move, moves) of each memoised three-peg block
+    of two or more discs in a Frame-Stewart trace at chunk size ``size``,
+    in order, from the reference's park / shuttle / rebuild recursion and
+    the solver's costs; a three-peg tower of ``size`` or more moves splits
+    at count - 1."""
     if count < 2:
         return []
     if pegs == 3:
-        return [(at, 2**count - 1)]
+        if 1 << count <= size:
+            return [(at, 2**count - 1)]
+        half = 2 ** (count - 1)
+        return block_spans(3, count - 1, solver, size, None, at) + block_spans(
+            3, count - 1, solver, size, None, at + half
+        )
     k = solver.solve(pegs, count).canonical_split if split is None else split
     shuttle = at + solver.cost(pegs, k)
     rebuild = shuttle + solver.cost(pegs - 1, count - k)
     return (
-        block_spans(pegs, k, solver, None, at)
-        + block_spans(pegs - 1, count - k, solver, None, shuttle)
-        + block_spans(pegs, k, solver, None, rebuild)
+        block_spans(pegs, k, solver, size, None, at)
+        + block_spans(pegs - 1, count - k, solver, size, None, shuttle)
+        + block_spans(pegs, k, solver, size, None, rebuild)
     )
+
+
+def block_spec(moves: list[tuple[int, int, int]]) -> tuple[int, int, int, int, int]:
+    """(count, lowest disc, from, to, spare) of a three-peg tower of two or
+    more discs, read off its moves: the largest disc moves once, in the
+    middle, and the tower uses three pegs."""
+    _, src, dst = moves[len(moves) // 2]
+    (spare,) = {peg for _, a, b in moves for peg in (a, b)} - {src, dst}
+    return len(moves).bit_length(), min(disc for disc, _, _ in moves), src, dst, spare
 
 
 class TestBlockMemo:
@@ -879,36 +901,35 @@ class TestBlockMemo:
 
     @pytest.mark.parametrize("size", [4096, 8])
     @pytest.mark.parametrize(
-        "pegs, discs, strategy", [(4, 40, "optimal"), (4, 40, 30), (5, 90, "optimal"), (6, 150, 100)]
+        "pegs, discs, strategy",
+        [(3, 14, "optimal"), (4, 40, "optimal"), (4, 40, 30), (5, 90, "optimal"), (6, 150, 100)],
     )
     def test_ruler_runs_once_per_distinct_block(self, pegs, discs, strategy, size, solver):
-        """Blocks of fewer than CHUNK_MOVES moves are built once each; longer
-        ones stream from the ruler wherever they occur."""
+        """Each distinct block of fewer than CHUNK_MOVES moves is built once;
+        a longer three-peg tower splits into such blocks and never reaches
+        the ruler."""
         real = moves_module._ruler
-        calls = []
+        built = []
 
-        def counting(chunk, count, lowest, src, dst, spare):
-            calls.append((count, lowest, src, dst, spare))
-            return real(chunk, count, lowest, src, dst, spare)
+        def counting(*spec):
+            built.append(spec)
+            return real(*spec)
 
         with mock.patch.object(moves_module, "_ruler", counting):
             with mock.patch.object(moves_module, "CHUNK_MOVES", size):
                 chunks = list(trace_chunks(pegs, discs, strategy, solver))
-            built = calls[:]
-            calls.clear()
-            with mock.patch.object(moves_module, "CHUNK_MOVES", 1):  # every block streams
-                list(trace_chunks(pegs, discs, strategy, solver))
-        split = moves_module._top_split(pegs, discs, strategy)
-        assert len(calls) == len(block_spans(pegs, discs, solver, split))
-        short = [key for key in calls if 1 << key[0] <= size]
-        longer = [key for key in calls if 1 << key[0] > size]
-        assert len(set(short)) < len(short)  # short blocks recur
-        assert sorted(built) == sorted([*set(short), *longer])
-        assert all(len(chunk) == size for chunk in chunks[:-1])
-        assert [move for chunk in chunks for move in chunk] == [
+        expected = [
             (m.disc, m.source, m.target)
             for m in reference_moves(pegs, discs, strategy, solver, 0, pegs - 1)
         ]
+        split = moves_module._top_split(pegs, discs, strategy)
+        spans = block_spans(pegs, discs, solver, size, split)
+        occurring = [block_spec(expected[at : at + n]) for at, n in spans]
+        assert len(set(occurring)) < len(occurring)  # short blocks recur
+        assert sorted(built) == sorted(set(occurring))
+        assert all(1 << count <= size for count, *_ in built)
+        assert all(len(chunk) == size for chunk in chunks[:-1])
+        assert [move for chunk in chunks for move in chunk] == expected
 
     @pytest.mark.parametrize("size", [4, 8, 16])
     def test_blocks_splice_across_chunk_boundaries(self, size, solver):
@@ -920,7 +941,7 @@ class TestBlockMemo:
             for discs in range(2, 15):
                 for strategy in _strategies(pegs, discs):
                     split = moves_module._top_split(pegs, discs, strategy)
-                    spans = block_spans(pegs, discs, solver, split)
+                    spans = block_spans(pegs, discs, solver, size, split)
                     into_partial += sum(at % size > 0 and n == size - 1 for at, n in spans)
                     on_boundary += sum((at + n) % size == 0 for at, n in spans)
                     with mock.patch.object(moves_module, "CHUNK_MOVES", size):
@@ -949,7 +970,7 @@ class TestBlockMemo:
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start > 512 * 1024  # the 113,552 moves of its blocks, while it runs
+        assert peak - start > 512 * 1024  # the 142,217 moves of its blocks, while it runs
         assert left - start < 64 * 1024
 
 
