@@ -63,9 +63,11 @@ so the whole-set operations win, even against the orbit fold: a full
 ball between the towers took 0.07 s at (4,10), where the folded
 :func:`_layers` loop took 0.77 s (one core of a shared 2-core host).  On
 three pegs the layers are a few hundred states wide, over 3**n states
-and up to 2**n - 1 layers, and they measured 5-15x slower than
-:func:`_layers` on (3,11) pairs.  The n(p-1) move masks hold up to
-n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at (1024,2).
+and up to 2**n - 1 layers, and they measured 11-15x slower than
+:func:`_layers` on (3,11) pairs, where :func:`_layers` reads its high
+move table for 3 of the 243 low codes only.  The n(p-1) move masks hold
+up to n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at
+(1024,2).  Only masks of at most 8 MiB stay cached after a search.
 
 One gate, :func:`_check_space` with a budget, refuses a space before
 any allocation: a search that would not fit raises
@@ -306,18 +308,27 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
-    end pegs hold no low disc.  The visited array keeps one byte per
-    state, the tag ``1 + d % 3`` of the state's layer d (0 = unseen).
-    Layers of adjacent states differ by at most one, so a neighbour of a
-    layer d-1 state lies in layer d-2, d-1 or d; those three tags are
-    distinct, so a tag tells a new state from one already in layer d (add
-    to its path count) and from an older one.
+    end pegs hold no low disc.  Such a move needs two pegs free of low
+    discs, so the high table is read only for the low codes in ``gate``,
+    those that leave two pegs empty.  On three pegs they are the 3 perfect
+    towers of the 3**(n//2) low codes (3 of 243 at n = 11), as in the
+    Sierpinski structure of the graph, where copies of the smaller graph
+    meet only at their corners; 184 of 1,024 pass at (4,10), 505 of 625 at
+    (5,9), and all wherever n//2 <= p-2.
+
+    The visited array keeps one byte per state, the tag ``1 + d % 3`` of
+    the state's layer d (0 = unseen).  Layers of adjacent states differ by
+    at most one, so a neighbour of a layer d-1 state lies in layer d-2, d-1
+    or d; those three tags are distinct, so a tag tells a new state from
+    one already in layer d (add to its path count) and from an older one.
 
     With ``fold`` tables from :func:`_fold_tables` the layers list orbit
     representatives and ``counts`` holds their masses; the merge after
     each expansion is described in the module docstring.
     """
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    # the low block's occupied pegs where two are free, None elsewhere
+    gate = [occ if occ.bit_count() <= pegs - 2 else None for occ in low_occupied]
     size = pegs**discs
     seen = bytearray(size)
     seen[source] = 1
@@ -333,8 +344,7 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
         d += 1
         tag = 1 + d % 3
         for code in frontier:
-            high, low = divmod(code, base)
-            occ = low_occupied[low]
+            low = code % base
             cu = counts[code]
             for delta in low_deltas[low]:
                 v = code + delta
@@ -345,7 +355,10 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
                     counts[v] = cu
                 elif tv == tag:
                     counts[v] += cu
-            for bit, src_offset, to in high_moves[high]:
+            occ = gate[low]
+            if occ is None:
+                continue
+            for bit, src_offset, to in high_moves[code // base]:
                 if occ & bit:
                     continue
                 lifted = code - src_offset
@@ -378,8 +391,29 @@ def _repeat(block: int, width: int, copies: int) -> int:
     return block
 
 
-@lru_cache(maxsize=1)
+#: Shift masks whose bits take at most this many bytes stay cached for the
+#: next search in the same space: 0.8 MiB at (4,9), 7.7 MiB at (5,9).
+_MASK_CACHE_BYTES = 8 << 20
+#: The cached masks of one space, keyed by (pegs, discs).
+_mask_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+
 def _shift_masks(pegs: int, discs: int) -> tuple[tuple[int, int], ...]:
+    """The :func:`_build_masks` of a space, from the cache when they are
+    there.  One space is cached at a time, and only when its masks take at
+    most ``_MASK_CACHE_BYTES``: larger ones (15.3 MiB at (4,11)) are built
+    per search and dropped when it returns, so they leave the cache as it
+    was."""
+    masks = _mask_cache.get((pegs, discs))
+    if masks is None:
+        masks = _build_masks(pegs, discs)
+        if sum(mask.bit_length() for _, mask in masks) <= 8 * _MASK_CACHE_BYTES:
+            _mask_cache.clear()
+            _mask_cache[pegs, discs] = masks
+    return masks
+
+
+def _build_masks(pegs: int, discs: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) for each disc j and peg offset delta in 1..p-1.
 
     ``shift`` is delta * p**j, and bit v of ``mask`` is set iff disc j of
@@ -422,13 +456,12 @@ def _expand(states: int, masks) -> int:
     return out
 
 
-def _dense_layers(pegs: int, discs: int, source: int):
+def _dense_layers(masks, source: int):
     """Layered BFS from ``source``: yields the set of states at distance d,
     as a big int, for d = 0, 1, ... while layers are non-empty.  One move
     changes one digit, disc j's, by some delta, so a layer's successors
-    are :func:`_expand` over the n(p-1) :func:`_shift_masks`, not a loop
-    over edges."""
-    masks = _shift_masks(pegs, discs)
+    are :func:`_expand` over the n(p-1) :func:`_shift_masks` of the space,
+    ``masks``, not a loop over edges."""
     seen = layer = 1 << source
     while layer:
         yield layer
@@ -455,7 +488,7 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     read there as bytes, where testing a bit takes constant time.
     """
     classes = [0, 0, 0]
-    for d, layer in enumerate(_dense_layers(pegs, discs, source)):
+    for d, layer in enumerate(_dense_layers(_shift_masks(pegs, discs), source)):
         classes[d % 3] |= layer
         if layer >> target & 1:
             break
@@ -745,6 +778,7 @@ def _diameter(pegs: int, discs: int) -> tuple[int, int]:
     lower = dict.fromkeys(sorted(set(orbit)), 0)
     upper = dict.fromkeys(lower, len(orbit))  # no eccentricity reaches V
     best = runs = 0
+    masks = _shift_masks(pegs, discs) if pegs >= 4 else None
     while upper:
         if runs % 2:
             source = min(lower, key=lower.__getitem__)
@@ -754,7 +788,7 @@ def _diameter(pegs: int, discs: int) -> tuple[int, int]:
         near: dict[int, int] = {}
         far: dict[int, int] = {}
         if pegs >= 4:
-            layers = map(_members, _dense_layers(pegs, discs, source))
+            layers = map(_members, _dense_layers(masks, source))
         else:
             layers = (layer for _, layer, _, _ in _layers(pegs, discs, source))
         for ecc, layer in enumerate(layers):

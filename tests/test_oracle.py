@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from hanoilab.oracle import (
     DEFAULT_METRICS_BUDGET,
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
+    _build_masks,
     _canon,
     _dense_layers,
     _dense_search,
@@ -22,6 +24,7 @@ from hanoilab.oracle import (
     _members,
     _move_tables,
     _orbit_codes,
+    _search,
     _shift_masks,
     bfs_distance,
     certify_range,
@@ -203,6 +206,95 @@ class TestMoveTables:
         monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
         with pytest.raises(DiscLimitError):
             call(4, 10, solver=HanoiSolver(max_discs=9))
+
+
+class ReadCounter(list):
+    """A list that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def reference_layers(pegs, discs, source):
+    """The geodesic count of every state of each BFS layer from ``source``,
+    one dict per layer, by a plain BFS over `neighbors()`."""
+    layers = [{source: 1}]
+    seen = {source}
+    while layers[-1]:
+        nxt = {}
+        for u, paths in layers[-1].items():
+            for v in neighbors(u, pegs, discs):
+                if v not in seen:
+                    nxt[v] = nxt.get(v, 0) + paths
+        seen.update(nxt)
+        layers.append(nxt)
+    return layers[:-1]
+
+
+def first_use(code, pegs, discs):
+    """The code with the middle pegs 1..p-2 renamed in order of first use,
+    smallest disc first: the canonical form of the mirror search's fold."""
+    names = {}
+    digits = []
+    for q in unpack(code, pegs, discs).pegs:
+        if 0 < q < pegs - 1:
+            q = names.setdefault(q, 1 + len(names))
+        digits.append(q)
+    return pack(Configuration(pegs, tuple(digits)))
+
+
+class TestLayers:
+    @pytest.mark.parametrize("pegs,discs", [(3, 9), (4, 6)])
+    def test_high_table_read_only_where_two_pegs_are_free(self, monkeypatch, pegs, discs):
+        # a high disc moves only between two pegs that hold no low disc
+        base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+        counted = ReadCounter(high_moves)
+        monkeypatch.setattr(
+            hanoilab.oracle,
+            "_move_tables",
+            lambda p, n: (base, low_occupied, low_deltas, counted),
+        )
+        assert sum(len(layer) for _, layer, _, _ in _layers(pegs, discs, 0)) == pegs**discs
+        low = discs // 2
+        free = sum(
+            len(set(unpack(code, pegs, low).pegs)) <= pegs - 2 for code in range(base)
+        )
+        assert counted.reads == free * pegs ** (discs - low)
+        if pegs == 3:  # only where the low block is a perfect tower
+            assert counted.reads == 3 * 3 ** (discs - low) < 3**discs
+
+    @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
+    def test_matches_reference_bfs(self, pegs, discs):
+        size = pegs**discs
+        sources = {0, size - 1, *random.Random(size).sample(range(size), min(2, size))}
+        for source in sorted(sources):
+            expected = reference_layers(pegs, discs, source)
+            got = [
+                (d, {v: counts[v] for v in layer})
+                for d, layer, _, counts in _layers(pegs, discs, source)
+            ]
+            assert got == list(enumerate(expected))
+
+    @pytest.mark.parametrize("pegs,discs", [(p, n) for p, n in SMALL_SPACES if p >= 4])
+    def test_folded_matches_reference_bfs(self, pegs, discs):
+        # a folded layer lists one canonical code per orbit, with the orbit's mass
+        fold = _fold_tables(pegs, discs)
+        for source in sorted({0, pegs**discs - 1}):
+            expected = []
+            for layer in reference_layers(pegs, discs, source):
+                masses = {}
+                for v, paths in layer.items():
+                    r = first_use(v, pegs, discs)
+                    masses[r] = masses.get(r, 0) + paths
+                expected.append(masses)
+            got = [
+                (d, {v: counts[v] for v in layer})
+                for d, layer, _, counts in _layers(pegs, discs, source, fold)
+            ]
+            assert got == list(enumerate(expected))
 
 
 # One search on (pegs, discs) under the budget b, for each budgeted entry point.
@@ -534,10 +626,10 @@ def dense_pairs(pegs, discs, count=6):
     return pairs + shared_empty_pairs(pegs, discs, 4)
 
 
-# Every space with p in 4..8 and at most 2**15 states, n = 0 included.
+# Every space with p in 3..8 and at most 2**15 states, n = 0 included.
 DENSE_SPACES = [
     (pegs, discs)
-    for pegs in range(4, 9)
+    for pegs in range(3, 9)
     for discs in range(12)
     if pegs**discs <= 2**15
 ]
@@ -562,11 +654,9 @@ class TestDenseSearch:
     def test_wide_spaces_build_masks_quickly(self, pegs, discs):
         # every pair on p >= 4 runs the dense kernel, so the masks must cost
         # time in proportion to their bits, not to the p**2 peg pairs
-        _shift_masks.cache_clear()
         started = time.perf_counter()
-        masks = _shift_masks(pegs, discs)
+        masks = _build_masks(pegs, discs)
         elapsed = time.perf_counter() - started
-        _shift_masks.cache_clear()
         assert len(masks) == discs * (pegs - 1)
         for code in random.Random(pegs).sample(range(pegs**discs), 6):
             assert mask_moves(code, masks) == sorted(neighbors(code, pegs, discs))
@@ -577,9 +667,25 @@ class TestDenseSearch:
         pairs = dense_pairs(pegs, discs)
         for pair in pairs:
             assert _dense_search(pegs, discs, *pair) == layers_search(pegs, discs, *pair)
+            if pegs == 3:
+                assert _dense_search(pegs, discs, *pair) == _search(pegs, discs, *pair)
         reports = [bfs_distance(pegs, discs, *pair) for pair in pairs]
         monkeypatch.setattr(hanoilab.oracle, "_dense_search", layers_search)
         assert [bfs_distance(pegs, discs, *pair) for pair in pairs] == reports
+
+    @pytest.mark.parametrize(
+        "target,expected",
+        [
+            (100165, (586, 1, 22133)),
+            (53881, (1196, 1, 66407)),
+            (152299, (1690, 1, 110739)),
+            (161439, (1966, 1, 154875)),
+        ],
+    )
+    def test_seeded_three_peg_pairs(self, target, expected):
+        # the (3,11) pairs of the benchmark's seed-1 graph workload
+        report = bfs_distance(3, 11, 88295, target)
+        assert (report.distance, report.geodesic_count, report.states_explored) == expected
 
     @pytest.mark.parametrize("pegs,discs", [(4, 4), (4, 5), (5, 3), (5, 4), (6, 3)])
     def test_against_networkx(self, pegs, discs):
@@ -640,7 +746,7 @@ class TestDenseSearch:
         for source in sorted(sources):
             layers = [layer for _, layer, _, _ in _layers(pegs, discs, source)]
             expected = [sum(1 << v for v in layer) for layer in layers]
-            assert list(_dense_layers(pegs, discs, source)) == expected
+            assert list(_dense_layers(_shift_masks(pegs, discs), source)) == expected
 
     @pytest.mark.parametrize("pegs,discs", [(4, 0), (4, 5), (5, 4), (7, 3)])
     def test_members_round_trip(self, pegs, discs):
@@ -650,6 +756,60 @@ class TestDenseSearch:
         sets += [set(rng.sample(range(size), rng.randint(1, size))) for _ in range(8)]
         for codes in sets:
             assert _members(sum(1 << v for v in codes)) == sorted(codes)
+
+
+def counting_builds(monkeypatch):
+    """Patch `_build_masks` to count its calls; returns the list of spaces
+    built, in order."""
+    built = []
+
+    def build(pegs, discs):
+        built.append((pegs, discs))
+        return _build_masks(pegs, discs)
+
+    monkeypatch.setattr(hanoilab.oracle, "_build_masks", build)
+    monkeypatch.setattr(hanoilab.oracle, "_mask_cache", {})
+    return built
+
+
+class TestMaskCache:
+    def test_large_masks_are_dropped(self, monkeypatch):
+        # the masks of (4,11) take 15.3 MiB; they must not outlive the search
+        built = counting_builds(monkeypatch)
+        bfs_distance(4, 9, 5, 4**9 - 7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = bfs_distance(4, 11, 5, 4**11 - 7)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (report.distance, report.geodesic_count) == (60, 1201672)
+        assert abs(after - before) <= 1 << 20
+        # the small space stays cached: a later (4,9) pair builds nothing
+        bfs_distance(4, 9, 0, 4**9 - 1)
+        assert built == [(4, 9), (4, 11)]
+
+    def test_small_masks_are_built_once(self, monkeypatch):
+        built = counting_builds(monkeypatch)
+        for pair in dense_pairs(4, 9, count=4)[:4]:
+            bfs_distance(4, 9, *pair)
+        assert built == [(4, 9)]
+
+    def test_one_space_is_cached(self, monkeypatch):
+        built = counting_builds(monkeypatch)
+        for discs in (5, 6, 5):
+            bfs_distance(4, discs, 1, 2)
+        assert built == [(4, 5), (4, 6), (4, 5)]
+
+    def test_diameter_builds_masks_once(self, monkeypatch):
+        # an uncached space is built once per sweep, not once per BFS run
+        built = counting_builds(monkeypatch)
+        monkeypatch.setattr(hanoilab.oracle, "_MASK_CACHE_BYTES", 0)
+        metrics = graph_metrics(4, 5)
+        assert (metrics.diameter, metrics.bfs_runs) == (13, 7)
+        assert built == [(4, 5)]
+        assert hanoilab.oracle._mask_cache == {}
 
 
 def relabel(code, pegs, discs, perm):
