@@ -50,24 +50,50 @@ of d only while making d itself, where adding to the dropped slot is
 harmless, and the code is never listed again.  A canonical code is tagged
 only when its orbit is first reached, with that layer's tag.
 
-Two kernels run the searches, on purpose.  The mirror search folds and
-runs :func:`_layers`, which keeps a layer tag and a geodesic count per
-state, so it reads the counts of each layer's mirror images as soon as
-the layer is complete.  Every other search, pair or eccentricity sweep,
-runs :func:`_layers` on three pegs and :func:`_dense_layers` on four or
-more.  The latter holds a set of states as one big int with a bit per
-code and expands a whole layer with one shift-and-mask pair per disc and
-peg offset; :func:`_dense_search` counts geodesics afterwards over the
-states on some geodesic only.  On four or more pegs the layers are wide,
-so the whole-set operations win, even against the orbit fold: a full
-ball between the towers took 0.07 s at (4,10), where the folded
-:func:`_layers` loop took 0.77 s (one core of a shared 2-core host).  On
-three pegs the layers are a few hundred states wide, over 3**n states
-and up to 2**n - 1 layers, and they measured 11-15x slower than
-:func:`_layers` on (3,11) pairs, where :func:`_layers` reads its high
-move table for 3 of the 243 low codes only.  The n(p-1) move masks hold
-up to n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at
-(1024,2).  Only masks of at most 8 MiB stay cached after a search.
+Three kernels run the searches, on purpose, picked by the kind of
+search and the peg count alone.  The mirror search folds and runs
+:func:`_layers`, which keeps a layer tag and a geodesic count per state,
+so it reads the counts of each layer's mirror images as soon as the
+layer is complete; the three-peg eccentricity sweeps of
+:func:`graph_metrics` run it too.  On four or more pegs every pair and
+every sweep runs :func:`_dense_layers`, which holds a set of states as
+one big int with a bit per code and expands a whole layer with one
+shift-and-mask pair per disc and peg offset; :func:`_dense_search`
+counts geodesics afterwards over the states on some geodesic only.
+There the layers are wide, so the whole-set operations win, even
+against the orbit fold: a full ball between the towers took 0.07 s at
+(4,10), where the folded :func:`_layers` loop took 0.77 s (one core of a
+shared 2-core host).  The n(p-1) move masks hold up to n(p-1) bits per
+state: 27 at (4,10), 90 at (16,6), 2,046 at (1024,2).  Only masks of at
+most 8 MiB stay cached after a search.
+
+A three-peg pair runs :func:`_block_search`, which handles the space
+copy by copy rather than state by state.  The codes with one high part
+(the ceil(n/2) largest discs) form a copy of the graph of the floor(n/2)
+smallest discs, the low block.  A high move keeps the low part and needs
+two pegs free of low discs, so it leaves and enters a copy only at its
+gate states, whose low codes leave two pegs free: on three pegs the 3
+perfect towers of the 3**(n//2) low codes, as in the Sierpinski
+structure of the graph.  Cut each path from the source s at its last
+high move.  A path with none stays in the copy of s.  Otherwise its last
+high move enters the copy of its end v at a gate state x, and the rest
+of it runs inside the copy.  So d(v) is the least of the low-block
+distance from s (when v shares the copy of s) and din(x) + d_low(x, v)
+over the gate states x of the copy of v, where din(x) is the length of
+the shortest paths to x whose last move is a high one.  A geodesic to v
+has one last high move, and its parts before and after that move are
+themselves shortest, so the geodesic count of v sums
+cin(x) * c_low(x, v), cin(x) being the number of those shortest paths,
+over the terms equal to d(v), and no path is counted twice.  A term with
+din(x) > d(x) never equals d(v).  The same holds for gate states, so a
+Dijkstra over the gate states alone, 3**(ceil(n/2) + 1) of them on three
+pegs, settles every din and d; ``states_explored`` counts, copy by copy,
+the codes within the target's distance.  The low block's distance and
+count tables from each gate are built once per space.  The layers of a
+three-peg pair are a few hundred states wide, over 3**n states and up to
+2**n - 1 layers: the four (3,11) pairs of a benchmark pass took
+0.13-0.17 s on :func:`_layers` and take 0.02-0.03 s here (one core of a
+shared 2-core host).
 
 One gate, :func:`_check_space` with a budget, refuses a space before
 any allocation: a search that would not fit raises
@@ -77,6 +103,7 @@ over disc counts lists such a refusal as a :class:`SkippedLevel`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -296,6 +323,143 @@ def _move_tables(pegs: int, discs: int):
     return base, low_occupied, low_deltas, high_moves
 
 
+def _gates(pegs: int, low_occupied: list[int]) -> list[int | None]:
+    """Per low code, the pegs its discs occupy where two pegs are free,
+    None elsewhere: a high move needs two pegs free of low discs."""
+    return [occ if occ.bit_count() <= pegs - 2 else None for occ in low_occupied]
+
+
+def _low_ball(low_deltas, source: int) -> tuple[list[int], list[int]]:
+    """(distance, geodesic count) from the low code ``source`` to every low
+    code, by a BFS over the low deltas alone: the low block of a space is
+    the space of its ``discs // 2`` smallest discs."""
+    dist = [-1] * len(low_deltas)
+    paths = [0] * len(low_deltas)
+    dist[source], paths[source] = 0, 1
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            pu = paths[u]
+            for delta in low_deltas[u]:
+                v = u + delta
+                if dist[v] < 0:
+                    dist[v], paths[v] = d, pu
+                    nxt.append(v)
+                elif dist[v] == d:
+                    paths[v] += pu
+        frontier = nxt
+    return dist, paths
+
+
+@lru_cache(maxsize=1)
+def _gate_tables(pegs: int, discs: int):
+    """(gate low codes, distances, geodesic counts) of a space: the low
+    codes that leave two pegs free and the :func:`_low_ball` of each, in
+    the same order.  They hold O(p**(n//2)) entries per gate: 3 gates of
+    243 low codes at (3,11)."""
+    _, low_occupied, low_deltas, _ = _move_tables(pegs, discs)
+    gates = [low for low, occ in enumerate(_gates(pegs, low_occupied)) if occ is not None]
+    balls = [_low_ball(low_deltas, g) for g in gates]
+    return gates, [dist for dist, _ in balls], [paths for _, paths in balls]
+
+
+def _block_search(pegs: int, discs: int, source: int, target: int):
+    """:func:`_search` on three pegs, over the copies of the low block.  It
+    is exact on any peg count, for the reasons the module docstring gives,
+    but on four or more most low codes are gates.
+
+    A copy is the set of codes with one high part.  Each gate state, a
+    gate low code in some copy, has two events in a bucket queue keyed by
+    distance: an *entry*, the shortest paths to it whose last move is a
+    high one, which spreads to every gate of its copy along the
+    :func:`_gate_tables`; and an *exit*, its final distance and count,
+    which spreads along its high moves with weight 1.  The source enters
+    its own copy at distance 0 along its own :func:`_low_ball`.  Within a
+    bucket, entries go first, so an exit's count is complete when it is
+    read.  The queue runs to the target's distance D; then each copy
+    counts its states within D from one cumulative histogram of the
+    distances its entries give, shared by the copies whose entries have
+    the same offsets from their nearest one.
+    """
+    base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    gates, gate_dist, gate_paths = _gate_tables(pegs, discs)
+    gate_index = {g: i for i, g in enumerate(gates)}
+    s_high, s_low = divmod(source, base)
+    t_high, t_low = divmod(target, base)
+    s_dist, s_paths = _low_ball(low_deltas, s_low)
+    # rows of low-block tables: one per gate, then the source's own
+    dists, counts = [*gate_dist, s_dist], [*gate_paths, s_paths]
+    entries: dict[int, list[int]] = {}  # gate state: [distance, count]
+    exits: dict[int, list[int]] = {}
+    buckets: dict[int, tuple[list[int], list[int]]] = {}  # entries, exits
+    arrived: dict[int, list[tuple[int, int, int]]] = {}  # copy: (row, d, count)
+    best = pegs**discs  # longer than any path
+
+    def relax(table, kind, v, d, c):
+        old = table.get(v)
+        if old is None or d < old[0]:
+            table[v] = [d, c]
+            buckets.setdefault(d, ([], []))[kind].append(v)
+        elif d == old[0]:
+            old[1] += c
+
+    def arrive(high, row, d, c):
+        nonlocal best
+        arrived.setdefault(high, []).append((row, d, c))
+        near, paths = dists[row], counts[row]
+        if high == t_high:
+            best = min(best, d + near[t_low])
+        for g in gates:
+            relax(exits, 1, high * base + g, d + near[g], c * paths[g])
+
+    arrive(s_high, len(gates), 0, 1)
+    k = 0
+    while k <= best:
+        ins, outs = buckets.get(k, ((), ()))
+        for x in ins:
+            d, c = entries[x]
+            if d == k:
+                high, low = divmod(x, base)
+                arrive(high, gate_index[low], d, c)
+        for y in outs:
+            d, c = exits[y]
+            if d != k:
+                continue
+            occ = low_occupied[y % base]
+            for bit, src_offset, to in high_moves[y // base]:
+                if occ & bit:
+                    continue
+                lifted = y - src_offset
+                for end_bit, end_offset in to:
+                    if not occ & end_bit:
+                        relax(entries, 0, lifted + end_offset, k + 1, c)
+        buckets.pop(k, None)
+        k += 1
+    geodesics = sum(
+        c * counts[row][t_low]
+        for row, d, c in arrived[t_high]
+        if d + dists[row][t_low] == best
+    )
+    within: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    explored = 0
+    for high, arrivals in arrived.items():
+        first = arrivals[0][1]  # arrivals come in order of distance
+        key = tuple(sorted((row, d - first) for row, d, _ in arrivals))
+        cumulative = within.get(key)
+        if cumulative is None:
+            rows = [[off + x for x in dists[row]] for row, off in key]
+            near = rows[0] if len(rows) == 1 else list(map(min, *rows))
+            hist = [0] * (max(near) + 1)
+            for x in near:
+                hist[x] += 1
+            cumulative = within[key] = list(itertools.accumulate(hist))
+        explored += cumulative[min(best - first, len(cumulative) - 1)]
+    return best, geodesics, explored, explored
+
+
 def _layers(pegs: int, discs: int, source: int, fold=None):
     """Layered BFS from ``source``, one yield per completed layer.
 
@@ -303,8 +467,9 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
     non-empty: ``layer`` lists the states at distance d, and ``seen`` and
     ``counts`` are the same two arrays at every yield.  When layer d is
     yielded, every state at distance <= d is tagged and its geodesic
-    count from the source is final.  Every search keeps the counts, even
-    a three-peg eccentricity sweep that reads only depths.
+    count from the source is final.  The mirror search and the three-peg
+    eccentricity sweeps run it; no pair search does.  Every search keeps
+    the counts, even a sweep that reads only depths.
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
@@ -327,8 +492,7 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
     each expansion is described in the module docstring.
     """
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
-    # the low block's occupied pegs where two are free, None elsewhere
-    gate = [occ if occ.bit_count() <= pegs - 2 else None for occ in low_occupied]
+    gate = _gates(pegs, low_occupied)
     size = pegs**discs
     seen = bytearray(size)
     seen[source] = 1
@@ -611,20 +775,15 @@ def _search(pegs: int, discs: int, source: int, target: int):
     explored) from the source to the target.
 
     Pairs on p >= 4 pegs run :func:`_dense_search` and three-peg pairs
-    run :func:`_layers`; neither folds, so orbits explored equals states
-    explored.  The layer containing the target is always completed so
-    that the geodesic count and the explored-state tally are independent
-    of expansion order.  The state graph is connected, so the target is
-    always reached.
+    run :func:`_block_search`; neither folds, so orbits explored equals
+    states explored.  Both count every state within the target's
+    distance, the whole ball, so the geodesic count and the
+    explored-state tally do not depend on the kernel.  The state graph is
+    connected, so the target is always reached.
     """
     if pegs >= 4:
         return _dense_search(pegs, discs, source, target)
-    explored = 0
-    for d, layer, seen, counts in _layers(pegs, discs, source):
-        explored += len(layer)
-        if seen[target]:
-            return d, counts[target], explored, explored
-    raise HanoiError("state graph unexpectedly disconnected")
+    return _block_search(pegs, discs, source, target)
 
 
 def _mirror_search(pegs: int, discs: int):
@@ -704,7 +863,9 @@ def bfs_distance(
     Defaults to the perfect towers on the first and last pegs.  Geodesics
     are counted exactly.  The peg count picks the kernel (see
     :func:`_search`), and the report does not depend on it; nothing is
-    folded, so ``orbits_explored`` equals ``states_explored``.
+    folded, so ``orbits_explored`` equals ``states_explored``.  The budget
+    bounds p**n for both kernels, though on three pegs the search holds
+    O(3**ceil(n/2)) entries, not a slot per state.
     """
     _check_space(pegs, discs, state_budget)
     if source is None:
@@ -732,7 +893,7 @@ def tower_distance(
     ``bfs_distance(pegs, discs)``, but ``states_explored`` counts only the
     states within about half the distance of the source, where
     :func:`bfs_distance` counts the whole ball around it.  The budget
-    bounds p**n, as there: the visited array still holds a byte per state.
+    bounds p**n, as there; here the visited array holds a byte per state.
     """
     _check_space(pegs, discs, state_budget)
     return _report(True, solver, _mirror_search, pegs, discs)

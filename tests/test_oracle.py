@@ -15,11 +15,13 @@ from hanoilab.oracle import (
     DEFAULT_METRICS_BUDGET,
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
+    _block_search,
     _build_masks,
     _canon,
     _dense_layers,
     _dense_search,
     _fold_tables,
+    _gate_tables,
     _layers,
     _members,
     _move_tables,
@@ -756,6 +758,73 @@ class TestDenseSearch:
         sets += [set(rng.sample(range(size), rng.randint(1, size))) for _ in range(8)]
         for codes in sets:
             assert _members(sum(1 << v for v in codes)) == sorted(codes)
+
+
+class TestBlockSearch:
+    @pytest.mark.parametrize("discs", range(5))
+    def test_every_pair_matches_layers(self, discs):
+        size = 3**discs
+        for source, target in itertools.product(range(size), repeat=2):
+            got = _block_search(3, discs, source, target)
+            assert got == layers_search(3, discs, source, target)
+
+    @pytest.mark.parametrize("discs", range(5, 11))
+    def test_random_pairs_match_layers(self, discs):
+        for pair in dense_pairs(3, discs, count=12):
+            assert _block_search(3, discs, *pair) == layers_search(3, discs, *pair)
+
+    def test_against_networkx(self):
+        graph = build_graph(3, 6)
+        for source, target in dense_pairs(3, 6, count=20):
+            distance, geodesics, explored, orbits = _block_search(3, 6, source, target)
+            assert (distance, geodesics, explored) == nx_search(graph, source, target)
+            assert orbits == explored
+
+    @pytest.mark.parametrize(
+        "pegs,discs", [(4, n) for n in range(6)] + [(5, n) for n in range(5)]
+    )
+    def test_many_gates_per_copy(self, pegs, discs):
+        # on p >= 4 most low codes leave two pegs free, so each copy has many
+        # gates and a path may enter it at several; three pegs have three
+        if discs >= 2:
+            assert len(_gate_tables(pegs, discs)[0]) > 3
+        for pair in dense_pairs(pegs, discs, count=12):
+            assert _block_search(pegs, discs, *pair) == layers_search(pegs, discs, *pair)
+
+    @pytest.mark.parametrize("discs", range(13))
+    def test_tower_pair_matches_mirror_search(self, discs):
+        # the mirror search stays on the layered kernel: an independent check
+        full, mirror = bfs_distance(3, discs), tower_distance(3, discs)
+        assert (full.distance, full.geodesic_count) == (mirror.distance, mirror.geodesic_count)
+        assert full.distance == 2**discs - 1 and full.geodesic_count == 1
+
+    @pytest.mark.parametrize("discs", [1, 4, 7, 9])
+    def test_three_peg_pairs_never_enter_layers(self, monkeypatch, discs):
+        pairs = dense_pairs(3, discs)
+        expected = [layers_search(3, discs, *pair) for pair in pairs]
+
+        def no_layers(*args):
+            raise AssertionError(f"_layers entered for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        got = [bfs_distance(3, discs, *pair) for pair in pairs]
+        assert [
+            (r.distance, r.geodesic_count, r.states_explored, r.orbits_explored) for r in got
+        ] == expected
+
+    def test_memory_is_not_per_state(self):
+        # tables included: no byte or count slot per state of the 1,594,323
+        _move_tables.cache_clear()
+        _gate_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            report = bfs_distance(3, 13, 5, 1593322)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.distance, report.geodesic_count) == (8180, 1)
+        assert report.states_explored == 1_560_531
+        assert peak < 6 << 20
 
 
 def counting_builds(monkeypatch):
