@@ -8,10 +8,11 @@ combinatorial path counts never overflow), and diameters -- all computed
 with no knowledge of the recurrences they certify.
 
 Between the perfect towers s (all discs on peg 0) and t (all on peg
-p-1), :func:`tower_distance` searches only half as deep.  Swapping pegs 0
-and p-1 in every digit is a graph automorphism sigma with sigma(s) = t,
-so the distance from t to v is the distance from s to sigma(v), and the
-number of geodesics from t to v is the count of sigma(v) from s.  After
+p-1) on p >= 4 pegs, :func:`tower_distance` runs the mirror search,
+which searches only half as deep.  Swapping pegs 0 and p-1 in every
+digit is a graph automorphism sigma with sigma(s) = t, so the distance
+from t to v is the distance from s to sigma(v), and the number of
+geodesics from t to v is the count of sigma(v) from s.  After
 the BFS from s completes layer d it looks at each v in that layer.  If
 some sigma(v) lies in layer d-1, the distance D is 2d-1; otherwise, if
 some sigma(v) lies in layer d, D is 2d.  No earlier layer met either
@@ -20,8 +21,18 @@ d, which the layer tags tell apart.  Every geodesic crosses layer
 floor(D/2) exactly once, through a v of the matching kind, so the sum of
 count(v) * count(sigma(v)) over those v is the exact geodesic count.
 
-On p >= 4 pegs the mirror search, and no other, runs over the orbits of
-the relabellings of the set M of the p-2 middle pegs, which both towers
+One search between the n-disc towers serves every disc count m <= n, on
+any peg count.  A state whose discs above m all sit on peg 0 has the
+same distance and geodesic count as in the m-disc graph, because
+deleting the moves of larger discs from a path leaves a legal path
+(Hinz, Klavzar, Milutinovic & Petr, *The Tower of Hanoi -- Myths and
+Maths*, 2013).  So the codes below p**m of each layer of the mirror
+search are the m-disc layer, and the search stops once every m has met.
+A sweep of :func:`tower_distance` over disc counts is that one search,
+at the largest disc count the budget admits.
+
+The mirror search, and no other, runs over the orbits of the
+relabellings of the set M of the p-2 middle pegs, which both towers
 leave empty.  Those relabellings map legal moves to legal moves and fix
 both towers (and commute with sigma), so every state of an orbit has the
 same distance and geodesic count.  The canonical form of a state renames
@@ -55,21 +66,22 @@ search and the peg count alone.  The mirror search folds and runs
 :func:`_layers`, which keeps a layer tag and a geodesic count per state,
 so it reads the counts of each layer's mirror images as soon as the
 layer is complete; the three-peg eccentricity sweeps of
-:func:`graph_metrics` run it too.  On four or more pegs every pair and
-every sweep runs :func:`_dense_layers`, which holds a set of states as
-one big int with a bit per code and expands a whole layer with one
-shift-and-mask pair per disc and peg offset; :func:`_dense_search`
-counts geodesics afterwards over the states on some geodesic only.
-There the layers are wide, so the whole-set operations win, even
-against the orbit fold: a full ball between the towers took 0.07 s at
-(4,10), where the folded :func:`_layers` loop took 0.77 s (one core of a
-shared 2-core host).  The n(p-1) move masks hold up to n(p-1) bits per
-state: 27 at (4,10), 90 at (16,6), 2,046 at (1024,2).  Only masks of at
-most 8 MiB stay cached after a search.
+:func:`graph_metrics` run it unfolded.  On four or more pegs every pair
+and every eccentricity sweep runs :func:`_dense_layers`, which holds a
+set of states as one big int with a bit per code and expands a whole
+layer with one shift-and-mask pair per disc and peg offset;
+:func:`_dense_search` counts geodesics afterwards over the states on
+some geodesic only.  There the layers are wide, so the whole-set
+operations win, even against the orbit fold: a full ball between the
+towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
+0.77 s (one core of a shared 2-core host).  The n(p-1) move masks hold
+up to n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at
+(1024,2).  Only masks of at most 8 MiB stay cached after a search.
 
-A three-peg pair runs :func:`_block_search`, which handles the space
-copy by copy rather than state by state.  The codes with one high part
-(the ceil(n/2) largest discs) form a copy of the graph of the floor(n/2)
+A three-peg pair runs :func:`_block_search`, and three-peg towers run
+:func:`_block_towers` on the same queue; both handle the space copy by
+copy rather than state by state.  The codes with one high part (the
+ceil(n/2) largest discs) form a copy of the graph of the floor(n/2)
 smallest discs, the low block.  A high move keeps the low part and needs
 two pegs free of low discs, so it leaves and enters a copy only at its
 gate states, whose low codes leave two pegs free: on three pegs the 3
@@ -93,7 +105,12 @@ count tables from each gate are built once per space.  The layers of a
 three-peg pair are a few hundred states wide, over 3**n states and up to
 2**n - 1 layers: the four (3,11) pairs of a benchmark pass took
 0.13-0.17 s on :func:`_layers` and take 0.02-0.03 s here (one core of a
-shared 2-core host).
+shared 2-core host).  Between the towers the queue runs to the distance
+2**n - 1 once, and each m-disc tower, the code 3**m - 1, is read from
+the same entries, its states explored counted over the half-depth ball
+the mirror search would explore: ``tower_distance(3, 15)`` took 0.07 s
+and 26 MiB in a fresh process, where the layered mirror search, with a
+byte and a count slot per state, took 1.9-2.0 s and 141 MiB.
 
 One gate, :func:`_check_space` with a budget, refuses a space before
 any allocation: a search that would not fit raises
@@ -103,6 +120,7 @@ over disc counts lists such a refusal as a :class:`SkippedLevel`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -366,10 +384,10 @@ def _gate_tables(pegs: int, discs: int):
     return gates, [dist for dist, _ in balls], [paths for _, paths in balls]
 
 
-def _block_search(pegs: int, discs: int, source: int, target: int):
-    """:func:`_search` on three pegs, over the copies of the low block.  It
-    is exact on any peg count, for the reasons the module docstring gives,
-    but on four or more most low codes are gates.
+def _block_queue(pegs: int, discs: int, source: int, target: int):
+    """The gate-state search of :func:`_block_search` from ``source``, run
+    to the target's distance; returns (base, arrivals, distance rows,
+    count rows).
 
     A copy is the set of codes with one high part.  Each gate state, a
     gate low code in some copy, has two events in a bucket queue keyed by
@@ -379,10 +397,11 @@ def _block_search(pegs: int, discs: int, source: int, target: int):
     which spreads along its high moves with weight 1.  The source enters
     its own copy at distance 0 along its own :func:`_low_ball`.  Within a
     bucket, entries go first, so an exit's count is complete when it is
-    read.  The queue runs to the target's distance D; then each copy
-    counts its states within D from one cumulative histogram of the
-    distances its entries give, shared by the copies whose entries have
-    the same offsets from their nearest one.
+    read.  ``arrivals`` maps each copy reached within the target's
+    distance to its (row, distance, count) entries in order of distance,
+    and lists the copies in order of their first entry.  A row indexes
+    the low-block distance and count rows: one per gate, then the
+    source's own.
     """
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
     gates, gate_dist, gate_paths = _gate_tables(pegs, discs)
@@ -390,7 +409,6 @@ def _block_search(pegs: int, discs: int, source: int, target: int):
     s_high, s_low = divmod(source, base)
     t_high, t_low = divmod(target, base)
     s_dist, s_paths = _low_ball(low_deltas, s_low)
-    # rows of low-block tables: one per gate, then the source's own
     dists, counts = [*gate_dist, s_dist], [*gate_paths, s_paths]
     entries: dict[int, list[int]] = {}  # gate state: [distance, count]
     exits: dict[int, list[int]] = {}
@@ -438,15 +456,38 @@ def _block_search(pegs: int, discs: int, source: int, target: int):
                         relax(entries, 0, lifted + end_offset, k + 1, c)
         buckets.pop(k, None)
         k += 1
-    geodesics = sum(
-        c * counts[row][t_low]
-        for row, d, c in arrived[t_high]
-        if d + dists[row][t_low] == best
-    )
+    return base, arrived, dists, counts
+
+
+def _block_reach(queue, target: int) -> tuple[int, int]:
+    """(distance, geodesic count) of a state whose distance is at most the
+    one :func:`_block_queue` ran to: the least entry-plus-inside term over
+    the entries of its copy, and the sum of the counts of the terms that
+    reach it."""
+    base, arrived, dists, counts = queue
+    high, low = divmod(target, base)
+    terms = [(d + dists[row][low], c * counts[row][low]) for row, d, c in arrived[high]]
+    distance = min(d for d, _ in terms)
+    return distance, sum(c for d, c in terms if d == distance)
+
+
+def _block_balls(queue, radii: list[int]) -> list[int]:
+    """The number of states within each radius of the source, for radii up
+    to the distance :func:`_block_queue` ran to.
+
+    Each copy counts its states from one cumulative histogram of the
+    distances its entries give, shared by the copies whose entries have
+    the same offsets from their nearest one; a copy first entered beyond
+    the largest radius is skipped, and so are the copies after it.
+    """
+    _, arrived, dists, _ = queue
+    reach = max(radii)
     within: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    explored = 0
-    for high, arrivals in arrived.items():
-        first = arrivals[0][1]  # arrivals come in order of distance
+    copies = []  # (first entry, cumulative histogram), in order of first entry
+    for arrivals in arrived.values():
+        first = arrivals[0][1]
+        if first > reach:
+            break
         key = tuple(sorted((row, d - first) for row, d, _ in arrivals))
         cumulative = within.get(key)
         if cumulative is None:
@@ -456,8 +497,47 @@ def _block_search(pegs: int, discs: int, source: int, target: int):
             for x in near:
                 hist[x] += 1
             cumulative = within[key] = list(itertools.accumulate(hist))
-        explored += cumulative[min(best - first, len(cumulative) - 1)]
-    return best, geodesics, explored, explored
+        copies.append((first, cumulative))
+    balls = []
+    for r in radii:
+        total = 0
+        for first, cumulative in copies:
+            if first > r:
+                break
+            total += cumulative[min(r - first, len(cumulative) - 1)]
+        balls.append(total)
+    return balls
+
+
+def _block_search(pegs: int, discs: int, source: int, target: int):
+    """:func:`_search` on three pegs, over the copies of the low block.  It
+    is exact on any peg count, for the reasons the module docstring gives,
+    but on four or more most low codes are gates.  :func:`_block_queue`
+    runs to the target's distance D, :func:`_block_reach` reads the target
+    and :func:`_block_balls` counts the states within D."""
+    queue = _block_queue(pegs, discs, source, target)
+    distance, geodesics = _block_reach(queue, target)
+    (explored,) = _block_balls(queue, [distance])
+    return distance, geodesics, explored, explored
+
+
+def _block_towers(discs: int):
+    """The :func:`_tower_rows` of three pegs, from one :func:`_block_queue`
+    between the n-disc towers.
+
+    The m-disc tower on the last peg is the code 3**m - 1 of the n-disc
+    space, within its distance 2**m - 1 of the source, and it has that
+    distance and geodesic count in both spaces: deleting the moves of the
+    larger discs from a path leaves a legal path, so no geodesic moves
+    them.  The ball of radius ceil(D/2) = 2**(m-1) around the source, the
+    part of the space the mirror search of p >= 4 explores, holds the same
+    states in both spaces too: disc m+1 first moves after the m smaller
+    discs have left the first peg, at least 2**m - 1 moves in.
+    """
+    queue = _block_queue(3, discs, 0, 3**discs - 1)
+    reach = [_block_reach(queue, 3**m - 1) for m in range(discs + 1)]
+    balls = _block_balls(queue, [(d + 1) // 2 for d, _ in reach])
+    return [(d, g, e, e) for (d, g), e in zip(reach, balls)]
 
 
 def _layers(pegs: int, discs: int, source: int, fold=None):
@@ -467,9 +547,11 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
     non-empty: ``layer`` lists the states at distance d, and ``seen`` and
     ``counts`` are the same two arrays at every yield.  When layer d is
     yielded, every state at distance <= d is tagged and its geodesic
-    count from the source is final.  The mirror search and the three-peg
-    eccentricity sweeps run it; no pair search does.  Every search keeps
-    the counts, even a sweep that reads only depths.
+    count from the source is final.  The folded mirror search of p >= 4
+    and the three-peg eccentricity sweeps run it; no pair search does.
+    Every search keeps the counts, even a sweep that reads only depths.
+    The caller may reorder ``layer`` in place before the next layer is
+    made: the next layer's states and counts do not depend on the order.
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
@@ -763,9 +845,7 @@ def _fold_tables(pegs: int, discs: int):
 
 
 def _sizes(fold, layer: list[int]) -> list[int]:
-    """Orbit size of each code in a layer; all 1 when nothing is folded."""
-    if fold is None:
-        return [1] * len(layer)
+    """Orbit size of each code in a layer."""
     base, _, low_ids, width, _, high_sizes = fold
     return [high_sizes[v // base * width + low_ids[v % base]] for v in layer]
 
@@ -787,36 +867,58 @@ def _search(pegs: int, discs: int, source: int, target: int):
 
 
 def _mirror_search(pegs: int, discs: int):
-    """(distance, geodesic count, states explored, orbits explored)
-    between the perfect towers on pegs 0 and p-1, by a BFS from the first
-    to about half the distance; see the module docstring for the meeting
-    rule and the fold over the middle pegs.
+    """The :func:`_tower_rows` of p >= 4 pegs, from one folded BFS from
+    the first tower to about half the largest distance; see the module
+    docstring for the meeting rule and the fold over the middle pegs.
 
-    The mirror image of a listed code v is read as the canonical form of
-    its digit reversal ``p**n - 1 - v``, which is sigma(v).  Three pegs
-    have one middle peg, which no relabelling moves, so nothing is folded
-    there and the reversal, which is sigma, is read as it is.
+    Every code below p**m keeps the discs above m on peg 0, and so does
+    its canonical form, as the fold never renames peg 0; such a state has
+    its m-disc distance, geodesic count and orbit (module docstring).  So
+    once a layer is complete and sorted, its codes below p**m are the
+    m-disc layer: m's tallies add that prefix, and m's meeting test reads
+    the mirror image of each code v there as the canonical form of its
+    m-digit reversal ``p**m - 1 - v``, which is sigma(v) in the m-disc
+    space.  The test of m starts at the first layer listing a code of at
+    least p**(m-1), where disc m has left peg 0: before that no mirror
+    image, which has disc m on the last peg, is reached.  The search
+    stops once every m has met.
     """
-    top = pegs**discs - 1
-    fold = _fold_tables(pegs, discs) if pegs > 3 else None
-    explored = orbits = 0
+    fold = _fold_tables(pegs, discs)
+    powers = [pegs**m for m in range(discs + 1)]
+    explored = [0] * (discs + 1)
+    orbits = [0] * (discs + 1)
+    rows: list[tuple[int, int, int, int] | None] = [None] * (discs + 1)
+    waiting = list(range(discs + 1))  # disc counts not met yet, ascending
+    reached = 0  # the largest code listed so far
     for d, layer, seen, counts in _layers(pegs, discs, 0, fold):
+        layer.sort()
+        reached = max(reached, layer[-1])
         sizes = _sizes(fold, layer)
-        explored += sum(sizes)
-        orbits += len(layer)
         odd_tag, even_tag = 1 + (d - 1) % 3, 1 + d % 3
-        odd = even = 0
-        for v, size in zip(layer, sizes):
-            w = top - v if fold is None else _canon(fold, top - v)
-            tw = seen[w]
-            if tw == odd_tag:
-                odd += counts[v] * counts[w] // size
-            elif tw == even_tag:
-                even += counts[v] * counts[w] // size
-        if odd:
-            return 2 * d - 1, odd, explored, orbits
-        if even:
-            return 2 * d, even, explored, orbits
+        start = mass = 0
+        for m in list(waiting):
+            end = bisect.bisect_left(layer, powers[m], start)
+            mass += sum(sizes[start:end])
+            start = end
+            explored[m] += mass
+            orbits[m] += end
+            if reached < powers[m] // pegs:  # disc m has not left peg 0
+                continue
+            top = powers[m] - 1
+            odd = even = 0
+            for v, size in zip(itertools.islice(layer, end), sizes):
+                w = _canon(fold, top - v)
+                tw = seen[w]
+                if tw == odd_tag:
+                    odd += counts[v] * counts[w] // size
+                elif tw == even_tag:
+                    even += counts[v] * counts[w] // size
+            if odd or even:
+                meet = (2 * d - 1, odd) if odd else (2 * d, even)
+                rows[m] = (*meet, explored[m], orbits[m])
+                waiting.remove(m)
+        if not waiting:
+            return rows
     raise HanoiError("state graph unexpectedly disconnected")
 
 
@@ -829,21 +931,23 @@ def _perfect_peg(code: int, pegs: int, discs: int) -> int | None:
     return peg if rem == 0 and peg < pegs else None
 
 
-def _report(
-    towers: bool, solver: HanoiSolver | None, search, pegs: int, discs: int, *args
-) -> OracleReport:
-    """Report of ``search(pegs, discs, *args)`` with the recurrence value.
-
-    ``dp_cost`` is filled for n = 0 and, when ``towers``, between distinct
-    perfect towers; it is looked up before the search, so a disc count
-    above the solver's ceiling fails before any BFS runs.
-    """
-    dp_cost: int | None = None
+def _dp_cost(
+    towers: bool, solver: HanoiSolver | None, pegs: int, discs: int
+) -> int | None:
+    """The recurrence value a report carries: for n = 0 and, when
+    ``towers``, between distinct perfect towers.  It is looked up before
+    the search, so a disc count above the solver's ceiling fails before
+    any BFS runs."""
     if discs == 0:
-        dp_cost = 0
-    elif towers:
-        dp_cost = _resolve(solver).cost(pegs, discs)
-    distance, geodesics, explored, orbits = search(pegs, discs, *args)
+        return 0
+    if towers:
+        return _resolve(solver).cost(pegs, discs)
+    return None
+
+
+def _report(pegs: int, discs: int, dp_cost: int | None, row) -> OracleReport:
+    """Report of a search's (distance, geodesics, explored, orbits) row."""
+    distance, geodesics, explored, orbits = row
     agrees = None if dp_cost is None else distance == dp_cost
     return OracleReport(
         pegs, discs, distance, geodesics, explored, dp_cost, agrees, orbits
@@ -877,7 +981,18 @@ def bfs_distance(
     src_peg = _perfect_peg(source, pegs, discs)
     dst_peg = _perfect_peg(target, pegs, discs)
     towers = src_peg is not None and dst_peg is not None and src_peg != dst_peg
-    return _report(towers, solver, _search, pegs, discs, source, target)
+    dp_cost = _dp_cost(towers, solver, pegs, discs)
+    return _report(pegs, discs, dp_cost, _search(pegs, discs, source, target))
+
+
+def _tower_rows(pegs: int, discs: int):
+    """(distance, geodesic count, states explored, orbits explored)
+    between the perfect towers on pegs 0 and p-1 of the m-disc space, for
+    every m in [0, discs], from one search in the ``discs``-disc space:
+    :func:`_block_towers` on three pegs, :func:`_mirror_search` on more.
+    ``states_explored`` counts the states within ceil(D/2) of the source,
+    the half-depth ball of the mirror search."""
+    return _block_towers(discs) if pegs == 3 else _mirror_search(pegs, discs)
 
 
 def tower_distance(
@@ -887,16 +1002,19 @@ def tower_distance(
     solver: HanoiSolver | None = None,
 ) -> OracleReport:
     """Certified distance and geodesic count between the perfect towers on
-    the first and last pegs, by the mirror half-depth search.
+    the first and last pegs, by a half-depth search.
 
     Gives the distance, geodesic count, ``dp_cost`` and ``agrees`` of
     ``bfs_distance(pegs, discs)``, but ``states_explored`` counts only the
-    states within about half the distance of the source, where
-    :func:`bfs_distance` counts the whole ball around it.  The budget
-    bounds p**n, as there; here the visited array holds a byte per state.
+    states within ceil(D/2) of the source, where :func:`bfs_distance`
+    counts the whole ball of radius D around it.  It reads the last row of
+    :func:`_tower_rows`.  The budget bounds p**n, as there.  On three pegs
+    the block kernel holds O(3**ceil(n/2)) entries; on more pegs the
+    mirror search holds a byte and a count slot per state.
     """
     _check_space(pegs, discs, state_budget)
-    return _report(True, solver, _mirror_search, pegs, discs)
+    dp_cost = _dp_cost(True, solver, pegs, discs)
+    return _report(pegs, discs, dp_cost, _tower_rows(pegs, discs)[-1])
 
 
 def geodesic_uniqueness(
@@ -990,16 +1108,30 @@ def _sweep(
 ) -> CertificationSweep:
     """``search(pegs, n, state_budget=..., solver=...)`` for every n in
     [1, max_discs]; a disc count the budget refuses is listed as skipped
-    instead of aborting the sweep."""
+    instead of aborting the sweep.
+
+    A sweep of :func:`tower_distance` looks up every admitted ``dp_cost``
+    first, so the solver's ceiling fails at the same disc count as per-n
+    calls would, and then takes every row from one :func:`_tower_rows` at
+    the largest admitted n.
+    """
     if max_discs < 1:
         raise DomainError(f"max_discs must be at least 1, got {max_discs}")
-    reports: list[OracleReport] = []
+    admitted: list[int] = []
     skipped: list[SkippedLevel] = []
     for n in range(1, max_discs + 1):
         try:
-            reports.append(search(pegs, n, state_budget=state_budget, solver=solver))
+            _check_space(pegs, n, state_budget)
         except StateBudgetExceeded as exc:
             skipped.append(SkippedLevel(n, exc.required, exc.budget))
+        else:
+            admitted.append(n)
+    if search is tower_distance:
+        costs = [_dp_cost(True, solver, pegs, n) for n in admitted]
+        rows = _tower_rows(pegs, admitted[-1]) if admitted else []
+        reports = [_report(pegs, n, cost, rows[n]) for n, cost in zip(admitted, costs)]
+    else:
+        reports = [search(pegs, n, state_budget=state_budget, solver=solver) for n in admitted]
     return CertificationSweep(pegs, tuple(reports), tuple(skipped))
 
 

@@ -364,12 +364,12 @@ class TestOracle:
         def lying_search(pegs, discs, source, target):
             return 999, 1, 1, 1
 
-        def lying_mirror_search(pegs, discs):
-            return 999, 1, 1, 1
+        def lying_tower_rows(pegs, discs):
+            return [(999, 1, 1, 1)] * (discs + 1)
 
-        # the full BFS serves --metrics, the mirror search the plain sweep
+        # the full BFS serves --metrics, one half-depth tower search the plain sweep
         monkeypatch.setattr(hanoilab.oracle, "_search", lying_search)
-        monkeypatch.setattr(hanoilab.oracle, "_mirror_search", lying_mirror_search)
+        monkeypatch.setattr(hanoilab.oracle, "_tower_rows", lying_tower_rows)
         for metrics in ((), ("--metrics",)):
             code, out, _ = run(capsys, "oracle", "--pegs", "3", "--max", "2", *metrics)
             assert code == 2
@@ -416,6 +416,30 @@ class TestVerifyAll:
             "oracle p=4: 10 certified, 0 disagreements, 0 skipped",
             "PASS",
         ]
+
+    def test_one_search_per_peg_count_and_no_layers_on_three_pegs(self, capsys, monkeypatch):
+        # three-peg towers run the block kernel; each sweep is one search at n = 10
+        layers = hanoilab.oracle._layers
+        tower_rows = hanoilab.oracle._tower_rows
+        searches = []
+
+        def four_pegs_only(pegs, *args):
+            assert pegs != 3, f"_layers entered for {(pegs, *args)}"
+            return layers(pegs, *args)
+
+        def counted(pegs, discs):
+            searches.append((pegs, discs))
+            return tower_rows(pegs, discs)
+
+        monkeypatch.setattr(hanoilab.oracle, "_layers", four_pegs_only)
+        monkeypatch.setattr(hanoilab.oracle, "_tower_rows", counted)
+        code, out, err = run(capsys, "verify-all")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:3] == [
+            "oracle p=3: 10 certified, 0 disagreements, 0 skipped",
+            "oracle p=4: 10 certified, 0 disagreements, 0 skipped",
+        ]
+        assert searches == [(3, 10), (4, 10)]
 
     def test_corrupted_reference_fails(self, capsys, monkeypatch):
         bad_rows = list(REFERENCE.table1_rows)

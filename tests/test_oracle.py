@@ -28,6 +28,7 @@ from hanoilab.oracle import (
     _orbit_codes,
     _search,
     _shift_masks,
+    _sweep,
     bfs_distance,
     certify_range,
     geodesic_uniqueness,
@@ -38,7 +39,7 @@ from hanoilab.oracle import (
     tower_distance,
     unpack,
 )
-from hanoilab.recurrences import HanoiSolver
+from hanoilab.recurrences import HanoiSolver, t3_closed
 
 
 def build_graph(pegs, discs):
@@ -220,20 +221,23 @@ class ReadCounter(list):
         return super().__getitem__(index)
 
 
-def reference_layers(pegs, discs, source):
+def reference_layers(pegs, discs, source, depth=None):
     """The geodesic count of every state of each BFS layer from ``source``,
-    one dict per layer, by a plain BFS over `neighbors()`."""
+    one dict per layer, by a plain BFS over `neighbors()`; the layers up to
+    ``depth`` only, when it is given."""
     layers = [{source: 1}]
     seen = {source}
-    while layers[-1]:
+    while depth is None or len(layers) <= depth:
         nxt = {}
         for u, paths in layers[-1].items():
             for v in neighbors(u, pegs, discs):
                 if v not in seen:
                     nxt[v] = nxt.get(v, 0) + paths
+        if not nxt:
+            break
         seen.update(nxt)
         layers.append(nxt)
-    return layers[:-1]
+    return layers
 
 
 def first_use(code, pegs, discs):
@@ -475,10 +479,68 @@ class TestTowerDistance:
         assert report.agrees
 
 
+def counting_tower_rows(monkeypatch):
+    """Record the (pegs, discs) of every `_tower_rows` search."""
+    calls = []
+    real = hanoilab.oracle._tower_rows
+
+    def counted(pegs, discs):
+        calls.append((pegs, discs))
+        return real(pegs, discs)
+
+    monkeypatch.setattr(hanoilab.oracle, "_tower_rows", counted)
+    return calls
+
+
+class TestTowerSweep:
+    @pytest.mark.parametrize("pegs,top", [(4, 10), (5, 8), (6, 7), (3, 12)])
+    def test_one_search_matches_per_disc_searches(self, monkeypatch, pegs, top, solver):
+        expected = tuple(tower_distance(pegs, n, solver=solver) for n in range(1, top + 1))
+        calls = counting_tower_rows(monkeypatch)
+        sweep = _sweep(tower_distance, pegs, top, DEFAULT_STATE_BUDGET, solver)
+        assert (sweep.pegs, sweep.reports, sweep.skipped) == (pegs, expected, ())
+        assert calls == [(pegs, top)]
+
+    @pytest.mark.parametrize("pegs,top,admitted", [(4, 9, 6), (5, 7, 3), (3, 8, 5), (4, 3, 0)])
+    def test_budget_admits_a_prefix(self, monkeypatch, pegs, top, admitted, solver):
+        budget = max(pegs**admitted, 1)
+        expected = tuple(tower_distance(pegs, n, solver=solver) for n in range(1, admitted + 1))
+        calls = counting_tower_rows(monkeypatch)
+        sweep = _sweep(tower_distance, pegs, top, budget, solver)
+        assert sweep.reports == expected
+        assert sweep.skipped == tuple(
+            SkippedLevel(n, pegs**n, budget) for n in range(admitted + 1, top + 1)
+        )
+        assert calls == ([(pegs, admitted)] if admitted else [])
+
+    def test_disc_ceiling_checked_before_the_search(self, monkeypatch):
+        # the first admitted disc count above the ceiling fails, as per-n calls did
+        def no_search(*args):
+            raise AssertionError(f"searched {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_tower_rows", no_search)
+        with pytest.raises(DiscLimitError, match="disc count 6 exceeds"):
+            _sweep(tower_distance, 4, 8, DEFAULT_STATE_BUDGET, HanoiSolver(max_discs=5))
+        # a disc count the budget refuses is skipped before its ceiling is read
+        monkeypatch.undo()
+        sweep = _sweep(tower_distance, 4, 8, 4**5, HanoiSolver(max_discs=5))
+        assert [r.discs for r in sweep.reports] == [1, 2, 3, 4, 5]
+
+
+def identity_fold(pegs, discs):
+    """Tables in the layout of `_fold_tables` that rename no peg, so every
+    orbit is one state and every canonical form is the code itself."""
+    base = pegs ** (discs // 2)
+    highs = pegs ** (discs - discs // 2)
+    return base, list(range(base)), [0] * base, 1, [h * base for h in range(highs)], [1] * highs
+
+
 def unfolded(monkeypatch):
     """Make the mirror search, the one search that folds, run unfolded by
-    patching `_fold_tables` out."""
-    monkeypatch.setattr(hanoilab.oracle, "_fold_tables", lambda *args: None)
+    patching in `identity_fold`.  Its mirror image of v is then the raw
+    digit reversal, sigma(v) with the middle pegs reversed, which has the
+    distance and geodesic count of sigma(v)."""
+    monkeypatch.setattr(hanoilab.oracle, "_fold_tables", identity_fold)
 
 
 def nx_search(graph, source, target):
@@ -793,10 +855,31 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize("discs", range(13))
     def test_tower_pair_matches_mirror_search(self, discs):
-        # the mirror search stays on the layered kernel: an independent check
-        full, mirror = bfs_distance(3, discs), tower_distance(3, discs)
-        assert (full.distance, full.geodesic_count) == (mirror.distance, mirror.geodesic_count)
-        assert full.distance == 2**discs - 1 and full.geodesic_count == 1
+        # bfs_distance and tower_distance both run the block kernel on three
+        # pegs, so the independent checks are the closed form and a plain BFS
+        # over the half-depth ball, with the mirror sum of its two last layers
+        full, half = bfs_distance(3, discs), tower_distance(3, discs)
+        assert (full.distance, full.geodesic_count) == (half.distance, half.geodesic_count)
+        assert (half.distance, half.geodesic_count) == (t3_closed(discs), 1)
+        radius = (half.distance + 1) // 2
+        layers = reference_layers(3, discs, 0, radius)
+        assert half.states_explored == half.orbits_explored == sum(map(len, layers))
+        top, mirror = 3**discs - 1, layers[half.distance - radius]
+        assert sum(c * mirror.get(top - v, 0) for v, c in layers[radius].items()) == 1
+
+    @pytest.mark.parametrize("discs", [0, 1, 6, 9])
+    def test_three_peg_towers_never_enter_layers(self, monkeypatch, discs, solver):
+        expected = tower_distance(3, discs, solver=solver)
+
+        def no_layers(*args):
+            raise AssertionError(f"_layers entered for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        assert tower_distance(3, discs, solver=solver) == expected
+        assert geodesic_uniqueness(discs) == 1
+        if discs:
+            sweep = _sweep(tower_distance, 3, discs, DEFAULT_STATE_BUDGET, solver)
+            assert sweep.reports[-1] == expected
 
     @pytest.mark.parametrize("discs", [1, 4, 7, 9])
     def test_three_peg_pairs_never_enter_layers(self, monkeypatch, discs):
