@@ -6,7 +6,8 @@ golden-file comparisons.  Exit codes: 0 success, 1 bad arguments,
 can also be set via HANOILAB_MAX_DISCS and HANOILAB_STATE_BUDGET; the
 state budget also bounds moves traces (L moves count as L + 1 states).
 For moves it bounds time only: the trace is written and checked chunk by
-chunk as it is generated, so memory is O(n * p**2) plus one chunk.
+chunk as it is generated, so memory is O(n * p**2) plus one chunk plus
+the generator's memo of short sub-solves (see :mod:`hanoilab.moves`).
 """
 
 from __future__ import annotations

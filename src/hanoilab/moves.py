@@ -11,21 +11,25 @@ renders those chunks as CSV and :class:`TraceCheck` replays and checks
 them in one pass, so a trace of any length needs memory for one chunk
 plus O(n * p**2) for the generator's task stack, split and plan caches,
 the replay's linked stacks and the CSV tails, plus the generator's memo
-of three-peg blocks of at most 12 discs, which never nest and so hold at
-most the trace's own moves (12,285 of the 262,143 at p = 3, n = 18;
-347,515 of the 16,252,929 at p = 4, n = 203; 142,217 of the 688,127 at
-p = 5, n = 460), plus fixed tables shared by every trace and built on
-first use: two tuples of 4,095 ints for the ruler and the 2,000
-numerals of :func:`_numerals`.  :class:`MoveTrace` and the functions
-that take one hold a trace whole for library callers; they are thin
-wrappers over the same path.
+of blocks -- optimal sub-solves of fewer than 4,096 moves -- plus fixed
+tables shared by every trace and built on first use: two tuples of
+4,095 ints for the ruler and the 2,000 numerals of :func:`_numerals`.
+The memo's three-peg blocks never nest, so they hold at most the
+trace's own moves; blocks on four or more pegs are kept only once they
+recur and may nest, and the whole memo measured at most 1.22 times the
+trace's own moves (see :func:`_walk`): 12,285 of the 262,143 at p = 3,
+n = 18; 358,684 of the 16,252,929 at p = 4, n = 203; 300,776 of the
+688,127 at p = 5, n = 460; 73,507 of the 60,417 at p = 6, n = 475.
+:class:`MoveTrace` and the functions that take one hold a trace whole
+for library callers; they are thin wrappers over the same path.
 
 Per move, generation, the ruler check and CSV run list operations, and
 the replay loop does the least a move needs: a three-peg tower taller
 than a block splits like any other Frame-Stewart tower, at k = count - 1;
-a block's moves index its table of 3 * count cycle moves through the
-step template of :func:`_ruler_templates`, once per trace, and are then
-spliced in as a list wherever the block recurs; the ruler check compares
+a three-peg block's moves index its table of 3 * count cycle moves
+through the step template of :func:`_ruler_templates`, a block on more
+pegs joins its park, shuttle and rebuild, and each kept block is then
+spliced in as a list wherever it recurs; the ruler check compares
 slices of the disc template, the replay keeps linked stacks
 (:func:`_replay`) and each CSV chunk is one join of cached numerals and
 move tails.
@@ -44,6 +48,7 @@ from .errors import (
     LARGER_ON_SMALLER,
     NOT_TOP_DISC,
     WRONG_SOURCE_PEG,
+    DiscLimitError,
     DomainError,
     IllegalMove,
 )
@@ -277,7 +282,12 @@ def trace_chunks(
     The arguments are checked before this returns, so a bad call raises
     before any move is made.  ``strategy`` selects the top-level split
     as for :func:`generate_frame_stewart`; three pegs take only
-    ``"optimal"``.  ``target`` defaults to the last peg.
+    ``"optimal"``.  ``target`` defaults to the last peg.  On four or
+    more pegs the walk asks the solver for the split of every sub-solve
+    of two or more discs on four or more pegs, so the solver's disc
+    ceiling must cover the largest: the whole tower, or under a forced
+    split the park and, on five or more pegs, the shuttle.  Three-peg
+    towers never ask the solver.
     """
     if pegs < 3:
         raise DomainError(f"need at least 3 pegs, got {pegs}")
@@ -289,7 +299,13 @@ def trace_chunks(
             raise DomainError(f"peg {peg} out of range for {pegs} pegs")
     if source == target:
         raise DomainError("source and target pegs must differ")
-    return _walk(pegs, discs, source, target, split, _resolve(solver))
+    solver = _resolve(solver)
+    if pegs > 3:
+        asked = (discs,) if split is None else (split, discs - split) if pegs > 4 else (split,)
+        for count in asked:
+            if count > solver.max_discs:  # max_discs >= 1, so count >= 2
+                raise DiscLimitError(count, solver.max_discs)
+    return _walk(pegs, discs, source, target, split, solver)
 
 
 def _walk(
@@ -298,65 +314,115 @@ def _walk(
     """Park / shuttle / rebuild without recursion: park the k smallest on
     the lowest-index spare peg, shuttle the rest with that peg frozen,
     then unpark.  Discs below the active block are always larger, so they
-    never constrain these sub-solves.  On three pegs k is count - 1, down
-    to blocks that fit the step template of :func:`_ruler_templates` and
-    a chunk; each such block is built once by :func:`_ruler` and then
-    spliced in wherever it recurs.  Besides the chunk, a call holds its
-    task stack, split and plan caches and those blocks, which never nest,
-    so they hold at most the trace's own moves."""
-    splits: dict[tuple[int, int], int] = {}  # (pegs, discs) -> canonical split
-    # (usable pegs, from, to) -> (staging peg, shuttle pegs); on three
-    # usable pegs the staging peg is the one spare
-    plans: dict[tuple[tuple[int, ...], int, int], tuple[int, tuple[int, ...]]] = {}
-    # (count, lowest disc, from, to, spare) -> moves of a three-peg block
-    # with 2**count <= fits, so that it fits the step template and a chunk
-    blocks: dict[tuple[int, int, int, int, int], list[Step]] = {}
+    never constrain these sub-solves, and an optimal sub-solve's moves
+    depend only on (count, lowest disc, from, to, usable pegs).  On three
+    pegs k is count - 1.
+
+    A sub-solve shorter than ``fits`` moves is a block; a kept block
+    stays in a memo for the rest of the trace and is spliced in wherever
+    it recurs.  A three-peg block is built by :func:`_ruler` and kept at
+    its first request.  A block on four or more pegs is its park, shuttle
+    and rebuild joined together: its first request only splits it, its
+    second splits it again and keeps the moves that makes, and every
+    later one splices them.
+
+    The memo's bound is part proven, part measured.  Proven: three-peg
+    blocks never nest and each is played at least once, so together they
+    hold at most the trace's own moves; every kept block on four or more
+    pegs is shorter than ``fits`` and is played at least twice.  Such
+    blocks nest, though, so that proof gives them no bound in the trace's
+    length alone.  Measured: over p = 4 .. 12, 16, 24, 40, 100, 300 and
+    600, with every n <= 512 whose trace fits the default state budget of
+    2**24 states, the whole memo held at most 1.22 times the trace's own
+    moves (73,507 for the 60,417 moves at p = 6, n = 475).  When n < p - 1
+    every sub-solve parks one disc and none recurs, so it holds nothing.
+
+    Besides those blocks a call holds its task stack, split and plan
+    caches, the set of blocks asked for once, and at most one chunk plus
+    the block being captured."""
+    if not discs:
+        return
     fits = min(CHUNK_MOVES, _BLOCK)
-    chunk: list[Step] = []
-    # (count, lowest disc, from, to, usable pegs, forced split or None);
+    # (pegs, count) -> (canonical split, whether the sub-solve is a block)
+    splits: dict[tuple[int, int], tuple[int, bool]] = {}
+    # plan id -> [usable pegs, from, to, children]; the children (staging
+    # peg, park plan, shuttle plan, rebuild plan) are filled in when the
+    # plan first splits, as a two-peg shuttle plan never does
+    plans: list[list] = []
+    plan_ids: dict[tuple[tuple[int, ...], int, int], int] = {}
+
+    def plan(usable: tuple[int, ...], src: int, dst: int) -> int:
+        key = (usable, src, dst)
+        if key not in plan_ids:
+            plan_ids[key] = len(plans)
+            plans.append([usable, src, dst, None])
+        return plan_ids[key]
+
+    def children(at: int) -> tuple[int, int, int, int]:
+        usable, src, dst, _ = plans[at]
+        staging = min(q for q in usable if q != src and q != dst)
+        shuttle = tuple(q for q in usable if q != staging)
+        kids = (
+            staging, plan(usable, src, staging), plan(shuttle, src, dst), plan(usable, staging, dst)
+        )
+        plans[at][3] = kids
+        return kids
+
+    # (count, lowest disc, plan) -> moves of a block; a task is its own key
+    blocks: dict[tuple[int, int, int], list[Step]] = {}
+    asked: set[tuple[int, int, int]] = set()  # blocks on p >= 4 requested once
+    starts: list[int] = []  # where in ``out`` each open capture began
+    out: list[Step] = []  # moves not yet cut into chunks
+    top = plan(tuple(range(pegs)), source, target)
+    # (count, lowest disc, plan), or (-count, ...) to close a capture;
     # popped last in, first out, so each level pushes rebuild, shuttle, park
-    tasks = [(discs, 1, source, target, tuple(range(pegs)), split)]
+    if split is None:
+        tasks = [(discs, 1, top)]
+    else:
+        _, park, shuttle, rebuild = children(top)
+        tasks = [(split, 1, rebuild), (discs - split, 1 + split, shuttle), (split, 1, park)]
     while tasks:
-        count, lowest, src, dst, usable, k = tasks.pop()
+        if len(out) >= CHUNK_MOVES and not starts:
+            rest = out[CHUNK_MOVES:]
+            del out[CHUNK_MOVES:]
+            yield out
+            out = rest
+            continue
+        task = tasks.pop()
+        block = blocks.get(task)
+        if block is not None:
+            out += block
+            continue
+        count, lowest, at = task
+        usable, src, dst, kids = plans[at]
         if count == 1:
-            chunk.append((lowest, src, dst))
-            if len(chunk) == CHUNK_MOVES:
-                yield chunk
-                chunk = []
+            out.append((lowest, src, dst))
             continue
-        if not count:
+        if count < 0:
+            blocks[-count, lowest, at] = out[starts.pop() :]
             continue
-        plan = plans.get((usable, src, dst))
-        if plan is None:
-            staging = min(q for q in usable if q != src and q != dst)
-            plan = plans[usable, src, dst] = staging, tuple(q for q in usable if q != staging)
-        staging, shuttle = plan
+        staging, park, shuttle, rebuild = kids or children(at)
         if len(usable) == 3:
             if 1 << count <= fits:
-                spec = (count, lowest, src, dst, staging)
-                if (block := blocks.get(spec)) is None:
-                    block = blocks[spec] = _ruler(*spec)
-                room = CHUNK_MOVES - len(chunk)
-                if len(block) < room:
-                    chunk += block
-                else:
-                    chunk += block[:room]
-                    yield chunk
-                    chunk = block[room:]
+                block = blocks[task] = _ruler(count, lowest, src, dst, staging)
+                out += block
                 continue
             k = count - 1
-        elif k is None:
+        else:
             key = (len(usable), count)
             if key not in splits:
-                splits[key] = solver.solve(*key).canonical_split
-            k = splits[key]
-        tasks += (
-            (k, lowest, staging, dst, usable, None),
-            (count - k, lowest + k, src, dst, shuttle, None),
-            (k, lowest, src, staging, usable, None),
-        )
-    if chunk:
-        yield chunk
+                best = solver.solve(*key)
+                splits[key] = best.canonical_split, best.cost < fits
+            k, short = splits[key]
+            if short:
+                if task in asked:
+                    starts.append(len(out))
+                    tasks.append((-count, lowest, at))
+                else:
+                    asked.add(task)
+        tasks += ((k, lowest, rebuild), (count - k, lowest + k, shuttle), (k, lowest, park))
+    for at in range(0, len(out), CHUNK_MOVES):
+        yield out[at : at + CHUNK_MOVES]
 
 
 @cache

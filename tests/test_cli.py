@@ -1,5 +1,7 @@
 import dataclasses
 import decimal
+import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -170,6 +172,37 @@ class TestTable:
         assert first == second
 
 
+class Sha256Stream:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+#: (pegs, discs, strategy, sha256 of stdout, moves) of ``moves --verify``.
+GOLDEN_MOVES = [
+    (3, 18, "optimal", "c059e371b4b85a057cbc794b9a647e404c679095dc0293c2b6015f241b4977c5", 262143),
+    (4, 80, "optimal", "587f132eb1b8790743e8845d9956f08cbd90972fd7d15d4c55cce0acec7fae5b", 53249),
+    (4, 80, "fixed:68", "cafcae18c166d0d32876ea8964ee19bce9e9b73c4a9c3444fb45a63ddc73d77b", 53249),
+    (5, 231, "optimal", "8708dc3daf9aa72a591201df82e1c2d572f91863db2c796771621ad0fe1d0afd", 58367),
+    (5, 224, "fixed:163", "e6cd39c43d4b6622d36fd2ae8209e07e198994b6007e239b3a8492e77c6b6a75", 52223),
+    (6, 469, "optimal", "5fdf3a4f7ee62959bbb0eecd3e6adebebec9ab55bdaef7bc849bca3859ba6f76", 58881),
+    (6, 435, "fixed:277", "55703490999b9ccf398c5ea89c772e6e8efcc2140c4f2fd38a2e4452bcd540af", 50177),
+    (5, 460, "optimal", "639b182a660a354565157dab258583b02b2c8c0a3c037589aad8f37659757866", 688127),
+    (4, 150, "fixed:140", "aef8ebdd3627b99fa5c7186a39abba85647184549fb50b0c456f0f8a72de6cd2", 2491393),
+    (7, 300, "optimal", "80bd8c28903dda0c10a6d17ddf653aefcfa8ac8d3727f1520616653a0e05abd9", 8575),
+    (4, 20, "balanced", "595f8c58201eb91ee334299b6e50e43e2a24f1481b4267c895a984993e95c695", 1121),
+    (8, 512, "fixed:500", "8fd2af77f6d6979560b7e9958330c7b4b83aab6215dafbc4294c67031111a965", 26149),
+]
+
+
 class TestMoves:
     def test_three_disc_verified(self, capsys):
         code, out, err = run(capsys, "moves", "--pegs", "3", "--discs", "3", "--verify")
@@ -281,6 +314,36 @@ class TestMoves:
         )
         assert code == expected
         assert len(out.splitlines()) == (8 if expected == 0 else 0)
+
+    def test_wide_space_walks_without_recursion(self):
+        """1,050 discs on 1,100 pegs split into a chain of 1,049 nested
+        sub-solves, walked on the task stack in a fresh interpreter with
+        the default recursion limit."""
+        done = run_module(
+            "moves", "--pegs", "1100", "--discs", "1050", "--max-discs", "1050", "--verify"
+        )
+        assert (done.returncode, done.stderr) == (0, "hanoilab: verify: ok (2099 moves)\n")
+        assert len(done.stdout.splitlines()) == 2100
+
+    @pytest.mark.parametrize(
+        "pegs, discs, strategy, digest, moves",
+        GOLDEN_MOVES,
+        ids=[f"{pegs}-{discs}-{strategy}" for pegs, discs, strategy, *_ in GOLDEN_MOVES],
+    )
+    def test_output_is_pinned(self, pegs, discs, strategy, digest, moves):
+        """stdout (by sha256), stderr and exit code of ``moves --verify``,
+        recorded before sub-solves on four or more pegs were memoised: the
+        benchmark's seed-1 traces and a few longer, wider and forced-split
+        ones."""
+        out, err = Sha256Stream(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(
+                ["moves", "--pegs", str(pegs), "--discs", str(discs), "--strategy", strategy,
+                 "--verify"]
+            )
+        assert code == 0
+        assert err.getvalue() == f"hanoilab: verify: ok ({moves} moves)\n"
+        assert out.hash.hexdigest() == digest
 
     def test_disc_ceiling_holds_for_fixed_splits(self, capsys):
         code, out, err = run(

@@ -1,7 +1,9 @@
 import gc
+import inspect
 import random
+import sys
 import tracemalloc
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import islice, permutations
 from unittest import mock
 
@@ -13,6 +15,7 @@ from hanoilab.errors import (
     LARGER_ON_SMALLER,
     NOT_TOP_DISC,
     WRONG_SOURCE_PEG,
+    DiscLimitError,
     DomainError,
     IllegalMove,
 )
@@ -316,6 +319,29 @@ class TestFrameStewart:
     def test_rejects_three_pegs(self):
         with pytest.raises(DomainError):
             generate_frame_stewart(3, 4)
+
+    def test_disc_ceiling_is_checked_before_any_move(self):
+        """A call that would ask the solver for more discs than its ceiling
+        raises before it returns: the whole tower, the park or, on five or
+        more pegs, the shuttle of a forced split."""
+        ceiling = HanoiSolver(max_discs=100)
+        for pegs, discs, strategy, over in [
+            (5, 101, "optimal", 101),
+            (5, 250, 100, 150),
+            (6, 250, 120, 120),
+            (4, 300, 101, 101),
+        ]:
+            with pytest.raises(DiscLimitError, match=f"disc count {over} exceeds"):
+                trace_chunks(pegs, discs, strategy, ceiling)
+
+    def test_disc_ceiling_allows_what_the_walk_never_asks(self):
+        """At the ceiling the whole trace streams; a four-peg shuttle and a
+        three-peg tower run on three pegs, which never ask the solver."""
+        ceiling = HanoiSolver(max_discs=100)
+        moves = sum(map(len, trace_chunks(5, 200, 100, ceiling)))
+        assert moves == 2 * ceiling.cost(5, 100) + ceiling.cost(4, 100)
+        assert len(next(trace_chunks(4, 250, 100, ceiling))) == moves_module.CHUNK_MOVES
+        assert len(next(trace_chunks(3, 600, solver=ceiling))) == moves_module.CHUNK_MOVES
 
     def test_rejects_bad_fixed_split(self):
         with pytest.raises(DomainError):
@@ -895,9 +921,63 @@ def block_spec(moves: list[tuple[int, int, int]]) -> tuple[int, int, int, int, i
     return len(moves).bit_length(), min(disc for disc, _, _ in moves), src, dst, spare
 
 
+def memo_of(pegs, discs, strategy, solver):
+    """(moves, moves the memo keeps, of them in three-peg blocks) of a
+    whole trace, read from the generator's locals as it yields its last
+    chunk, when the memo is fullest."""
+    chunks = trace_chunks(pegs, discs, strategy, solver)
+    moves = kept = three = 0
+    for chunk in chunks:
+        moves += len(chunk)
+        local = chunks.gi_frame.f_locals
+        kept = sum(map(len, local["blocks"].values()))
+        three = sum(
+            len(block)
+            for (_, _, plan), block in local["blocks"].items()
+            if len(local["plans"][plan][0]) == 3
+        )
+    return moves, kept, three
+
+
+def walk_census(pegs, discs, strategy, solver):
+    """Per block on four or more pegs (a task of two or more discs there
+    shorter than a chunk): how often the walk popped it and how often it
+    split it, counted by tracing the lines of ``_walk`` that look the
+    task up and that split it; and the tasks kept in the memo at the
+    end."""
+    lines, first = inspect.getsourcelines(moves_module._walk)
+    lookup = first + next(i for i, line in enumerate(lines) if "blocks.get(task)" in line)
+    split = first + next(i for i, line in enumerate(lines) if "tasks += ((k," in line)
+    popped, splits = Counter(), Counter()
+    code = moves_module._walk.__code__
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in (lookup, split):
+            names = frame.f_locals
+            count, _, plan = task = names["task"]
+            usable = len(names["plans"][plan][0])
+            if count > 1 and usable > 3 and solver.cost(usable, count) < moves_module.CHUNK_MOVES:
+                (popped if frame.f_lineno == lookup else splits)[task] += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    chunks = trace_chunks(pegs, discs, strategy, solver)
+    sys.settrace(calls)
+    try:
+        for _ in chunks:
+            kept = set(chunks.gi_frame.f_locals["blocks"])
+    finally:
+        sys.settrace(None)
+    return popped, splits, kept
+
+
 class TestBlockMemo:
-    """A three-peg block shorter than a chunk is built once per trace and
-    spliced into the chunk stream wherever it recurs."""
+    """An optimal sub-solve shorter than a chunk is a block.  A three-peg
+    block is built once per trace; a block on four or more pegs is kept
+    once it is asked for a second time.  A kept block is spliced into the
+    chunk stream wherever it recurs."""
 
     @pytest.mark.parametrize("size", [4096, 8])
     @pytest.mark.parametrize(
@@ -905,9 +985,10 @@ class TestBlockMemo:
         [(3, 14, "optimal"), (4, 40, "optimal"), (4, 40, 30), (5, 90, "optimal"), (6, 150, 100)],
     )
     def test_ruler_runs_once_per_distinct_block(self, pegs, discs, strategy, size, solver):
-        """Each distinct block of fewer than CHUNK_MOVES moves is built once;
-        a longer three-peg tower splits into such blocks and never reaches
-        the ruler."""
+        """Each distinct three-peg block of fewer than CHUNK_MOVES moves is
+        built by the ruler once, also where it lies inside a kept block on
+        more pegs; a longer three-peg tower splits into such blocks and
+        never reaches the ruler."""
         real = moves_module._ruler
         built = []
 
@@ -970,8 +1051,64 @@ class TestBlockMemo:
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start > 512 * 1024  # the 142,217 moves of its blocks, while it runs
+        assert peak - start > 512 * 1024  # the 300,776 moves of its blocks, while it runs
         assert left - start < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "pegs, discs, strategy",
+        [(4, 40, "optimal"), (5, 90, "optimal"), (6, 150, 100), (6, 469, "optimal"), (8, 512, 500)],
+    )
+    def test_blocks_on_more_pegs_split_at_most_twice(self, pegs, discs, strategy, solver):
+        """A block on four or more pegs splits on its first and second
+        request and is kept after the second; from the third request on it
+        is spliced, so it never splits a third time."""
+        popped, splits, kept = walk_census(pegs, discs, strategy, solver)
+        assert popped and max(popped.values()) >= 3  # some blocks recur often
+        for task, requests in popped.items():
+            assert splits[task] == min(requests, 2)
+            assert (task in kept) == (requests >= 2)
+        assert set(splits) <= set(popped)
+
+    @pytest.mark.parametrize(
+        "pegs, discs, strategy",
+        [
+            # the seeded traces of the benchmark at seed 1
+            (3, 18, "optimal"),
+            (4, 80, "optimal"),
+            (4, 80, 68),
+            (5, 231, "optimal"),
+            (5, 224, 163),
+            (6, 469, "optimal"),
+            (6, 435, 277),
+            # the largest memo measured against its trace, and wide spaces
+            (6, 475, "optimal"),
+            (7, 466, "optimal"),
+            (6, 472, 324),
+            (300, 512, "optimal"),
+            (600, 512, "optimal"),
+        ],
+    )
+    def test_memo_stays_within_the_stated_bound(self, pegs, discs, strategy, solver):
+        """The three-peg blocks hold at most the trace's own moves (proven:
+        they never nest), and the whole memo at most 1.22 times them (the
+        measured bound); with n < p - 1 no sub-solve recurs, so the memo
+        stays empty."""
+        moves, kept, three = memo_of(pegs, discs, strategy, solver)
+        assert moves == trace_length(pegs, discs, strategy, solver)
+        assert three <= moves
+        assert kept <= 1.22 * moves
+        if discs < pegs - 1:
+            assert kept == 0
+
+    @pytest.mark.parametrize("pegs", [*range(4, 13), 16, 24, 40, 100, 300, 600])
+    def test_memo_bound_over_a_sweep(self, pegs, solver):
+        """Every 7th disc count up to 512 whose trace has at most 60,000
+        moves keeps the memo within 1.22 times the trace's moves."""
+        for discs in range(2, 513, 7):
+            if solver.cost(pegs, discs) > 60_000:
+                break
+            moves, kept, three = memo_of(pegs, discs, "optimal", solver)
+            assert three <= moves and kept <= 1.22 * moves, (discs, moves, kept)
 
 
 class TestReplayErrors:
