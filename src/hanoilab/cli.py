@@ -7,7 +7,9 @@ can also be set via HANOILAB_MAX_DISCS and HANOILAB_STATE_BUDGET; the
 state budget also bounds moves traces (L moves count as L + 1 states).
 For moves it bounds time only: the trace is written and checked chunk by
 chunk as it is generated, so memory is O(n * p**2) plus one chunk plus
-the generator's memo of short sub-solves (see :mod:`hanoilab.moves`).
+the generator's memo of short sub-solves, plus one pointer per move of
+each long sub-solve and its before- and after-runs in the check and
+the CSV (see :mod:`hanoilab.moves`).
 """
 
 from __future__ import annotations

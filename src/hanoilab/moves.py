@@ -5,21 +5,25 @@ discs are 1-based ranks with 1 the smallest.  A configuration stores one
 peg per disc -- stacking order on a peg is forced by rank, so the
 mapping alone determines every stack.
 
-Traces stream.  :func:`trace_chunks` yields a trace as lists of at most
-:data:`CHUNK_MOVES` ``(disc, source, target)`` tuples, :class:`TraceCsv`
-renders those chunks as CSV and :class:`TraceCheck` replays and checks
-them in one pass, so a trace of any length needs memory for one chunk
-plus O(n * p**2) for the generator's task stack, split and plan caches,
-the replay's linked stacks and the CSV tails, plus the generator's memo
-of blocks -- optimal sub-solves of fewer than 4,096 moves -- plus fixed
-tables shared by every trace and built on first use: two tuples of
-4,095 ints for the ruler and the 2,000 numerals of :func:`_numerals`.
-The memo's three-peg blocks never nest, so they hold at most the
-trace's own moves; blocks on four or more pegs are kept only once they
-recur and may nest, and the whole memo measured at most 1.22 times the
-trace's own moves (see :func:`_walk`): 12,285 of the 262,143 at p = 3,
-n = 18; 358,684 of the 16,252,929 at p = 4, n = 203; 300,776 of the
-688,127 at p = 5, n = 460; 73,507 of the 60,417 at p = 6, n = 475.
+Traces stream.  :func:`trace_chunks` yields a trace as chunks of at
+most :data:`CHUNK_MOVES` ``(disc, source, target)`` tuples: lists, and
+each kept block of at least half a chunk as a chunk of its own, the same
+immutable object wherever it recurs.  :class:`TraceCsv` renders those
+chunks as CSV and :class:`TraceCheck` replays and checks them in one
+pass, so a trace of any length needs memory for one chunk plus
+O(n * p**2) for the generator's task stack, split and plan caches, the
+replay's linked stacks and the CSV tails, plus the generator's memo of
+blocks -- optimal sub-solves of fewer than 4,096 moves -- plus, in the
+check and the CSV, one pointer per move of each long block and the
+block's before- and after-runs, plus fixed tables shared by every trace
+and built on first use: two tuples of 4,095 ints for the ruler and the
+2,000 numerals of :func:`_numerals`.  The memo's three-peg blocks never
+nest, so they hold at most the trace's own moves; blocks on four or
+more pegs are kept only once they recur and may nest, and the whole
+memo measured at most 1.22 times the trace's own moves (see
+:func:`_walk`): 12,285 of the 262,143 at p = 3, n = 18; 358,684 of the
+16,252,929 at p = 4, n = 203; 300,776 of the 688,127 at p = 5, n = 460;
+73,507 of the 60,417 at p = 6, n = 475.
 :class:`MoveTrace` and the functions that take one hold a trace whole
 for library callers; they are thin wrappers over the same path.
 
@@ -29,10 +33,14 @@ than a block splits like any other Frame-Stewart tower, at k = count - 1;
 a three-peg block's moves index its table of 3 * count cycle moves
 through the step template of :func:`_ruler_templates`, a block on more
 pegs joins its park, shuttle and rebuild, and each kept block is then
-spliced in as a list wherever it recurs; the ruler check compares
-slices of the disc template, the replay keeps linked stacks
-(:func:`_replay`) and each CSV chunk is one join of cached numerals and
-move tails.
+spliced in wherever it recurs, a long one as its own chunk; the ruler
+check compares slices of the disc template, the replay keeps linked
+stacks (:func:`_replay`) and each CSV chunk is one join of cached
+numerals and move tails.  A long block is checked and rendered once
+per distinct block, not per play: the check replays it at its first
+two sightings and from then on swaps in its recorded effect wherever
+that is sound (see :class:`TraceCheck`), and the CSV reuses its list of
+tails.
 """
 
 from __future__ import annotations
@@ -40,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from math import inf
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -62,6 +69,18 @@ CHUNK_MOVES = 4096
 
 #: A move as it streams: (disc, source peg, target peg).
 Step = tuple[int, int, int]
+
+
+class _Block(tuple[Step, ...]):
+    """A kept block of at least half a chunk, streamed as its own chunk:
+    the same immutable object wherever the block recurs.  Only
+    :func:`_walk` builds one, so its moves are tuples of ints and never
+    change, and :class:`TraceCheck` and :class:`TraceCsv` may reuse what
+    they learnt from it the last time it came by.  Shorter kept blocks
+    stay lists, which extend a list chunk fastest."""
+
+    __slots__ = ()
+
 
 #: Steps per ruler template block: a fixed power of two, independent of
 #: :data:`CHUNK_MOVES`, so the templates are the same whatever the chunk.
@@ -184,7 +203,7 @@ def _chunked(moves: Iterable[Move]) -> Iterator[list[Step]]:
         yield chunk
 
 
-def _held(initial: Configuration, chunks: Iterable[list[Step]]) -> MoveTrace:
+def _held(initial: Configuration, chunks: Iterable[Sequence[Step]]) -> MoveTrace:
     """A streamed trace held whole; equal moves share one Move object."""
     shared: dict[Step, Move] = {}
     moves = tuple(
@@ -214,10 +233,12 @@ class TraceCsv:
     """``step,disc,from,to`` rows of a streamed trace, one chunk at a time.
 
     Steps are 1-based and run on across chunks.  The ``,disc,from,to``
-    tail of each distinct move is rendered once and then reused.  A
-    chunk's rows are one join of three pieces per row -- the step's
-    thousands, its last three digits and the move's tail -- each filled
-    in by slice assignment, so no row is formatted on its own.
+    tail of each distinct move is rendered once and then reused, and so
+    is the list of tails of each block chunk of :func:`trace_chunks`,
+    held with the block so that no other object takes its id.  A chunk's
+    rows are one join of three pieces per row -- the step's thousands,
+    its last three digits and the move's tail -- each filled in by slice
+    assignment, so no row is formatted on its own.
     """
 
     HEADER = "step,disc,from,to\n"
@@ -225,8 +246,9 @@ class TraceCsv:
     def __init__(self) -> None:
         self.steps = 0
         self._tails = _Tails()
+        self._blocks: dict[int, tuple[_Block, list[str]]] = {}  # id -> block, tails
 
-    def rows(self, chunk: list[Step]) -> str:
+    def rows(self, chunk: Sequence[Step]) -> str:
         plain, padded = _numerals()
         pieces = [""] * (3 * len(chunk))
         at, step, stop = 0, self.steps + 1, self.steps + 1 + len(chunk)
@@ -239,7 +261,12 @@ class TraceCsv:
             pieces[at + 1 : at + width : 3] = (padded if q else plain)[r : r + end - step]
             at += width
             step = end
-        pieces[2::3] = map(self._tails.__getitem__, chunk)
+        if type(chunk) is _Block:
+            if id(chunk) not in self._blocks:
+                self._blocks[id(chunk)] = chunk, list(map(self._tails.__getitem__, chunk))
+            pieces[2::3] = self._blocks[id(chunk)][1]
+        else:
+            pieces[2::3] = map(self._tails.__getitem__, chunk)
         self.steps = stop - 1
         return "".join(pieces)
 
@@ -276,8 +303,14 @@ def trace_chunks(
     solver: HanoiSolver | None = None,
     source: int = 0,
     target: int | None = None,
-) -> Iterator[list[Step]]:
-    """The trace as successive lists of at most :data:`CHUNK_MOVES` moves.
+) -> Iterator[Sequence[Step]]:
+    """The trace as successive chunks of 1 .. :data:`CHUNK_MOVES` moves.
+
+    Each kept block of at least ``CHUNK_MOVES // 2`` moves (see
+    :func:`_walk`) that is not inside a block being captured comes as a
+    chunk of its own: a private tuple, the same object at every play.
+    Every other chunk is a list, full unless it is the last one or a
+    block chunk follows it.
 
     The arguments are checked before this returns, so a bad call raises
     before any move is made.  ``strategy`` selects the top-level split
@@ -287,7 +320,8 @@ def trace_chunks(
     of two or more discs on four or more pegs, so the solver's disc
     ceiling must cover the largest: the whole tower, or under a forced
     split the park and, on five or more pegs, the shuttle.  Three-peg
-    towers never ask the solver.
+    towers, and sub-solves of at most p - 2 discs on p pegs, which park
+    one disc and take 2n - 1 moves, never ask the solver.
     """
     if pegs < 3:
         raise DomainError(f"need at least 3 pegs, got {pegs}")
@@ -310,7 +344,7 @@ def trace_chunks(
 
 def _walk(
     pegs: int, discs: int, source: int, target: int, split: int | None, solver: HanoiSolver
-) -> Iterator[list[Step]]:
+) -> Iterator[Sequence[Step]]:
     """Park / shuttle / rebuild without recursion: park the k smallest on
     the lowest-index spare peg, shuttle the rest with that peg frozen,
     then unpark.  Discs below the active block are always larger, so they
@@ -320,11 +354,13 @@ def _walk(
 
     A sub-solve shorter than ``fits`` moves is a block; a kept block
     stays in a memo for the rest of the trace and is spliced in wherever
-    it recurs.  A three-peg block is built by :func:`_ruler` and kept at
-    its first request.  A block on four or more pegs is its park, shuttle
-    and rebuild joined together: its first request only splits it, its
-    second splits it again and keeps the moves that makes, and every
-    later one splices them.
+    it recurs: copied into the pending list chunk or, when it has at
+    least ``CHUNK_MOVES // 2`` moves and no capture is open, yielded
+    whole after that chunk.  A three-peg block is built by :func:`_ruler`
+    and kept at its first request.  A block on four or more pegs is its
+    park, shuttle and rebuild joined together: its first request only
+    splits it, its second splits it again and keeps the moves that makes,
+    and every later one splices them.
 
     The memo's bound is part proven, part measured.  Proven: three-peg
     blocks never nest and each is played at least once, so together they
@@ -339,7 +375,9 @@ def _walk(
 
     Besides those blocks a call holds its task stack, split and plan
     caches, the set of blocks asked for once, and at most one chunk plus
-    the block being captured."""
+    the block being captured.  A sub-solve of at most p - 2 discs on p
+    pegs parks one disc and takes 2n - 1 moves, each disc on a peg of its
+    own, so a wide trace asks the solver for no cost table."""
     if not discs:
         return
     fits = min(CHUNK_MOVES, _BLOCK)
@@ -368,8 +406,13 @@ def _walk(
         plans[at][3] = kids
         return kids
 
+    def kept(moves: list[Step]) -> list[Step] | _Block:
+        # a list, which ``out +=`` copies in one step (it iterates a tuple
+        # subclass), or from half a chunk up a block that streams whole
+        return moves if len(moves) < CHUNK_MOVES // 2 else _Block(moves)
+
     # (count, lowest disc, plan) -> moves of a block; a task is its own key
-    blocks: dict[tuple[int, int, int], list[Step]] = {}
+    blocks: dict[tuple[int, int, int], list[Step] | _Block] = {}
     asked: set[tuple[int, int, int]] = set()  # blocks on p >= 4 requested once
     starts: list[int] = []  # where in ``out`` each open capture began
     out: list[Step] = []  # moves not yet cut into chunks
@@ -391,7 +434,13 @@ def _walk(
         task = tasks.pop()
         block = blocks.get(task)
         if block is not None:
-            out += block
+            if starts or type(block) is list:
+                out += block
+                continue
+            if out:  # with no capture open, shorter than a chunk
+                yield out
+                out = []
+            yield block
             continue
         count, lowest, at = task
         usable, src, dst, kids = plans[at]
@@ -399,20 +448,26 @@ def _walk(
             out.append((lowest, src, dst))
             continue
         if count < 0:
-            blocks[-count, lowest, at] = out[starts.pop() :]
+            blocks[-count, lowest, at] = kept(out[starts.pop() :])
             continue
         staging, park, shuttle, rebuild = kids or children(at)
         if len(usable) == 3:
             if 1 << count <= fits:
-                block = blocks[task] = _ruler(count, lowest, src, dst, staging)
-                out += block
+                block = blocks[task] = kept(_ruler(count, lowest, src, dst, staging))
+                if type(block) is list:
+                    out += block
+                else:
+                    tasks.append(task)  # streamed whole, as a kept block
                 continue
             k = count - 1
         else:
             key = (len(usable), count)
             if key not in splits:
-                best = solver.solve(*key)
-                splits[key] = best.canonical_split, best.cost < fits
+                if count <= key[0] - 2:  # one peg per disc: T_p(n) = 2n - 1
+                    splits[key] = 1, 2 * count - 1 < fits
+                else:
+                    best = solver.solve(*key)
+                    splits[key] = best.canonical_split, best.cost < fits
             k, short = splits[key]
             if short:
                 if task in asked:
@@ -509,18 +564,17 @@ def trace_length(
 
 #: Replay state: ``(top, below)``.  ``top[q]`` is the top disc of peg q
 #: and ``below[d]`` the disc under disc d; n + 1 marks an empty peg and
-#: the bottom of a stack.  ``top`` carries p + 1 entries of -inf after the
-#: p pegs, which no disc equals and every disc exceeds, so a move from or
-#: onto peg -(p + 1) .. -1 or p .. 2p fails the legality test, and
-#: ``below`` has exactly n + 1 slots, so lifting the bogus disc n + 1 off
-#: an empty peg raises IndexError before anything is written.
-_Linked = tuple[list[float], list[int]]
+#: the bottom of a stack.  ``top`` has exactly p slots and ``below``
+#: exactly n + 1, so a move from or onto peg p or above, or lifting the
+#: bogus disc n + 1 off an empty peg, raises IndexError before anything
+#: is written; a negative peg fails the legality test of :func:`_replay`.
+_Linked = tuple[list[int], list[int]]
 
 
 def _linked(initial: Configuration) -> _Linked:
     """Linked stacks of a configuration."""
     pegs, discs = initial.num_pegs, initial.num_discs
-    top: list[float] = [discs + 1] * pegs + [-inf] * (pegs + 1)
+    top = [discs + 1] * pegs
     below = [discs + 1] * (discs + 1)
     for disc in range(discs, 0, -1):  # largest first, so smaller discs land on top
         peg = initial.pegs[disc - 1]
@@ -534,7 +588,7 @@ def _stacks(state: _Linked) -> list[list[int]]:
     top, below = state
     bottom = len(below)
     stacks = []
-    for disc in top[: len(top) // 2]:
+    for disc in top:
         stack = []
         while disc != bottom:
             stack.append(disc)
@@ -543,26 +597,30 @@ def _stacks(state: _Linked) -> list[list[int]]:
     return stacks
 
 
-def _replay(state: _Linked, chunk: list[Step], first: int, discs: int) -> None:
+def _replay(state: _Linked, chunk: Sequence[Step], first: int, discs: int) -> None:
     """Apply a chunk of moves, numbered from step ``first``, to linked
     stacks, raising at the first one that breaks a rule.
 
-    A legal move costs two comparisons and three stores: its disc must be
-    the source peg's top and must not exceed the target peg's top.
+    A legal move costs three tests and three stores: its disc must be the
+    source peg's top and must not exceed the target peg's top, and
+    neither peg may be negative, which would index ``top`` from its end.
+    The loop counts no steps; a rejected move's index is read off the
+    moves left after it.
     """
     top, below = state
-    index = 0
+    moves = iter(chunk)
     try:
-        for index, (disc, src, dst) in enumerate(chunk):
-            if top[src] != disc or top[dst] < disc:
+        for disc, src, dst in moves:
+            if top[src] != disc or top[dst] < disc or src | dst < 0:
                 break
             top[src] = below[disc]
             below[disc] = top[dst]
             top[dst] = disc
         else:
             return
-    except IndexError:  # a peg outside the padded board, or disc n + 1
+    except IndexError:  # a peg past the board, or disc n + 1
         pass
+    index = len(chunk) - 1 - sum(1 for _ in moves)
     _reject(state, chunk[index], first + index, discs)
 
 
@@ -736,7 +794,7 @@ class _SubtowerFold:
         self._bottom: list[int] = []
         self._independent = True
 
-    def feed(self, chunk: list[Step]) -> None:
+    def feed(self, chunk: Sequence[Step]) -> None:
         largest, moves = self._largest, iter(chunk)
         if self._group_of is None:
             where = self._where
@@ -809,6 +867,73 @@ def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     return fold.report()
 
 
+#: What a block does to the linked stacks: the largest disc it moves, the
+#: pegs it touches in increasing order, and per peg its discs up to that
+#: largest, top first, before and after the block.
+_Effect = tuple[int, tuple[int, ...], list[list[int]], list[list[int]]]
+
+
+def _runs(
+    state: _Linked, pegs: tuple[int, ...], largest: int
+) -> tuple[list[list[int]], list[int]]:
+    """Per peg of ``pegs``: its discs up to ``largest``, top first, and
+    the disc or bottom mark under them."""
+    top, below = state
+    runs, bases = [], []
+    for peg in pegs:
+        run = []
+        disc = top[peg]
+        while disc <= largest:
+            run.append(disc)
+            disc = below[disc]
+        runs.append(run)
+        bases.append(disc)
+    return runs, bases
+
+
+def _record(state: _Linked, block: _Block, first: int, discs: int) -> _Effect | None:
+    """Replay a block as :func:`_replay` does and return its effect; None,
+    with nothing recorded, when a peg or disc of the block is off the
+    board, where the replay raises."""
+    largest = max(map(itemgetter(0), block))
+    pegs = tuple(sorted({peg for _, src, dst in block for peg in (src, dst)}))
+    if pegs[0] < 0 or pegs[-1] >= len(state[0]) or largest > discs:
+        _replay(state, block, first, discs)
+        return None
+    before, _ = _runs(state, pegs, largest)
+    _replay(state, block, first, discs)
+    return largest, pegs, before, _runs(state, pegs, largest)[0]
+
+
+def _apply(state: _Linked, effect: _Effect) -> bool:
+    """Swap in a block's after-runs if every peg it touches shows its
+    before-runs; False, with nothing changed, otherwise."""
+    largest, pegs, before, after = effect
+    runs, bases = _runs(state, pegs, largest)
+    if runs != before:
+        return False
+    top, below = state
+    for peg, run, disc in zip(pegs, after, bases):
+        for above in reversed(run):
+            below[above] = disc
+            disc = above
+        top[peg] = disc
+    return True
+
+
+class _Seen:
+    """What a check learnt of one block chunk: the block itself, held so
+    that no other object takes its id, its discs for the ruler check, and
+    from its second sighting on its effect."""
+
+    __slots__ = ("block", "discs", "effect")
+
+    def __init__(self, block: _Block) -> None:
+        self.block = block
+        self.discs: tuple[int, ...] | None = None
+        self.effect: _Effect | None = None
+
+
 class TraceCheck:
     """Every check of :func:`verify_trace`, folded over a chunk stream.
 
@@ -816,6 +941,20 @@ class TraceCheck:
     :meth:`failures`.  An illegal move ends the replay, and with it the
     ruler and subtower checks, which need a legal trace; the moves after
     it are still counted for the length check.
+
+    A block chunk of :func:`trace_chunks` is replayed move by move at its
+    first sighting and again at its second, which also records its
+    effect: the largest disc c it moves, the set T of pegs it touches
+    and, per peg of T, the run of discs <= c at its top before and after.
+    At a later sighting, if every peg of T shows the recorded before-run,
+    the after-runs are swapped in, in O(c + |T|); otherwise the block is
+    replayed move by move, so an illegal move is still reported at its
+    step.  This is sound: the block moves only discs <= c between pegs of
+    T, and each of its legality tests compares one of those discs with
+    the top of a peg of T.  Discs <= c sit above every larger disc, so
+    with the same runs every test reads the same top, or a disc larger
+    than c either way, and the block ends on the recorded runs.  Every
+    other chunk is replayed move by move.
     """
 
     def __init__(
@@ -834,21 +973,43 @@ class TraceCheck:
         self._subtowers = (
             _SubtowerFold(initial) if initial.num_pegs == 4 and initial.num_discs else None
         )
+        self._seen: dict[int, _Seen] = {}  # id of each block chunk fed
 
-    def feed(self, chunk: list[Step]) -> None:
+    def feed(self, chunk: Sequence[Step]) -> None:
         first = self.moves + 1
         self.moves += len(chunk)
         if self._illegal is not None:
             return
+        seen = None
         try:
-            _replay(self._state, chunk, first, self._initial.num_discs)
+            if type(chunk) is _Block:
+                seen = self._play(chunk, first)
+            else:
+                _replay(self._state, chunk, first, self._initial.num_discs)
         except IllegalMove as exc:
             self._illegal = exc
             return
         if self._initial.num_pegs == 3 and self._ruler_ok:
-            self._ruler_ok = _follows_ruler(tuple(map(itemgetter(0), chunk)), first)
+            if seen is None:
+                discs = tuple(map(itemgetter(0), chunk))
+            else:
+                discs = seen.discs = seen.discs or tuple(map(itemgetter(0), chunk))
+            self._ruler_ok = _follows_ruler(discs, first)
         if self._subtowers is not None:
             self._subtowers.feed(chunk)
+
+    def _play(self, block: _Block, first: int) -> _Seen:
+        """Check a block chunk by the block rule; what is known of it."""
+        discs = self._initial.num_discs
+        seen = self._seen.get(id(block))
+        if seen is None:
+            seen = self._seen[id(block)] = _Seen(block)
+            _replay(self._state, block, first, discs)
+        elif seen.effect is None:
+            seen.effect = _record(self._state, block, first, discs)
+        elif not _apply(self._state, seen.effect):
+            _replay(self._state, block, first, discs)
+        return seen
 
     def failures(self) -> tuple[str, ...]:
         """Failure messages of the replay, length, ruler (three pegs) and

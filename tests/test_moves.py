@@ -230,6 +230,24 @@ def reference_replay(initial: Configuration, moves) -> list[list[int]]:
 RawMove = namedtuple("RawMove", "disc source target")
 
 
+def assert_chunk_contract(chunks: list, size: int) -> None:
+    """The chunk stream at chunk size ``size``: a chunk holds 1 .. size
+    moves; a chunk shorter than size is the last one or is followed by a
+    block chunk; a block chunk has at least size // 2 moves, and where an
+    equal block chunk recurs it is the same object.  Every other chunk is
+    a list."""
+    blocks: dict = {}
+    for at, chunk in enumerate(chunks):
+        assert 1 <= len(chunk) <= size
+        if type(chunk) is moves_module._Block:
+            assert len(chunk) >= size // 2
+            assert blocks.setdefault(chunk, chunk) is chunk
+            continue
+        assert type(chunk) is list
+        if len(chunk) < size and at + 1 < len(chunks):
+            assert type(chunks[at + 1]) is moves_module._Block
+
+
 class TestLabels:
     def test_cyclic_letters_then_numbered(self):
         assert [peg_label(i) for i in range(6)] == ["A", "B", "C", "D", "P5", "P6"]
@@ -277,10 +295,13 @@ class TestThreePeg:
     def test_streams_past_the_solver_ceiling(self):
         """A three-peg tower splits at count - 1 without asking the solver,
         so its disc ceiling does not limit a three-peg trace."""
-        first = next(trace_chunks(3, 600, solver=HanoiSolver(max_discs=10)))
+        # a 12-disc block, the move of disc 13 and the next 12-disc block
+        chunks = islice(trace_chunks(3, 600, solver=HanoiSolver(max_discs=10)), 3)
+        first = [move for chunk in chunks for move in chunk]
+        assert len(first) == 2**13 - 1
         # the first 2**13 - 1 moves of a tower of 13 or more discs depend only
         # on the parity of its height, so 14 discs stand in for 600
-        expected = reference_moves(3, 14, "optimal", None, 0, 2)[: moves_module.CHUNK_MOVES]
+        expected = reference_moves(3, 14, "optimal", None, 0, 2)[: len(first)]
         assert first == [(m.disc, m.source, m.target) for m in expected]
 
 
@@ -340,8 +361,10 @@ class TestFrameStewart:
         ceiling = HanoiSolver(max_discs=100)
         moves = sum(map(len, trace_chunks(5, 200, 100, ceiling)))
         assert moves == 2 * ceiling.cost(5, 100) + ceiling.cost(4, 100)
-        assert len(next(trace_chunks(4, 250, 100, ceiling))) == moves_module.CHUNK_MOVES
-        assert len(next(trace_chunks(3, 600, solver=ceiling))) == moves_module.CHUNK_MOVES
+        for chunks in (trace_chunks(4, 250, 100, ceiling), trace_chunks(3, 600, solver=ceiling)):
+            head = list(islice(chunks, 8))
+            assert_chunk_contract(head[:-1], moves_module.CHUNK_MOVES)
+            assert sum(map(len, head)) > moves_module.CHUNK_MOVES
 
     def test_rejects_bad_fixed_split(self):
         with pytest.raises(DomainError):
@@ -703,7 +726,7 @@ class TestTraceChecks:
     @pytest.mark.parametrize("pegs", [3, 4, 5])
     def test_negative_pegs_are_off_the_board(self, pegs):
         """A negative peg is not counted from the end of the board."""
-        for bad in range(-pegs - 1, 0):
+        for bad in range(-2 * pegs - 2, 0):
             for move in ((1, 0, bad), (1, bad, 1)):
                 check = TraceCheck(Configuration.perfect(1, pegs))
                 with pytest.raises(DomainError) as err:
@@ -718,29 +741,48 @@ class TestTraceChecks:
 
     @pytest.mark.parametrize("pegs", [3, 4])
     def test_replays_once(self, pegs, monkeypatch, capsys):
-        """verify_trace and ``moves --verify`` replay every step exactly
-        once, in order, over a trace of more than one chunk."""
-        discs = 13 if pegs == 3 else 46
-        calls = []
-        real = moves_module._replay
+        """verify_trace and ``moves --verify`` check every step exactly
+        once, in order, over a trace of more than one chunk: each by the
+        move-by-move replay or by one application of a block's recorded
+        effect, and a block is replayed move by move at most twice."""
+        discs = 16 if pegs == 3 else 46
+        checked, replays, applied = [], Counter(), []
+        fed = [0, 0]  # first step and moves of the chunk being fed
+        real_feed, real_replay = TraceCheck.feed, moves_module._replay
+        real_apply = moves_module._apply
 
-        def counting(stacks, chunk, first, n):
-            calls.append((first, len(chunk)))
-            return real(stacks, chunk, first, n)
+        def feed(self, chunk):
+            fed[:] = self.moves + 1, len(chunk)
+            real_feed(self, chunk)
 
-        def replayed_steps():
-            steps = [first + i for first, size in calls for i in range(size)]
-            calls.clear()
-            return steps
+        def replay(stacks, chunk, first, n):
+            checked.extend(range(first, first + len(chunk)))
+            if type(chunk) is moves_module._Block:
+                replays[chunk] += 1
+            return real_replay(stacks, chunk, first, n)
 
-        monkeypatch.setattr(moves_module, "_replay", counting)
+        def apply(stacks, effect):
+            done = real_apply(stacks, effect)
+            if done:
+                checked.extend(range(fed[0], sum(fed)))
+                applied.append(fed[0])
+            return done
+
+        monkeypatch.setattr(TraceCheck, "feed", feed)
+        monkeypatch.setattr(moves_module, "_replay", replay)
+        monkeypatch.setattr(moves_module, "_apply", apply)
         trace = generate_three_peg(discs) if pegs == 3 else generate_frame_stewart(4, discs)
+        steps = list(range(1, len(trace) + 1))
         assert len(trace) > moves_module.CHUNK_MOVES
         assert verify_trace(trace) == ()
-        assert replayed_steps() == list(range(1, len(trace) + 1))
+        assert checked == steps and not replays  # a held trace streams as lists
+        checked.clear()
         assert main(["moves", "--pegs", str(pegs), "--discs", str(discs), "--verify"]) == 0
         capsys.readouterr()
-        assert replayed_steps() == list(range(1, len(trace) + 1))
+        assert checked == steps
+        assert max(replays.values(), default=0) <= 2
+        if pegs == 3:  # 16 plays of 12-disc blocks
+            assert applied and len(applied) + sum(replays.values()) == 16
 
     def test_public_checks_still_replay(self):
         trace = generate_three_peg(3)
@@ -777,7 +819,7 @@ class TestAgainstRecursiveReference:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_any_chunk_size_streams_the_reference(self, data):
-        """Every chunk but the last is full, the chunks concatenate to the
+        """The chunks keep the chunk contract and concatenate to the
         reference trace, and the one-pass check gives the same verdict
         whatever the chunk size."""
         solver = HanoiSolver()
@@ -788,8 +830,7 @@ class TestAgainstRecursiveReference:
         size = data.draw(st.integers(1, 40), label="chunk size")
         with mock.patch.object(moves_module, "CHUNK_MOVES", size):
             chunks = list(trace_chunks(pegs, discs, strategy, solver, source, target))
-        assert all(len(chunk) == size for chunk in chunks[:-1])
-        assert all(1 <= len(chunk) <= size for chunk in chunks)
+        assert_chunk_contract(chunks, size)
         expected = reference_moves(pegs, discs, strategy, solver, source, target)
         assert [move for chunk in chunks for move in chunk] == [
             (m.disc, m.source, m.target) for m in expected
@@ -840,7 +881,7 @@ class TestRulerTemplates:
         which starts in a partly filled chunk."""
         with mock.patch.object(moves_module, "CHUNK_MOVES", size):
             chunks = list(trace_chunks(pegs, discs, strategy, solver))
-        assert all(len(chunk) == size for chunk in chunks[:-1])
+        assert_chunk_contract(chunks, size)
         assert [move for chunk in chunks for move in chunk] == [
             (m.disc, m.source, m.target)
             for m in reference_moves(pegs, discs, strategy, solver, 0, pegs - 1)
@@ -1009,14 +1050,14 @@ class TestBlockMemo:
         assert len(set(occurring)) < len(occurring)  # short blocks recur
         assert sorted(built) == sorted(set(occurring))
         assert all(1 << count <= size for count, *_ in built)
-        assert all(len(chunk) == size for chunk in chunks[:-1])
+        assert_chunk_contract(chunks, size)
         assert [move for chunk in chunks for move in chunk] == expected
 
     @pytest.mark.parametrize("size", [4, 8, 16])
     def test_blocks_splice_across_chunk_boundaries(self, size, solver):
         """Blocks of exactly size - 1 moves land in partly filled chunks,
-        and blocks end exactly on a chunk boundary; every chunk but the
-        last is still full and the stream is the reference trace."""
+        and blocks end exactly on a chunk boundary; the chunks keep the
+        chunk contract and the stream is the reference trace."""
         into_partial = on_boundary = 0
         for pegs in (4, 5):
             for discs in range(2, 15):
@@ -1027,7 +1068,7 @@ class TestBlockMemo:
                     on_boundary += sum((at + n) % size == 0 for at, n in spans)
                     with mock.patch.object(moves_module, "CHUNK_MOVES", size):
                         chunks = list(trace_chunks(pegs, discs, strategy, solver))
-                    assert all(len(chunk) == size for chunk in chunks[:-1])
+                    assert_chunk_contract(chunks, size)
                     assert [move for chunk in chunks for move in chunk] == [
                         (m.disc, m.source, m.target)
                         for m in reference_moves(pegs, discs, strategy, solver, 0, pegs - 1)
@@ -1038,14 +1079,14 @@ class TestBlockMemo:
     def test_nothing_outlives_the_trace(self, stop, solver):
         """The blocks a trace keeps are freed with its generator, whether
         the trace is read to the end or dropped after ``stop`` chunks."""
-        for _ in trace_chunks(5, 460, solver=solver):  # fill the solver's and the ruler's caches
-            pass
+        # fill the solver's and the ruler's caches
+        lengths = list(map(len, trace_chunks(5, 460, solver=solver)))
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
             chunks = trace_chunks(5, 460, solver=solver)
             read = sum(map(len, islice(chunks, stop)))
-            assert read == (688_127 if stop is None else stop * moves_module.CHUNK_MOVES)
+            assert read == sum(lengths[:stop]) and sum(lengths) == 688_127
             del chunks
             gc.collect()  # also empties the free lists, which tracemalloc counts as held
             left, peak = tracemalloc.get_traced_memory()
@@ -1053,6 +1094,27 @@ class TestBlockMemo:
             tracemalloc.stop()
         assert peak - start > 512 * 1024  # the 300,776 moves of its blocks, while it runs
         assert left - start < 64 * 1024
+
+    def test_one_peg_per_disc(self, solver):
+        """With n <= p - 2 discs each disc can rest on a peg of its own:
+        T_p(n) = 2n - 1, reached only by parking one disc, which is what
+        the walk assumes for such a sub-solve without asking the solver."""
+        for pegs in range(4, 65):
+            for discs in range(2, pegs - 1):
+                best = solver.solve(pegs, discs)
+                assert (best.cost, best.argmin_splits) == (2 * discs - 1, (1,)), (pegs, discs)
+
+    def test_wide_traces_never_ask_the_solver(self):
+        """Each sub-solve of a 1050-disc tower on 1100 pegs has at most
+        p - 2 discs on its p pegs, so the walk leaves no cost table."""
+        solver = HanoiSolver(max_discs=1050)
+        with mock.patch.object(solver, "solve", side_effect=AssertionError("solver asked")):
+            chunks = list(trace_chunks(1100, 1050, solver=solver))
+        assert solver._memo == {}
+        check = TraceCheck(Configuration.perfect(1050, 1100), solver=solver)
+        for chunk in chunks:
+            check.feed(chunk)
+        assert check.failures() == () and check.moves == 2099
 
     @pytest.mark.parametrize(
         "pegs, discs, strategy",
@@ -1164,3 +1226,145 @@ class TestReplayErrors:
         else:
             on_target = len(stacks[pegs - 1]) == discs
             assert replay == ([] if on_target else ["replay does not end all-on-target"])
+
+
+def _after(config: Configuration, move) -> Configuration | None:
+    """The configuration after one move, or None where the move is illegal."""
+    try:
+        stacks = reference_replay(config, [move])
+    except (DomainError, IllegalMove):
+        return None
+    where = [0] * config.num_discs
+    for peg, stack in enumerate(stacks):
+        for disc in stack:
+            where[disc - 1] = peg
+    return Configuration(config.num_pegs, tuple(where))
+
+
+def _checked(initial: Configuration, chunks) -> tuple:
+    """(failures, moves) of a TraceCheck fed ``chunks``, or the message of
+    the DomainError that feeding raised."""
+    check = TraceCheck(initial)
+    try:
+        for chunk in chunks:
+            check.feed(chunk)
+    except DomainError as exc:
+        return ("raised", str(exc))
+    return check.failures(), check.moves
+
+
+class TestBlockChunks:
+    """A block chunk is checked by its recorded effect from its third
+    sighting on, wherever its before-runs match; the verdict is always
+    that of the same moves fed as plain lists."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 5), st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_block_streams_check_as_plain_lists(self, seed, pegs, discs):
+        """Streams of a few blocks, played from many states between list
+        chunks of legal walks and of junk moves."""
+        rng = random.Random(seed)
+        home = Configuration(pegs, tuple(rng.randrange(pegs) for _ in range(discs)))
+
+        def junk():
+            """A move that may be illegal, off the board, on a negative peg
+            or of an unknown disc."""
+            peg = range(-2 * pegs - 2, 2 * pegs + 2)
+            return rng.randint(-1, discs + 2), rng.choice(peg), rng.choice(peg)
+
+        def walk(config, largest, steps):
+            """A legal walk of the discs up to ``largest``, most walked back
+            again so that they leave the state as they found it."""
+            config, moves = Configuration(pegs, config.pegs[:largest]), []
+            for _ in range(steps):
+                move = rng.choice(legal_moves(config))
+                moves.append((move.disc, move.source, move.target))
+                config = config.apply(move)
+            if rng.random() < 0.8:
+                moves += [(disc, b, a) for disc, a, b in reversed(moves)]
+            return moves
+
+        # blocks walk from ``home``; a few hold a junk move
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            moves = walk(home, rng.randint(1, discs), rng.randint(1, 8))
+            if rng.random() < 0.1:
+                moves[rng.randrange(len(moves))] = junk()
+            blocks.append(moves_module._Block(moves))
+        # list chunks walk from the current state, or hold one junk move
+        stream, state = [], home
+        for _ in range(rng.randint(1, 40)):
+            kind = rng.random()
+            if kind < 0.5:
+                chunk = rng.choice(blocks)
+            elif kind < 0.55 or state is None:
+                chunk = [junk()]
+            else:
+                chunk = walk(state, discs, rng.randint(1, 3))
+            for move in chunk:
+                state = state and _after(state, move)
+            stream.append(chunk)
+        assert _checked(home, stream) == _checked(home, [list(chunk) for chunk in stream])
+
+    def test_a_block_needs_its_whole_runs(self):
+        """Disc 1 tops peg A as when the block was recorded, but disc 2 has
+        moved under it to peg D: the block is replayed and fails there."""
+        there = moves_module._Block([(1, 0, 2), (2, 0, 1), (1, 2, 1)])  # discs 1, 2 from A to B
+        back = [(1, 1, 2), (2, 1, 0), (1, 2, 0)]
+        stream = [there, back, there, back, [(1, 0, 1), (2, 0, 3), (1, 1, 0)], there]
+        failures, moves = _checked(Configuration.perfect(4, 4), stream)
+        assert failures[0] == (
+            "replay failed: illegal move at step 17: wrong-source-peg (disc 2 is on D, not A)"
+        )
+        assert _checked(Configuration.perfect(4, 4), map(list, stream)) == (failures, moves)
+
+    def test_a_freed_block_keeps_its_id(self):
+        """The check holds each block it has seen, so a new block never
+        takes the id of one that was recorded and then dropped."""
+        away_and_back, away = ((1, 0, 1), (1, 1, 0)), ((1, 0, 1), (1, 1, 2))
+        check = TraceCheck(Configuration.perfect(2, 3))
+        plain = TraceCheck(Configuration.perfect(2, 3))
+        for _ in range(20):
+            block = moves_module._Block(away_and_back)
+            for _ in range(3):
+                check.feed(block)
+                plain.feed(list(block))
+            del block
+            check.feed(moves_module._Block(away))
+            plain.feed(list(away))
+            check.feed([(1, 2, 0)])
+            plain.feed([(1, 2, 0)])
+        assert check.failures() == plain.failures()
+        assert not any(f.startswith("replay failed") for f in check.failures())
+
+    def test_other_chunks_are_replayed_move_by_move(self):
+        """A plain tuple may hold moves that change between feeds, so only
+        the generator's blocks are checked by their recorded effect."""
+        moves = ([1, 0, 1], [1, 1, 0])
+        check = TraceCheck(Configuration.perfect(1, 5))
+        for _ in range(3):
+            check.feed(moves)
+        moves[1][2] = 4  # disc 1 now ends on the target peg
+        check.feed(moves)
+        assert check.failures() == ("length 8 differs from predicted 1",)
+
+    @pytest.mark.parametrize(
+        "pegs, discs, strategy, size",
+        [
+            (3, 14, "optimal", 4096),
+            (4, 80, 66, 4096),
+            (3, 14, "optimal", 8),
+            (4, 40, 30, 8),
+            (5, 60, "optimal", 8),
+        ],
+    )
+    def test_block_rows_are_the_reference_csv(self, pegs, discs, strategy, size, solver):
+        """A recurring block chunk reuses its rendered tails, under step
+        numbers that run on."""
+        expected = reference_moves(pegs, discs, strategy, solver, 0, pegs - 1)
+        with mock.patch.object(moves_module, "CHUNK_MOVES", size):
+            chunks = list(trace_chunks(pegs, discs, strategy, solver))
+            text = _streamed_csv(pegs, discs, strategy, solver, 0, pegs - 1)
+        blocks = [chunk for chunk in chunks if type(chunk) is moves_module._Block]
+        assert len({id(block) for block in blocks}) < len(blocks)  # blocks recur
+        assert text == reference_csv(expected)
