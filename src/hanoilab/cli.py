@@ -226,8 +226,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     budget = _budget_for(args)
     if args.metrics:  # prints the full BFS ball's states_explored
         sweep = orc.certify_range(args.pegs, args.max_discs_swept, budget, solver)
-    else:  # the same rows from the mirror search, which explores far less
-        sweep = orc._sweep(orc.tower_distance, args.pegs, args.max_discs_swept, budget, solver)
+    else:  # the same rows from one tower search, which counts the half-depth ball only
+        sweep = orc._tower_sweep(args.pegs, args.max_discs_swept, budget, solver)
     header = "n,distance,dp_cost,agree"
     if args.metrics:
         header += ",geodesics,states_explored"
@@ -264,7 +264,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     mismatches += len(report.mismatches)
 
     for pegs in (3, 4):
-        sweep = orc._sweep(orc.tower_distance, pegs, 10, budget, solver)
+        sweep = orc._tower_sweep(pegs, 10, budget, solver)
         bad = [r for r in sweep.reports if not r.agrees]
         print(
             f"oracle p={pegs}: {len(sweep.reports)} certified, "

@@ -62,14 +62,15 @@ harmless, and the code is never listed again.  A canonical code is tagged
 only when its orbit is first reached, with that layer's tag.
 
 Three kernels run the searches, on purpose, picked by the kind of
-search and the peg count alone.  The mirror search folds and runs
-:func:`_layers`, which keeps a layer tag and a geodesic count per state,
-so it reads the counts of each layer's mirror images as soon as the
-layer is complete; the three-peg eccentricity sweeps of
-:func:`graph_metrics` run it unfolded.  On four or more pegs every pair
-and every eccentricity sweep runs :func:`_dense_layers`, which holds a
-set of states as one big int with a bit per code and expands a whole
-layer with one shift-and-mask pair per disc and peg offset;
+search and the peg count alone.  Every three-peg search runs the block
+kernel below: pairs, towers and the eccentricity sweeps of
+:func:`graph_metrics`.  On four or more pegs the mirror search between
+the towers folds and runs :func:`_layers`, which keeps a layer tag and a
+geodesic count per state, so it reads the counts of each layer's mirror
+images as soon as the layer is complete; every pair and every
+eccentricity sweep there runs :func:`_dense_layers`, which holds a set
+of states as one big int with a bit per code and expands a whole layer
+with one shift-and-mask pair per disc and peg offset;
 :func:`_dense_search` counts geodesics afterwards over the states on
 some geodesic only.  There the layers are wide, so the whole-set
 operations win, even against the orbit fold: a full ball between the
@@ -78,9 +79,8 @@ towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
 up to n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at
 (1024,2).  Only masks of at most 8 MiB stay cached after a search.
 
-A three-peg pair runs :func:`_block_search`, and three-peg towers run
-:func:`_block_towers` on the same queue; both handle the space copy by
-copy rather than state by state.  The codes with one high part (the
+The block kernel, :func:`_block_queue`, handles the space copy by copy
+rather than state by state.  The codes with one high part (the
 ceil(n/2) largest discs) form a copy of the graph of the floor(n/2)
 smallest discs, the low block.  A high move keeps the low part and needs
 two pegs free of low discs, so it leaves and enters a copy only at its
@@ -99,18 +99,19 @@ cin(x) * c_low(x, v), cin(x) being the number of those shortest paths,
 over the terms equal to d(v), and no path is counted twice.  A term with
 din(x) > d(x) never equals d(v).  The same holds for gate states, so a
 Dijkstra over the gate states alone, 3**(ceil(n/2) + 1) of them on three
-pegs, settles every din and d; ``states_explored`` counts, copy by copy,
-the codes within the target's distance.  The low block's distance and
-count tables from each gate are built once per space.  The layers of a
-three-peg pair are a few hundred states wide, over 3**n states and up to
-2**n - 1 layers: the four (3,11) pairs of a benchmark pass took
-0.13-0.17 s on :func:`_layers` and take 0.02-0.03 s here (one core of a
-shared 2-core host).  Between the towers the queue runs to the distance
+pegs, settles every din and d.  The low block's distance and count
+tables from each gate are built once per space, and so is the split of
+each copy into shells of equal distance, once per pattern of entries.
+A pair, :func:`_block_search`, runs the queue to the target's distance
+and counts ``states_explored`` over the shells within it: the four
+(3,11) pairs of a benchmark pass take 0.015-0.02 s (one core of a shared
+2-core host).  Towers, :func:`_block_towers`, run it to the distance
 2**n - 1 once, and each m-disc tower, the code 3**m - 1, is read from
 the same entries, its states explored counted over the half-depth ball
 the mirror search would explore: ``tower_distance(3, 15)`` took 0.07 s
-and 26 MiB in a fresh process, where the layered mirror search, with a
-byte and a count slot per state, took 1.9-2.0 s and 141 MiB.
+and 26 MiB in a fresh process.  A sweep, :func:`_block_layers`, runs the
+queue until it is empty and lists each BFS layer as the shells that
+fall on it, one layer at a time.
 
 One gate, :func:`_check_space` with a budget, refuses a space before
 any allocation: a search that would not fit raises
@@ -374,20 +375,23 @@ def _low_ball(low_deltas, source: int) -> tuple[list[int], list[int]]:
 
 @lru_cache(maxsize=1)
 def _gate_tables(pegs: int, discs: int):
-    """(gate low codes, distances, geodesic counts) of a space: the low
-    codes that leave two pegs free and the :func:`_low_ball` of each, in
-    the same order.  They hold O(p**(n//2)) entries per gate: 3 gates of
-    243 low codes at (3,11)."""
+    """(gate low codes, distances, geodesic counts, shells memo) of a
+    space: the low codes that leave two pegs free and the
+    :func:`_low_ball` of each, in the same order.  They hold O(p**(n//2))
+    entries per gate: 3 gates of 243 low codes at (3,11).  The memo, empty
+    here, keeps the :func:`_block_copies` shells of each pattern of gate
+    entries for every later search in the space."""
     _, low_occupied, low_deltas, _ = _move_tables(pegs, discs)
     gates = [low for low, occ in enumerate(_gates(pegs, low_occupied)) if occ is not None]
     balls = [_low_ball(low_deltas, g) for g in gates]
-    return gates, [dist for dist, _ in balls], [paths for _, paths in balls]
+    return gates, [dist for dist, _ in balls], [paths for _, paths in balls], {}
 
 
-def _block_queue(pegs: int, discs: int, source: int, target: int):
+def _block_queue(pegs: int, discs: int, source: int, target: int | None):
     """The gate-state search of :func:`_block_search` from ``source``, run
-    to the target's distance; returns (base, arrivals, distance rows,
-    count rows).
+    to the target's distance, or until its queue is empty when ``target``
+    is None; returns (base, arrivals, distance rows, count rows, shells
+    memo), the memo being the space's, from the :func:`_gate_tables`.
 
     A copy is the set of codes with one high part.  Each gate state, a
     gate low code in some copy, has two events in a bucket queue keyed by
@@ -398,16 +402,16 @@ def _block_queue(pegs: int, discs: int, source: int, target: int):
     its own copy at distance 0 along its own :func:`_low_ball`.  Within a
     bucket, entries go first, so an exit's count is complete when it is
     read.  ``arrivals`` maps each copy reached within the target's
-    distance to its (row, distance, count) entries in order of distance,
-    and lists the copies in order of their first entry.  A row indexes
-    the low-block distance and count rows: one per gate, then the
-    source's own.
+    distance (every copy, when the queue is exhausted) to its (row,
+    distance, count) entries in order of distance, and lists the copies in
+    order of their first entry.  A row indexes the low-block distance and
+    count rows: one per gate, then the source's own.
     """
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
-    gates, gate_dist, gate_paths = _gate_tables(pegs, discs)
+    gates, gate_dist, gate_paths, memo = _gate_tables(pegs, discs)
     gate_index = {g: i for i, g in enumerate(gates)}
     s_high, s_low = divmod(source, base)
-    t_high, t_low = divmod(target, base)
+    t_high, t_low = (None, 0) if target is None else divmod(target, base)
     s_dist, s_paths = _low_ball(low_deltas, s_low)
     dists, counts = [*gate_dist, s_dist], [*gate_paths, s_paths]
     entries: dict[int, list[int]] = {}  # gate state: [distance, count]
@@ -435,7 +439,7 @@ def _block_queue(pegs: int, discs: int, source: int, target: int):
 
     arrive(s_high, len(gates), 0, 1)
     k = 0
-    while k <= best:
+    while buckets and k <= best:
         ins, outs = buckets.get(k, ((), ()))
         for x in ins:
             d, c = entries[x]
@@ -456,7 +460,7 @@ def _block_queue(pegs: int, discs: int, source: int, target: int):
                         relax(entries, 0, lifted + end_offset, k + 1, c)
         buckets.pop(k, None)
         k += 1
-    return base, arrived, dists, counts
+    return base, arrived, dists, counts, memo
 
 
 def _block_reach(queue, target: int) -> tuple[int, int]:
@@ -464,49 +468,91 @@ def _block_reach(queue, target: int) -> tuple[int, int]:
     one :func:`_block_queue` ran to: the least entry-plus-inside term over
     the entries of its copy, and the sum of the counts of the terms that
     reach it."""
-    base, arrived, dists, counts = queue
+    base, arrived, dists, counts, _ = queue
     high, low = divmod(target, base)
     terms = [(d + dists[row][low], c * counts[row][low]) for row, d, c in arrived[high]]
     distance = min(d for d, _ in terms)
     return distance, sum(c for d, c in terms if d == distance)
 
 
-def _block_balls(queue, radii: list[int]) -> list[int]:
-    """The number of states within each radius of the source, for radii up
-    to the distance :func:`_block_queue` ran to.
+def _block_copies(queue, reach: int) -> list[tuple[int, int, list[list[int]]]]:
+    """Each copy that :func:`_block_queue` first entered within ``reach``
+    of the source, in order of first entry, as (first entry, code offset,
+    shells): ``shells[j]`` lists the copy's low codes at distance
+    first + j, the least entry-plus-inside term over its entries.  The
+    entries within the distance the queue ran to are all there, so the
+    shells are exact up to that distance.
 
-    Each copy counts its states from one cumulative histogram of the
-    distances its entries give, shared by the copies whose entries have
-    the same offsets from their nearest one; a copy first entered beyond
-    the largest radius is skipped, and so are the copies after it.
+    The shells depend only on the entries' rows and their offsets from the
+    first, in order of arrival, so copies with the same pattern share one
+    list, and the space's memo keeps it for the next search: every sweep
+    of ``graph_metrics(3, n)``, n <= 12, leaves at most 27 patterns there.
+    Only the source's own copy, entered first along the source's own row,
+    is built afresh each time.  The lists are shared, so callers only read
+    them.
     """
-    _, arrived, dists, _ = queue
-    reach = max(radii)
-    within: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    copies = []  # (first entry, cumulative histogram), in order of first entry
-    for arrivals in arrived.values():
+    base, arrived, dists, _, memo = queue
+    copies = []
+    for high, arrivals in arrived.items():
         first = arrivals[0][1]
         if first > reach:
             break
-        key = tuple(sorted((row, d - first) for row, d, _ in arrivals))
-        cumulative = within.get(key)
-        if cumulative is None:
+        key = tuple([(row, d - first) for row, d, _ in arrivals])
+        shells = memo.get(key)
+        if shells is None:
             rows = [[off + x for x in dists[row]] for row, off in key]
             near = rows[0] if len(rows) == 1 else list(map(min, *rows))
-            hist = [0] * (max(near) + 1)
-            for x in near:
-                hist[x] += 1
-            cumulative = within[key] = list(itertools.accumulate(hist))
-        copies.append((first, cumulative))
+            shells = [[] for _ in range(max(near) + 1)]
+            for low, j in enumerate(near):
+                shells[j].append(low)
+            if key[0][0] < len(dists) - 1:  # not the source's own row
+                memo[key] = shells
+        copies.append((first, high * base, shells))
+    return copies
+
+
+def _block_balls(queue, radii: list[int]) -> list[int]:
+    """The number of states within each radius of the source, for radii up
+    to the distance :func:`_block_queue` ran to: each copy adds the sizes
+    of its :func:`_block_copies` shells within the radius, and a copy
+    first entered beyond it, like the copies after it, adds none."""
+    copies = _block_copies(queue, max(radii))
+    shared = {id(shells): shells for _, _, shells in copies}
+    running = {key: list(itertools.accumulate(map(len, s))) for key, s in shared.items()}
     balls = []
     for r in radii:
         total = 0
-        for first, cumulative in copies:
+        for first, _, shells in copies:
             if first > r:
                 break
+            cumulative = running[id(shells)]
             total += cumulative[min(r - first, len(cumulative) - 1)]
         balls.append(total)
     return balls
+
+
+def _block_layers(pegs: int, discs: int, source: int):
+    """Layered BFS from ``source`` on the block kernel, one yield per
+    layer: the list of the codes at distance d, for d = 0, 1, ... while
+    layers are non-empty.
+
+    :func:`_block_queue` runs until its queue is empty, and layer d lists,
+    for each copy first entered at some ``first <= d``, its
+    :func:`_block_copies` shell ``d - first`` shifted by the copy's code
+    offset.  Only the copies whose shells have not run out are held from
+    one layer to the next, and nothing is kept per state.
+    """
+    copies = iter(_block_copies(_block_queue(pegs, discs, source, None), pegs**discs))
+    waiting = next(copies, None)
+    live: list[tuple[int, int, list[list[int]]]] = []
+    d = 0
+    while waiting is not None or live:
+        while waiting is not None and waiting[0] == d:
+            live.append(waiting)
+            waiting = next(copies, None)
+        yield [offset + low for first, offset, shells in live for low in shells[d - first]]
+        d += 1
+        live = [copy for copy in live if d - copy[0] < len(copy[2])]
 
 
 def _block_search(pegs: int, discs: int, source: int, target: int):
@@ -540,38 +586,32 @@ def _block_towers(discs: int):
     return [(d, g, e, e) for (d, g), e in zip(reach, balls)]
 
 
-def _layers(pegs: int, discs: int, source: int, fold=None):
-    """Layered BFS from ``source``, one yield per completed layer.
+def _layers(pegs: int, discs: int, source: int, fold):
+    """The folded BFS of :func:`_mirror_search` from ``source``, one yield
+    per completed layer.
 
     Yields ``(d, layer, seen, counts)`` for d = 0, 1, ... while layers are
-    non-empty: ``layer`` lists the states at distance d, and ``seen`` and
-    ``counts`` are the same two arrays at every yield.  When layer d is
-    yielded, every state at distance <= d is tagged and its geodesic
-    count from the source is final.  The folded mirror search of p >= 4
-    and the three-peg eccentricity sweeps run it; no pair search does.
-    Every search keeps the counts, even a sweep that reads only depths.
-    The caller may reorder ``layer`` in place before the next layer is
-    made: the next layer's states and counts do not depend on the order.
+    non-empty: ``layer`` lists the orbit representatives at distance d,
+    and ``seen`` and ``counts`` are the same two arrays at every yield.
+    When layer d is yielded, every state at distance <= d is tagged and
+    the mass of each representative there is final.  The caller may
+    reorder ``layer`` in place before the next layer is made: the next
+    layer's states and counts do not depend on the order.  ``fold`` holds
+    the :func:`_fold_tables` of the space; after each expansion the new
+    codes are merged into their orbits, as the module docstring describes.
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
     end pegs hold no low disc.  Such a move needs two pegs free of low
     discs, so the high table is read only for the low codes in ``gate``,
-    those that leave two pegs empty.  On three pegs they are the 3 perfect
-    towers of the 3**(n//2) low codes (3 of 243 at n = 11), as in the
-    Sierpinski structure of the graph, where copies of the smaller graph
-    meet only at their corners; 184 of 1,024 pass at (4,10), 505 of 625 at
-    (5,9), and all wherever n//2 <= p-2.
+    those that leave two pegs empty: 184 of 1,024 pass at (4,10), 505 of
+    625 at (5,9), and all wherever n//2 <= p-2.
 
     The visited array keeps one byte per state, the tag ``1 + d % 3`` of
     the state's layer d (0 = unseen).  Layers of adjacent states differ by
     at most one, so a neighbour of a layer d-1 state lies in layer d-2, d-1
     or d; those three tags are distinct, so a tag tells a new state from
     one already in layer d (add to its path count) and from an older one.
-
-    With ``fold`` tables from :func:`_fold_tables` the layers list orbit
-    representatives and ``counts`` holds their masses; the merge after
-    each expansion is described in the module docstring.
     """
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
     gate = _gates(pegs, low_occupied)
@@ -619,7 +659,7 @@ def _layers(pegs: int, discs: int, source: int, fold=None):
                         counts[v] = cu
                     elif tv == tag:
                         counts[v] += cu
-        frontier = nxt if fold is None else _merge(fold, nxt, tag, seen, counts)
+        frontier = _merge(fold, nxt, tag, seen, counts)
 
 
 def _repeat(block: int, width: int, copies: int) -> int:
@@ -1051,7 +1091,9 @@ def _diameter(pegs: int, discs: int) -> tuple[int, int]:
     an orbit whose two bounds meet.  The sweep alternates its source
     between the open orbit with the largest upper bound and the one with
     the smallest lower bound, and ends when no orbit is open: the best
-    lower bound is then the diameter.
+    lower bound is then the diameter.  Each BFS streams its layers, from
+    :func:`_dense_layers` on four or more pegs and from
+    :func:`_block_layers` on three.
     """
     orbit = _orbit_codes(pegs, discs)
     lower = dict.fromkeys(sorted(set(orbit)), 0)
@@ -1069,7 +1111,7 @@ def _diameter(pegs: int, discs: int) -> tuple[int, int]:
         if pegs >= 4:
             layers = map(_members, _dense_layers(masks, source))
         else:
-            layers = (layer for _, layer, _, _ in _layers(pegs, discs, source))
+            layers = _block_layers(pegs, discs, source)
         for ecc, layer in enumerate(layers):
             present = set(map(orbit.__getitem__, layer))
             near.update(dict.fromkeys(present.difference(near), ecc))
@@ -1095,7 +1137,9 @@ def graph_metrics(
     BFS runs it took.  Measured: n runs on three pegs for n <= 12; 7 at
     (4,5), 17 at (4,7), 49 at (4,9); 18 at (5,8).  The budget bounds the
     vertex count only, not the number of runs, and no bound on the runs
-    is proven.
+    is proven.  Three-peg runs take their layers from the block kernel,
+    which holds no slot per state: (3,12) takes about 3 s, most of it in
+    the diameter's per-orbit bookkeeping rather than in the BFS runs.
     """
     size = _check_space(pegs, discs, metrics_budget)
     edges = math.comb(pegs, 2) * (size - (pegs - 2) ** discs) // 2
@@ -1103,18 +1147,12 @@ def graph_metrics(
     return GraphMetrics(pegs, discs, size, edges, diameter, runs)
 
 
-def _sweep(
-    search, pegs: int, max_discs: int, state_budget: int, solver: HanoiSolver | None
-) -> CertificationSweep:
-    """``search(pegs, n, state_budget=..., solver=...)`` for every n in
-    [1, max_discs]; a disc count the budget refuses is listed as skipped
-    instead of aborting the sweep.
-
-    A sweep of :func:`tower_distance` looks up every admitted ``dp_cost``
-    first, so the solver's ceiling fails at the same disc count as per-n
-    calls would, and then takes every row from one :func:`_tower_rows` at
-    the largest admitted n.
-    """
+def _admitted(
+    pegs: int, max_discs: int, state_budget: int
+) -> tuple[list[int], list[SkippedLevel]]:
+    """The disc counts in [1, max_discs] that the budget admits, ascending,
+    and a :class:`SkippedLevel` for each one it refuses, so that a sweep
+    lists a refusal instead of aborting."""
     if max_discs < 1:
         raise DomainError(f"max_discs must be at least 1, got {max_discs}")
     admitted: list[int] = []
@@ -1126,12 +1164,24 @@ def _sweep(
             skipped.append(SkippedLevel(n, exc.required, exc.budget))
         else:
             admitted.append(n)
-    if search is tower_distance:
-        costs = [_dp_cost(True, solver, pegs, n) for n in admitted]
-        rows = _tower_rows(pegs, admitted[-1]) if admitted else []
-        reports = [_report(pegs, n, cost, rows[n]) for n, cost in zip(admitted, costs)]
-    else:
-        reports = [search(pegs, n, state_budget=state_budget, solver=solver) for n in admitted]
+    return admitted, skipped
+
+
+def _tower_sweep(
+    pegs: int, max_discs: int, state_budget: int, solver: HanoiSolver | None
+) -> CertificationSweep:
+    """The :func:`tower_distance` report of every n in [1, max_discs] that
+    the budget admits, the others listed as skipped.
+
+    Every admitted ``dp_cost`` is looked up first, so the solver's ceiling
+    fails at the same disc count as per-n calls would, and before any
+    search; then every row comes from one :func:`_tower_rows` at the
+    largest admitted n.
+    """
+    admitted, skipped = _admitted(pegs, max_discs, state_budget)
+    costs = [_dp_cost(True, solver, pegs, n) for n in admitted]
+    rows = _tower_rows(pegs, admitted[-1]) if admitted else []
+    reports = [_report(pegs, n, cost, rows[n]) for n, cost in zip(admitted, costs)]
     return CertificationSweep(pegs, tuple(reports), tuple(skipped))
 
 
@@ -1146,4 +1196,8 @@ def certify_range(
     Disc counts whose state space exceeds the budget are skipped and
     listed in the sweep instead of aborting it.
     """
-    return _sweep(bfs_distance, pegs, max_discs, state_budget, solver)
+    admitted, skipped = _admitted(pegs, max_discs, state_budget)
+    reports = [
+        bfs_distance(pegs, n, state_budget=state_budget, solver=solver) for n in admitted
+    ]
+    return CertificationSweep(pegs, tuple(reports), tuple(skipped))

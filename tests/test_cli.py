@@ -376,6 +376,18 @@ class TestOracle:
         for line in lines[1:]:
             assert line.split(",")[4] == "1"  # unique geodesic per n
 
+    @pytest.mark.parametrize("metrics", [(), ("--metrics",)], ids=["towers", "metrics"])
+    def test_three_pegs_never_enter_layers(self, capsys, monkeypatch, metrics):
+        # every three-peg search, pair or tower, runs the block kernel
+        def no_layers(*args):
+            raise AssertionError(f"_layers or _fold_tables entered for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", no_layers)
+        code, out, err = run(capsys, "oracle", "--pegs", "3", "--max", "8", *metrics)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("8,255,255,true")
+
     def test_budget_exit(self, capsys):
         code, out, err = run(
             capsys,
@@ -482,19 +494,24 @@ class TestVerifyAll:
 
     def test_one_search_per_peg_count_and_no_layers_on_three_pegs(self, capsys, monkeypatch):
         # three-peg towers run the block kernel; each sweep is one search at n = 10
-        layers = hanoilab.oracle._layers
         tower_rows = hanoilab.oracle._tower_rows
         searches = []
 
-        def four_pegs_only(pegs, *args):
-            assert pegs != 3, f"_layers entered for {(pegs, *args)}"
-            return layers(pegs, *args)
+        def four_pegs_only(name):
+            real = getattr(hanoilab.oracle, name)
+
+            def checked(pegs, *args):
+                assert pegs != 3, f"{name} entered for {(pegs, *args)}"
+                return real(pegs, *args)
+
+            monkeypatch.setattr(hanoilab.oracle, name, checked)
 
         def counted(pegs, discs):
             searches.append((pegs, discs))
             return tower_rows(pegs, discs)
 
-        monkeypatch.setattr(hanoilab.oracle, "_layers", four_pegs_only)
+        four_pegs_only("_layers")
+        four_pegs_only("_fold_tables")
         monkeypatch.setattr(hanoilab.oracle, "_tower_rows", counted)
         code, out, err = run(capsys, "verify-all")
         assert (code, err) == (0, "")

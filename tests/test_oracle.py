@@ -15,6 +15,8 @@ from hanoilab.oracle import (
     DEFAULT_METRICS_BUDGET,
     DEFAULT_STATE_BUDGET,
     SkippedLevel,
+    _block_layers,
+    _block_queue,
     _block_search,
     _build_masks,
     _canon,
@@ -28,7 +30,7 @@ from hanoilab.oracle import (
     _orbit_codes,
     _search,
     _shift_masks,
-    _sweep,
+    _tower_sweep,
     bfs_distance,
     certify_range,
     geodesic_uniqueness,
@@ -253,7 +255,7 @@ def first_use(code, pegs, discs):
 
 
 class TestLayers:
-    @pytest.mark.parametrize("pegs,discs", [(3, 9), (4, 6)])
+    @pytest.mark.parametrize("pegs,discs", [(4, 6)])
     def test_high_table_read_only_where_two_pegs_are_free(self, monkeypatch, pegs, discs):
         # a high disc moves only between two pegs that hold no low disc
         base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
@@ -263,14 +265,29 @@ class TestLayers:
             "_move_tables",
             lambda p, n: (base, low_occupied, low_deltas, counted),
         )
-        assert sum(len(layer) for _, layer, _, _ in _layers(pegs, discs, 0)) == pegs**discs
+        layers = _layers(pegs, discs, 0, identity_fold(pegs, discs))
+        assert sum(len(layer) for _, layer, _, _ in layers) == pegs**discs
         low = discs // 2
         free = sum(
             len(set(unpack(code, pegs, low).pegs)) <= pegs - 2 for code in range(base)
         )
         assert counted.reads == free * pegs ** (discs - low)
-        if pegs == 3:  # only where the low block is a perfect tower
-            assert counted.reads == 3 * 3 ** (discs - low) < 3**discs
+
+    @pytest.mark.parametrize("discs", [2, 5, 9])
+    def test_exhausted_queue_reads_high_table_once_per_gate_state(self, monkeypatch, discs):
+        # on three pegs the gate states are the 3 perfect towers of the low
+        # block in each of the 3**ceil(n/2) copies, and each exits once
+        base, low_occupied, low_deltas, high_moves = _move_tables(3, discs)
+        counted = ReadCounter(high_moves)
+        monkeypatch.setattr(
+            hanoilab.oracle,
+            "_move_tables",
+            lambda p, n: (base, low_occupied, low_deltas, counted),
+        )
+        arrived = _block_queue(3, discs, 0, None)[1]
+        copies = 3 ** (discs - discs // 2)
+        assert len(arrived) == copies
+        assert counted.reads == 3 * copies <= 3**discs
 
     @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
     def test_matches_reference_bfs(self, pegs, discs):
@@ -280,7 +297,9 @@ class TestLayers:
             expected = reference_layers(pegs, discs, source)
             got = [
                 (d, {v: counts[v] for v in layer})
-                for d, layer, _, counts in _layers(pegs, discs, source)
+                for d, layer, _, counts in _layers(
+                    pegs, discs, source, identity_fold(pegs, discs)
+                )
             ]
             assert got == list(enumerate(expected))
 
@@ -497,7 +516,7 @@ class TestTowerSweep:
     def test_one_search_matches_per_disc_searches(self, monkeypatch, pegs, top, solver):
         expected = tuple(tower_distance(pegs, n, solver=solver) for n in range(1, top + 1))
         calls = counting_tower_rows(monkeypatch)
-        sweep = _sweep(tower_distance, pegs, top, DEFAULT_STATE_BUDGET, solver)
+        sweep = _tower_sweep(pegs, top, DEFAULT_STATE_BUDGET, solver)
         assert (sweep.pegs, sweep.reports, sweep.skipped) == (pegs, expected, ())
         assert calls == [(pegs, top)]
 
@@ -506,7 +525,7 @@ class TestTowerSweep:
         budget = max(pegs**admitted, 1)
         expected = tuple(tower_distance(pegs, n, solver=solver) for n in range(1, admitted + 1))
         calls = counting_tower_rows(monkeypatch)
-        sweep = _sweep(tower_distance, pegs, top, budget, solver)
+        sweep = _tower_sweep(pegs, top, budget, solver)
         assert sweep.reports == expected
         assert sweep.skipped == tuple(
             SkippedLevel(n, pegs**n, budget) for n in range(admitted + 1, top + 1)
@@ -520,10 +539,10 @@ class TestTowerSweep:
 
         monkeypatch.setattr(hanoilab.oracle, "_tower_rows", no_search)
         with pytest.raises(DiscLimitError, match="disc count 6 exceeds"):
-            _sweep(tower_distance, 4, 8, DEFAULT_STATE_BUDGET, HanoiSolver(max_discs=5))
+            _tower_sweep(4, 8, DEFAULT_STATE_BUDGET, HanoiSolver(max_discs=5))
         # a disc count the budget refuses is skipped before its ceiling is read
         monkeypatch.undo()
-        sweep = _sweep(tower_distance, 4, 8, 4**5, HanoiSolver(max_discs=5))
+        sweep = _tower_sweep(4, 8, 4**5, HanoiSolver(max_discs=5))
         assert [r.discs for r in sweep.reports] == [1, 2, 3, 4, 5]
 
 
@@ -669,7 +688,7 @@ class TestOrbitFold:
 def layers_search(pegs, discs, source, target):
     """(distance, geodesics, states, orbits) from an unfolded `_layers` BFS."""
     explored = 0
-    for d, layer, seen, counts in _layers(pegs, discs, source):
+    for d, layer, seen, counts in _layers(pegs, discs, source, identity_fold(pegs, discs)):
         explored += len(layer)
         if seen[target]:
             return d, counts[target], explored, explored
@@ -807,8 +826,9 @@ class TestDenseSearch:
     def test_dense_layers_match_layers(self, pegs, discs):
         size = pegs**discs
         sources = {0, size - 1, *random.Random(size).sample(range(size), min(4, size))}
+        fold = identity_fold(pegs, discs)
         for source in sorted(sources):
-            layers = [layer for _, layer, _, _ in _layers(pegs, discs, source)]
+            layers = [layer for _, layer, _, _ in _layers(pegs, discs, source, fold)]
             expected = [sum(1 << v for v in layer) for layer in layers]
             assert list(_dense_layers(_shift_masks(pegs, discs), source)) == expected
 
@@ -872,13 +892,14 @@ class TestBlockSearch:
         expected = tower_distance(3, discs, solver=solver)
 
         def no_layers(*args):
-            raise AssertionError(f"_layers entered for {args}")
+            raise AssertionError(f"_layers or _fold_tables entered for {args}")
 
         monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", no_layers)
         assert tower_distance(3, discs, solver=solver) == expected
         assert geodesic_uniqueness(discs) == 1
         if discs:
-            sweep = _sweep(tower_distance, 3, discs, DEFAULT_STATE_BUDGET, solver)
+            sweep = _tower_sweep(3, discs, DEFAULT_STATE_BUDGET, solver)
             assert sweep.reports[-1] == expected
 
     @pytest.mark.parametrize("discs", [1, 4, 7, 9])
@@ -887,13 +908,37 @@ class TestBlockSearch:
         expected = [layers_search(3, discs, *pair) for pair in pairs]
 
         def no_layers(*args):
-            raise AssertionError(f"_layers entered for {args}")
+            raise AssertionError(f"_layers or _fold_tables entered for {args}")
 
         monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", no_layers)
         got = [bfs_distance(3, discs, *pair) for pair in pairs]
         assert [
             (r.distance, r.geodesic_count, r.states_explored, r.orbits_explored) for r in got
         ] == expected
+
+    @pytest.mark.parametrize("discs", range(9))
+    def test_layers_match_reference_bfs(self, discs):
+        # every source up to n = 4, seeded sources beyond
+        size = 3**discs
+        if discs <= 4:
+            sources = range(size)
+        else:
+            sources = sorted({0, size - 1, *random.Random(size).sample(range(size), 4)})
+        for source in sources:
+            expected = [set(layer) for layer in reference_layers(3, discs, source)]
+            assert [set(layer) for layer in _block_layers(3, discs, source)] == expected
+
+    @pytest.mark.parametrize("discs", [0, 1, 2, 6, 9])
+    def test_three_peg_metrics_never_enter_layers(self, monkeypatch, discs):
+        # the eccentricity sweeps run the block kernel, like every three-peg search
+        def no_layers(*args):
+            raise AssertionError(f"_layers or _fold_tables entered for {args}")
+
+        monkeypatch.setattr(hanoilab.oracle, "_layers", no_layers)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_tables", no_layers)
+        metrics = graph_metrics(3, discs)
+        assert (metrics.diameter, metrics.bfs_runs) == (2**discs - 1, max(discs, 1))
 
     def test_memory_is_not_per_state(self):
         # tables included: no byte or count slot per state of the 1,594,323
@@ -972,7 +1017,7 @@ def relabel(code, pegs, discs, perm):
 
 def eccentricity(pegs, discs, source):
     """Depth of the last layer of an unfolded BFS from ``source``."""
-    return max(d for d, *_ in _layers(pegs, discs, source))
+    return max(d for d, *_ in _layers(pegs, discs, source, identity_fold(pegs, discs)))
 
 
 # Every space with p in 3..9 and at most 729 states, n = 0 and 1 included.
@@ -1060,11 +1105,10 @@ class TestMetrics:
             graph.subgraph(max(nx.connected_components(graph), key=len))
         )
         def layers(pegs, discs, source):
-            for d, layer in enumerate(nx.bfs_layers(graph, source)):
-                yield d, layer, None, None
+            return nx.bfs_layers(graph, source)
 
         monkeypatch.setattr(hanoilab.oracle, "_orbit_codes", lambda p, n: list(graph))
-        monkeypatch.setattr(hanoilab.oracle, "_layers", layers)
+        monkeypatch.setattr(hanoilab.oracle, "_block_layers", layers)
         diameter, runs = hanoilab.oracle._diameter(0, 0)
         assert diameter == nx.diameter(graph)
         assert 1 <= runs <= len(graph)
