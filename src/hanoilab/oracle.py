@@ -72,7 +72,10 @@ eccentricity sweep there runs :func:`_dense_layers`, which holds a set
 of states as one big int with a bit per code and expands a whole layer
 with one shift-and-mask pair per disc and peg offset;
 :func:`_dense_search` counts geodesics afterwards over the states on
-some geodesic only.  There the layers are wide, so the whole-set
+some geodesic only, walking back from the target: to the source for an
+arbitrary pair, and only to the middle layer floor(D/2) between two
+towers, whose other half it reads as the digit reversal of the half
+walked.  There the layers are wide, so the whole-set
 operations win, even against the orbit fold: a full ball between the
 towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
 0.77 s (one core of a shared 2-core host).  The n(p-1) move masks hold
@@ -193,6 +196,12 @@ def neighbors(state: PackedState, pegs: int, discs: int) -> list[PackedState]:
     empty or its top disc is larger.
     """
     _check_code(state, pegs, discs)
+    return _neighbors(state, pegs, discs)
+
+
+def _neighbors(state: PackedState, pegs: int, discs: int) -> list[PackedState]:
+    """:func:`neighbors` without the range check, for codes already known
+    to lie in the space."""
     tops = [-1] * pegs
     rem = state
     found = 0
@@ -770,8 +779,19 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     that lie on some geodesic, walking back from the target: the
     neighbours of a layer-k interval state in class (k-1) % 3 are its
     neighbours one layer nearer the source, and each gets the state's
-    number of geodesics to the target added to its own.  The classes are
-    read there as bytes, where testing a bit takes constant time.
+    number of geodesics c_t to the target added to its own.  The classes
+    are read there as bytes, where testing a bit takes constant time.
+
+    Between the towers on pegs 0 and p-1, the pair :func:`bfs_distance`
+    gives every two distinct perfect towers, the walk stops at layer
+    h = floor(D/2).  The digit reversal rho(u) = p**n - 1 - u swaps the
+    towers, so the number of geodesics from the source to u is
+    c_t(rho(u)), and rho(u) lies in layer D - h of the interval: the
+    layer just walked when D is odd, layer h itself when D is even.  Every
+    geodesic crosses layer h once, so the geodesic count is the sum of
+    c_t(u) * c_t(rho(u)) over the interval states u of layer h.  The
+    forward search still runs to D, so ``states_explored`` is the whole
+    ball.
     """
     classes = [0, 0, 0]
     for d, layer in enumerate(_dense_layers(_shift_masks(pegs, discs), source)):
@@ -781,18 +801,23 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     else:
         raise HanoiError("state graph unexpectedly disconnected")
     explored = sum(c.bit_count() for c in classes)
-    width = (pegs**discs + 7) // 8
+    top = pegs**discs - 1
+    width = (top + 8) // 8
     for r in range(3):  # one class at a time, so only one is held twice
         classes[r] = classes[r].to_bytes(width, "little")
+    half = source == 0 and target == top
     counts = {target: 1}
-    for k in range(d, 0, -1):
+    for k in range(d, d // 2 if half else 0, -1):
         nearer = classes[(k - 1) % 3]
         farther, counts = counts, {}
         for v, paths in farther.items():
-            for u in neighbors(v, pegs, discs):
+            for u in _neighbors(v, pegs, discs):
                 if nearer[u >> 3] >> (u & 7) & 1:
                     counts[u] = counts.get(u, 0) + paths
-    return d, counts[source], explored, explored
+    if not half:
+        return d, counts[source], explored, explored
+    mirror = farther if d % 2 else counts
+    return d, sum(c * mirror[top - u] for u, c in counts.items()), explored, explored
 
 
 def _canon(fold, v: int) -> int:
@@ -1010,6 +1035,11 @@ def bfs_distance(
     folded, so ``orbits_explored`` equals ``states_explored``.  The budget
     bounds p**n for both kernels, though on three pegs the search holds
     O(3**ceil(n/2)) entries, not a slot per state.
+
+    Two distinct perfect towers are searched as the towers on pegs 0 and
+    p-1: relabelling the pegs changes no distance, geodesic count or ball
+    size, and on p >= 4 :func:`_dense_search` counts the geodesics of that
+    pair from the middle layer, walking back only half as deep.
     """
     _check_space(pegs, discs, state_budget)
     if source is None:
@@ -1021,6 +1051,8 @@ def bfs_distance(
     src_peg = _perfect_peg(source, pegs, discs)
     dst_peg = _perfect_peg(target, pegs, discs)
     towers = src_peg is not None and dst_peg is not None and src_peg != dst_peg
+    if towers:
+        source, target = 0, pegs**discs - 1
     dp_cost = _dp_cost(towers, solver, pegs, discs)
     return _report(pegs, discs, dp_cost, _search(pegs, discs, source, target))
 

@@ -718,6 +718,50 @@ DENSE_SPACES = [
 ]
 
 
+def full_walk(pegs, discs, source, target):
+    """(distance, geodesics, states, orbits) by the dense layers out to the
+    target and a walk back over `neighbors()` through every layer of the
+    interval to the source, the walk arbitrary pairs take."""
+    layers = []
+    for layer in _dense_layers(_shift_masks(pegs, discs), source):
+        layers.append(layer)
+        if layer >> target & 1:
+            break
+    counts = {target: 1}
+    for layer in reversed(layers[:-1]):
+        nearer = set(_members(layer))
+        farther, counts = counts, {}
+        for v, paths in farther.items():
+            for u in neighbors(v, pegs, discs):
+                if u in nearer:
+                    counts[u] = counts.get(u, 0) + paths
+    explored = sum(layer.bit_count() for layer in layers)
+    return len(layers) - 1, counts[source], explored, explored
+
+
+def counting_walk(monkeypatch):
+    """The codes whose neighbours are read, in order, from here on."""
+    walked = []
+    real = hanoilab.oracle._neighbors
+
+    def counted(state, pegs, discs):
+        walked.append(state)
+        return real(state, pegs, discs)
+
+    monkeypatch.setattr(hanoilab.oracle, "_neighbors", counted)
+    return walked
+
+
+# Tower spaces whose pairs must match the full walk, n = 0 and 1 included.
+TOWER_SPACES = [
+    *((4, n) for n in range(10)),
+    *((5, n) for n in range(8)),
+    *((6, n) for n in range(7)),
+    *((7, n) for n in range(6)),
+    *((12, n) for n in range(1, 5)),
+]
+
+
 def mask_moves(code, masks):
     """States one move from ``code``, read from the shift masks."""
     moved = [code + shift for shift, mask in masks if mask >> code & 1]
@@ -777,6 +821,59 @@ class TestDenseSearch:
             distance, geodesics, explored, orbits = _dense_search(pegs, discs, source, target)
             assert (distance, geodesics, explored) == nx_search(graph, source, target)
             assert orbits == explored
+
+    @pytest.mark.parametrize("pegs,discs", TOWER_SPACES)
+    def test_tower_pairs_match_the_full_walk(self, pegs, discs):
+        top = pegs**discs - 1
+        expected = full_walk(pegs, discs, 0, top)
+        assert _dense_search(pegs, discs, 0, top) == expected
+        report = bfs_distance(pegs, discs)
+        fields = (report.distance, report.geodesic_count, report.states_explored)
+        assert (*fields, report.orbits_explored) == expected
+
+    @pytest.mark.parametrize("pegs,discs", [(4, n) for n in range(6)] + [(5, n) for n in range(5)])
+    def test_every_ordered_tower_pair(self, monkeypatch, pegs, discs):
+        # distinct towers reach the dense kernel as the towers on 0 and p - 1
+        graph = build_graph(pegs, discs)
+        towers = sorted({perfect_state(pegs, discs, q) for q in range(pegs)})
+        searched = []
+        real = hanoilab.oracle._dense_search
+
+        def recorded(*args):
+            searched.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(hanoilab.oracle, "_dense_search", recorded)
+        for source, target in itertools.product(towers, repeat=2):
+            report = bfs_distance(pegs, discs, source, target)
+            fields = (report.distance, report.geodesic_count, report.states_explored)
+            assert fields == nx_search(graph, source, target)
+            assert report.orbits_explored == report.states_explored
+            assert report.agrees is (None if source == target and discs else True)
+            if source != target:
+                assert searched[-1] == (0, pegs**discs - 1)
+
+    def test_tower_walk_stops_at_the_middle(self, monkeypatch):
+        walked = counting_walk(monkeypatch)
+        report = bfs_distance(5, 7)
+        assert (report.distance, report.geodesic_count) == (19, 32_598)
+        # the interval's layers 10..19 only; the walk back to the source reads 1,965
+        assert len(walked) == 983
+        walked.clear()
+        assert full_walk(5, 7, 0, 5**7 - 1)[:2] == (19, 32_598)
+        assert len(walked) == 1_965
+
+    @pytest.mark.parametrize("pegs,discs", [s for s in DENSE_SPACES if s[0] >= 4])
+    def test_arbitrary_pairs_walk_to_the_source(self, monkeypatch, pegs, discs):
+        pairs = [pair for pair in dense_pairs(pegs, discs) if pair != (0, pegs**discs - 1)]
+        walked = counting_walk(monkeypatch)
+        for pair in pairs:
+            walked.clear()
+            got = _dense_search(pegs, discs, *pair)
+            searched = len(walked)
+            walked.clear()
+            assert got == full_walk(pegs, discs, *pair)
+            assert searched == len(walked)
 
     @pytest.mark.parametrize(
         "call",
