@@ -8,38 +8,41 @@ combinatorial path counts never overflow), and diameters -- all computed
 with no knowledge of the recurrences they certify.
 
 Between the perfect towers s (all discs on peg 0) and t (all on peg
-p-1) on p >= 4 pegs, :func:`tower_distance` runs the mirror search,
-which searches only half as deep.  Swapping pegs 0 and p-1 in every
-digit is a graph automorphism sigma with sigma(s) = t, so the distance
-from t to v is the distance from s to sigma(v), and the number of
-geodesics from t to v is the count of sigma(v) from s.  After
-the BFS from s completes layer d it looks at each v in that layer.  If
-some sigma(v) lies in layer d-1, the distance D is 2d-1; otherwise, if
-some sigma(v) lies in layer d, D is 2d.  No earlier layer met either
-rule, so D >= 2d-1 and every sigma(v) already seen lies in layer d-1 or
-d, which the layer tags tell apart.  Every geodesic crosses layer
-floor(D/2) exactly once, through a v of the matching kind, so the sum of
-count(v) * count(sigma(v)) over those v is the exact geodesic count.
+p-1) on p >= 4 pegs, :func:`tower_distance` runs the middle-state
+search of Korf & Felner (IJCAI 2007) over the space of the n-1 smaller
+discs.  Deleting the moves of some discs from a path leaves a legal
+path of the others (Hinz, Klavzar, Milutinovic & Petr, *The Tower of
+Hanoi -- Myths and Maths*, 2013), so a state whose larger discs all sit
+on peg 0 has the distance and geodesic count it has in the space of its
+smaller discs: the codes below p**k of a BFS layer from s are the k-disc
+layer.  Let R be the (n-1)-disc states with pegs 0 and p-1 empty and d_R
+their least distance from s.  Before disc n first moves, from peg 0 to
+a peg q, the other discs leave pegs 0 and q empty; swapping pegs q and
+p-1 fixes s and maps them into R, so that state lies d_R or more from s.
+Swapping pegs 0 and p-1 in every digit is a graph automorphism sigma
+with sigma(s) = t, so after disc n last moves the state lies d_R or
+more from t.  A path that moves disc n twice thus has 2*d_R + 2 moves
+or more, while a u in R at distance d_R, disc n moved to peg p-1, then
+sigma of the path to u reversed, makes 2*d_R + 1.  So D = 2*d_R + 1, and
+each geodesic moves disc n once, at its middle: from a u in R at
+distance d_R to w, u with disc n on peg p-1, whose count from t is c(u)
+as sigma(w) = u.  The geodesic count G is the sum of c(u)**2 over those
+u.  A state with disc n off peg 0 lies d_R + 1 or more from s, and
+exactly that when one move of disc n, to an empty peg q, reaches it from
+an x at distance d_R with peg 0 empty.  So the n-disc ball of radius
+d_R + 1 = ceil(D/2), the states the search explores, is the (n-1)-disc
+ball of that radius, disc n on peg 0, plus one state per such x and q.
+The codes below p**(m-1) are the (m-1)-disc space, so one
+search over the (n-1)-disc space serves every disc count m <= n, and a
+sweep of :func:`tower_distance` over disc counts is that one search, at
+the largest disc count the budget admits.
 
-One search between the n-disc towers serves every disc count m <= n, on
-any peg count.  A state whose discs above m all sit on peg 0 has the
-same distance and geodesic count as in the m-disc graph, because
-deleting the moves of larger discs from a path leaves a legal path
-(Hinz, Klavzar, Milutinovic & Petr, *The Tower of Hanoi -- Myths and
-Maths*, 2013).  So the codes below p**m of each layer of the mirror
-search are the m-disc layer, and the search stops once every m has met.
-A sweep of :func:`tower_distance` over disc counts is that one search,
-at the largest disc count the budget admits.
-
-The mirror search, and no other, runs over the orbits of the
-relabellings of the set M of the p-2 middle pegs, which both towers
-leave empty.  Those relabellings map legal moves to legal moves and fix
-both towers (and commute with sigma), so every state of an orbit has the
-same distance and geodesic count.  The canonical form of a state renames
-the pegs of M in order of first use, smallest disc first; a layer lists
-canonical codes only.  The digit reversal rho(v) = p**n - 1 - v is sigma
-followed by the relabelling that reverses M, and sigma changes no peg of
-M, so the canonical form of rho(v) is sigma(v) for a canonical v.  The
+That search, and no other, runs over the orbits of the relabellings of
+the set M of the p-2 middle pegs, which both towers leave empty.  Those
+relabellings map legal moves to legal moves and fix both towers and R,
+so every state of an orbit has the same distance and geodesic count.
+The canonical form of a state renames the pegs of M in order of first
+use, smallest disc first; a layer lists canonical codes only.  The
 count slot of a representative r holds its orbit's mass
 M(r) = |O(r)| * c(r), and masses add along edges as counts do: the mass
 of an orbit is the sum, over the edges reaching it from the layer
@@ -50,8 +53,10 @@ layer: a code whose orbit is new hands its mass to the canonical code,
 which becomes the orbit's representative; a code whose representative
 is already tagged in this layer adds its mass to it; a code whose orbit
 was reached in an earlier layer is dropped.  ``states_explored`` sums
-|O(r)|, and the mirror sum becomes the sum of M(r) * M(sigma(r)) /
-|O(r)|, exact term by term.
+|O(r)| and G sums M(r)**2 / |O(r)|, exact term by term.  The states
+that move disc n from the orbit of x fall in one orbit when peg p-1 is
+empty and one more when a middle peg is, as the relabellings that fix
+x permute its empty middle pegs.
 
 A dropped code keeps its tag, which need not be its true layer, yet the
 three tags stay sound.  A code first reached in the expansion that makes
@@ -64,13 +69,12 @@ only when its orbit is first reached, with that layer's tag.
 Three kernels run the searches, on purpose, picked by the kind of
 search and the peg count alone.  Every three-peg search runs the block
 kernel below: pairs, towers and the eccentricity sweeps of
-:func:`graph_metrics`.  On four or more pegs the mirror search between
-the towers folds and runs :func:`_layers`, which keeps a layer tag and a
-geodesic count per state, so it reads the counts of each layer's mirror
-images as soon as the layer is complete; every pair and every
-eccentricity sweep there runs :func:`_dense_layers`, which holds a set
-of states as one big int with a bit per code and expands a whole layer
-with one shift-and-mask pair per disc and peg offset;
+:func:`graph_metrics`.  On four or more pegs the middle-state search
+between the towers folds and runs :func:`_layers`, which keeps a layer
+tag and a geodesic count per state of the (n-1)-disc space; every pair
+and every eccentricity sweep there runs :func:`_dense_layers`, which
+holds a set of states as one big int with a bit per code and expands a
+whole layer with one shift-and-mask pair per disc and peg offset;
 :func:`_dense_search` counts geodesics afterwards over the states on
 some geodesic only, walking back from the target: to the source for an
 arbitrary pair, and only to the middle layer floor(D/2) between two
@@ -110,8 +114,8 @@ and counts ``states_explored`` over the shells within it: the four
 (3,11) pairs of a benchmark pass take 0.015-0.02 s (one core of a shared
 2-core host).  Towers, :func:`_block_towers`, run it to the distance
 2**n - 1 once, and each m-disc tower, the code 3**m - 1, is read from
-the same entries, its states explored counted over the half-depth ball
-the mirror search would explore: ``tower_distance(3, 15)`` took 0.07 s
+the same entries, its states explored counted over the ball of radius
+ceil(D/2), as on more pegs: ``tower_distance(3, 15)`` took 0.07 s
 and 26 MiB in a fresh process.  A sweep, :func:`_block_layers`, runs the
 queue until it is empty and lists each BFS layer as the shells that
 fall on it, one layer at a time.
@@ -585,9 +589,9 @@ def _block_towers(discs: int):
     distance and geodesic count in both spaces: deleting the moves of the
     larger discs from a path leaves a legal path, so no geodesic moves
     them.  The ball of radius ceil(D/2) = 2**(m-1) around the source, the
-    part of the space the mirror search of p >= 4 explores, holds the same
-    states in both spaces too: disc m+1 first moves after the m smaller
-    discs have left the first peg, at least 2**m - 1 moves in.
+    part of the space the middle-state search of p >= 4 explores, holds
+    the same states in both spaces too: disc m+1 first moves after the m
+    smaller discs have left the first peg, at least 2**m - 1 moves in.
     """
     queue = _block_queue(3, discs, 0, 3**discs - 1)
     reach = [_block_reach(queue, 3**m - 1) for m in range(discs + 1)]
@@ -596,7 +600,7 @@ def _block_towers(discs: int):
 
 
 def _layers(pegs: int, discs: int, source: int, fold):
-    """The folded BFS of :func:`_mirror_search` from ``source``, one yield
+    """The folded BFS of :func:`_middle_search` from ``source``, one yield
     per completed layer.
 
     Yields ``(d, layer, seen, counts)`` for d = 0, 1, ... while layers are
@@ -820,19 +824,11 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     return d, sum(c * mirror[top - u] for u, c in counts.items()), explored, explored
 
 
-def _canon(fold, v: int) -> int:
-    """Canonical form of code ``v`` under the relabellings of ``fold``."""
-    base, low_canon, low_ids, width, high_canon, _ = fold
-    low = v % base
-    return high_canon[v // base * width + low_ids[low]] + low_canon[low]
-
-
 def _merge(fold, new: list[int], tag: int, seen: bytearray, counts: list[int]) -> list[int]:
     """Orbit representatives of a layer's new codes, their masses merged
     into the ``counts`` slots; see the module docstring."""
     base, low_canon, low_ids, width, high_canon, _ = fold
     reps: list[int] = []
-    # :func:`_canon` inlined: the call measured 6-10% slower in this loop
     for v in new:
         low = v % base  # measured faster than divmod here
         r = high_canon[v // base * width + low_ids[low]] + low_canon[low]
@@ -931,60 +927,62 @@ def _search(pegs: int, discs: int, source: int, target: int):
     return _block_search(pegs, discs, source, target)
 
 
-def _mirror_search(pegs: int, discs: int):
-    """The :func:`_tower_rows` of p >= 4 pegs, from one folded BFS from
-    the first tower to about half the largest distance; see the module
-    docstring for the meeting rule and the fold over the middle pegs.
+def _middle_search(pegs: int, discs: int):
+    """The :func:`_tower_rows` of p >= 4 pegs, from one folded BFS over
+    the space of the ``discs - 1`` smallest discs; see the module
+    docstring for the middle-state lemma and the fold.
 
-    Every code below p**m keeps the discs above m on peg 0, and so does
-    its canonical form, as the fold never renames peg 0; such a state has
-    its m-disc distance, geodesic count and orbit (module docstring).  So
-    once a layer is complete and sorted, its codes below p**m are the
-    m-disc layer: m's tallies add that prefix, and m's meeting test reads
-    the mirror image of each code v there as the canonical form of its
-    m-digit reversal ``p**m - 1 - v``, which is sigma(v) in the m-disc
-    space.  The test of m starts at the first layer listing a code of at
-    least p**(m-1), where disc m has left peg 0: before that no mirror
-    image, which has disc m on the last peg, is reached.  The search
-    stops once every m has met.
+    Once a layer is sorted, its codes below p**k are the k-disc layer:
+    the row of k + 1 discs meets at the first layer d_R whose k-digit
+    codes include one of R, those with no digit 0 or p-1, and reads its
+    ball one layer later.  A code's ``mask`` holds the pegs its digits use
+    up to its top non-zero one: the low block's ``low_occupied`` and the
+    high part's ``used`` entry when the high part is non-zero, else its
+    ``used`` entry.  D grows with the disc count and is odd, so d_R grows
+    too and at most one row meets per layer.
     """
-    fold = _fold_tables(pegs, discs)
-    powers = [pegs**m for m in range(discs + 1)]
-    explored = [0] * (discs + 1)
-    orbits = [0] * (discs + 1)
-    rows: list[tuple[int, int, int, int] | None] = [None] * (discs + 1)
-    waiting = list(range(discs + 1))  # disc counts not met yet, ascending
-    reached = 0  # the largest code listed so far
-    for d, layer, seen, counts in _layers(pegs, discs, 0, fold):
+    rows = [(0, 1, 1, 1)]
+    if not discs:
+        return rows
+    small = discs - 1
+    fold = _fold_tables(pegs, small)
+    base, low_occupied, _, _ = _move_tables(pegs, small)
+    occupied, used = [0], [0]  # per block code: pegs of all digits, up to the top one
+    for _ in range(small - small // 2):
+        used += [occ | 1 << q for q in range(1, pegs) for occ in occupied]
+        occupied = [occ | 1 << q for q in range(pegs) for occ in occupied]
+    powers = [pegs**k for k in range(discs)]
+    last, middle = 1 << pegs - 1, (1 << pegs - 1) - 2
+    ball = [(0, 0)] * discs  # (states, orbits) below each p**k so far
+    balls, meets = [], []  # ball per layer; (d_R, G, states, orbits moving disc k+1)
+    for d, layer, _, counts in _layers(pegs, small, 0, fold):
         layer.sort()
-        reached = max(reached, layer[-1])
         sizes = _sizes(fold, layer)
-        odd_tag, even_tag = 1 + (d - 1) % 3, 1 + d % 3
-        start = mass = 0
-        for m in list(waiting):
-            end = bisect.bisect_left(layer, powers[m], start)
-            mass += sum(sizes[start:end])
-            start = end
-            explored[m] += mass
-            orbits[m] += end
-            if reached < powers[m] // pegs:  # disc m has not left peg 0
-                continue
-            top = powers[m] - 1
-            odd = even = 0
-            for v, size in zip(itertools.islice(layer, end), sizes):
-                w = _canon(fold, top - v)
-                tw = seen[w]
-                if tw == odd_tag:
-                    odd += counts[v] * counts[w] // size
-                elif tw == even_tag:
-                    even += counts[v] * counts[w] // size
-            if odd or even:
-                meet = (2 * d - 1, odd) if odd else (2 * d, even)
-                rows[m] = (*meet, explored[m], orbits[m])
-                waiting.remove(m)
-        if not waiting:
-            return rows
-    raise HanoiError("state graph unexpectedly disconnected")
+        mass = list(itertools.accumulate(sizes, initial=0))
+        ends = [bisect.bisect_left(layer, power) for power in powers]
+        ball = [(s + mass[end], o + end) for (s, o), end in zip(ball, ends)]
+        balls.append(ball)
+        k = len(meets)
+        if k == discs:
+            break
+        start = ends[k - 1] if k else 0
+        codes = layer[start : ends[k]]
+        masks = [used[v // base] | low_occupied[v % base] if v >= base else used[v] for v in codes]
+        listed = zip(codes, sizes[start : ends[k]], masks)
+        free = [(v, size, mask) for v, size, mask in listed if not mask & 1]
+        if any(not mask & last for _, _, mask in free):
+            meets.append((
+                d,
+                sum(counts[v] ** 2 // size for v, size, mask in free if not mask & last),
+                sum(size * (pegs - 1 - mask.bit_count()) for _, size, mask in free),
+                sum((not mask & last) + (mask & middle != middle) for _, _, mask in free),
+            ))
+    if len(meets) < discs:
+        raise HanoiError("state graph unexpectedly disconnected")
+    for k, (d, geodesics, states, orbits) in enumerate(meets):
+        s, o = balls[min(d + 1, len(balls) - 1)][k]
+        rows.append((2 * d + 1, geodesics, s + states, o + orbits))
+    return rows
 
 
 def _perfect_peg(code: int, pegs: int, discs: int) -> int | None:
@@ -1060,11 +1058,11 @@ def bfs_distance(
 def _tower_rows(pegs: int, discs: int):
     """(distance, geodesic count, states explored, orbits explored)
     between the perfect towers on pegs 0 and p-1 of the m-disc space, for
-    every m in [0, discs], from one search in the ``discs``-disc space:
-    :func:`_block_towers` on three pegs, :func:`_mirror_search` on more.
-    ``states_explored`` counts the states within ceil(D/2) of the source,
-    the half-depth ball of the mirror search."""
-    return _block_towers(discs) if pegs == 3 else _mirror_search(pegs, discs)
+    every m in [0, discs], from one search: :func:`_block_towers` in the
+    ``discs``-disc space on three pegs, :func:`_middle_search` in the
+    ``discs - 1``-disc space on more.  ``states_explored`` counts the
+    states within ceil(D/2) of the source, the half-depth ball."""
+    return _block_towers(discs) if pegs == 3 else _middle_search(pegs, discs)
 
 
 def tower_distance(
@@ -1082,7 +1080,7 @@ def tower_distance(
     counts the whole ball of radius D around it.  It reads the last row of
     :func:`_tower_rows`.  The budget bounds p**n, as there.  On three pegs
     the block kernel holds O(3**ceil(n/2)) entries; on more pegs the
-    mirror search holds a byte and a count slot per state.
+    middle-state search holds p**(n-1) bytes and p**(n-1) count slots.
     """
     _check_space(pegs, discs, state_budget)
     dp_cost = _dp_cost(True, solver, pegs, discs)

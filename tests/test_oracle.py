@@ -19,7 +19,6 @@ from hanoilab.oracle import (
     _block_queue,
     _block_search,
     _build_masks,
-    _canon,
     _dense_layers,
     _dense_search,
     _fold_tables,
@@ -244,7 +243,8 @@ def reference_layers(pegs, discs, source, depth=None):
 
 def first_use(code, pegs, discs):
     """The code with the middle pegs 1..p-2 renamed in order of first use,
-    smallest disc first: the canonical form of the mirror search's fold."""
+    smallest disc first: the canonical form of the middle-state search's
+    fold."""
     names = {}
     digits = []
     for q in unpack(code, pegs, discs).pegs:
@@ -444,7 +444,7 @@ class TestGeodesics:
 
 
 # Every perfect-tower space with p in 3..8 and at most 65,536 states.
-MIRROR_SPACES = [
+TOWER_SPACES = [
     (pegs, discs)
     for pegs in range(3, 9)
     for discs in range(17)
@@ -453,16 +453,16 @@ MIRROR_SPACES = [
 
 
 class TestTowerDistance:
-    @pytest.mark.parametrize("pegs,discs", MIRROR_SPACES)
+    @pytest.mark.parametrize("pegs,discs", TOWER_SPACES)
     def test_matches_full_bfs(self, pegs, discs, solver):
-        mirror = tower_distance(pegs, discs, solver=solver)
+        half = tower_distance(pegs, discs, solver=solver)
         full = bfs_distance(pegs, discs, solver=solver)
-        assert (mirror.pegs, mirror.discs) == (pegs, discs)
-        assert mirror.distance == full.distance
-        assert mirror.geodesic_count == full.geodesic_count
-        assert mirror.dp_cost == full.dp_cost
-        assert mirror.agrees is full.agrees is True
-        assert mirror.states_explored <= full.states_explored
+        assert (half.pegs, half.discs) == (pegs, discs)
+        assert half.distance == full.distance
+        assert half.geodesic_count == full.geodesic_count
+        assert half.dp_cost == full.dp_cost
+        assert half.agrees is full.agrees is True
+        assert half.states_explored <= full.states_explored
 
     @pytest.mark.parametrize("pegs,discs", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3)])
     def test_against_networkx(self, pegs, discs):
@@ -520,6 +520,19 @@ class TestTowerSweep:
         assert (sweep.pegs, sweep.reports, sweep.skipped) == (pegs, expected, ())
         assert calls == [(pegs, top)]
 
+    def test_one_layered_search_over_the_smaller_discs(self, monkeypatch, solver):
+        # the middle-state search of n discs runs over the n-1 smaller ones
+        calls = []
+        real = hanoilab.oracle._layers
+
+        def counted(pegs, discs, source, fold):
+            calls.append((pegs, discs))
+            return real(pegs, discs, source, fold)
+
+        monkeypatch.setattr(hanoilab.oracle, "_layers", counted)
+        _tower_sweep(4, 10, DEFAULT_STATE_BUDGET, solver)
+        assert calls == [(4, 9)]
+
     @pytest.mark.parametrize("pegs,top,admitted", [(4, 9, 6), (5, 7, 3), (3, 8, 5), (4, 3, 0)])
     def test_budget_admits_a_prefix(self, monkeypatch, pegs, top, admitted, solver):
         budget = max(pegs**admitted, 1)
@@ -555,10 +568,10 @@ def identity_fold(pegs, discs):
 
 
 def unfolded(monkeypatch):
-    """Make the mirror search, the one search that folds, run unfolded by
-    patching in `identity_fold`.  Its mirror image of v is then the raw
-    digit reversal, sigma(v) with the middle pegs reversed, which has the
-    distance and geodesic count of sigma(v)."""
+    """Make the middle-state search, the one search that folds, run
+    unfolded by patching in `identity_fold`: every orbit is then one
+    state, so its distance, geodesic count and states explored are the
+    plain BFS's."""
     monkeypatch.setattr(hanoilab.oracle, "_fold_tables", identity_fold)
 
 
@@ -596,7 +609,7 @@ def shared_empty_pairs(pegs, discs, count=12):
 
 
 # Every perfect-tower space with p in 4..8 and at most 2**16 states.
-FOLDED_TOWERS = [(pegs, discs) for pegs, discs in MIRROR_SPACES if pegs >= 4]
+FOLDED_TOWERS = [(pegs, discs) for pegs, discs in TOWER_SPACES if pegs >= 4]
 # Searches that fold nothing: only tower_distance on four or more pegs folds.
 UNFOLDED_CALLS = [
     pytest.param(lambda: tower_distance(3, 6), id="three-peg towers"),
@@ -616,14 +629,21 @@ class TestOrbitFold:
         unfolded(monkeypatch)
         monkeypatch.setattr(hanoilab.oracle, "_dense_search", layers_search)
         plain = call(pegs, discs, solver=solver)
-        assert plain.orbits_explored == plain.states_explored
         fields = ("distance", "geodesic_count", "states_explored", "dp_cost", "agrees")
         assert [getattr(report, f) for f in fields] == [getattr(plain, f) for f in fields]
-        # only the mirror search folds; bfs_distance counts every state as an orbit
+        # only the middle-state search folds; bfs_distance counts every state as an orbit
         if call is bfs_distance:
+            assert plain.orbits_explored == plain.states_explored
             assert report.orbits_explored == report.states_explored
         else:
-            assert report.orbits_explored <= report.states_explored
+            # the half-depth ball of a plain BFS, and the canonical codes in it
+            radius = (report.distance + 1) // 2
+            ball = [v for layer in reference_layers(pegs, discs, 0, radius) for v in layer]
+            middle = tuple(range(1, pegs - 1))
+            assert report.states_explored == len(ball)
+            assert report.orbits_explored == sum(
+                is_canonical(v, pegs, discs, middle) for v in ball
+            )
             if discs >= 2:
                 assert report.orbits_explored < report.states_explored
 
@@ -669,20 +689,6 @@ class TestOrbitFold:
         report = bfs_distance(pegs, discs)
         assert (report.distance, report.geodesic_count) == (distance, geodesics)
         assert report.states_explored == report.orbits_explored == states == pegs**discs
-
-    @pytest.mark.parametrize(
-        "pegs,discs", [(4, 1), (4, 5), (4, 7), (5, 5), (6, 4), (7, 4), (8, 3)]
-    )
-    def test_canonical_reversal_is_the_mirror(self, pegs, discs):
-        # the mirror search reads sigma(v) as the canonical form of p**n - 1 - v
-        top = pegs**discs - 1
-        fold = _fold_tables(pegs, discs)
-        swap = [pegs - 1, *range(1, pegs - 1), 0]
-        canonical = [v for v in range(top + 1) if _canon(fold, v) == v]
-        mirrors = [relabel(v, pegs, discs, swap) for v in canonical]
-        assert [_canon(fold, top - v) for v in canonical] == mirrors
-        # the raw reversal is not canonical for some v, so it alone would miss
-        assert any(top - v != w for v, w in zip(canonical, mirrors))
 
 
 def layers_search(pegs, discs, source, target):
