@@ -38,13 +38,13 @@ sweep of :func:`tower_distance` over disc counts is that one search, at
 the largest disc count the budget admits.
 
 That search, and no other, runs over the orbits of the relabellings of
-the set M of the p-2 middle pegs, which both towers leave empty.  Those
-relabellings map legal moves to legal moves and fix both towers and R,
-so every state of an orbit has the same distance and geodesic count.
-The canonical form of a state renames the pegs of M in order of first
-use, smallest disc first; a layer lists canonical codes only.  The
-count slot of a representative r holds its orbit's mass
-M(r) = |O(r)| * c(r), and masses add along edges as counts do: the mass
+the pegs 1..p-1, which map legal moves to legal moves and fix its
+source, so every state of an orbit has the same distance and geodesic
+count.  The canonical form of a state renames those pegs in order of
+first use, smallest disc first; a layer lists canonical codes only.  A
+state r that uses k of the pegs 1..p-1 has |O(r)| = (p-1)!/(p-1-k)!
+states in its orbit, whose mass M(r) = |O(r)| * c(r) the count slot of
+its representative holds.  Masses add along edges as counts do: the mass
 of an orbit is the sum, over the edges reaching it from the layer
 before, of the count at the edge's near end, and the edges leaving an
 orbit are |O| copies of those leaving its representative.  So the kernel
@@ -52,11 +52,20 @@ expands representatives unchanged and then merges the new codes of the
 layer: a code whose orbit is new hands its mass to the canonical code,
 which becomes the orbit's representative; a code whose representative
 is already tagged in this layer adds its mass to it; a code whose orbit
-was reached in an earlier layer is dropped.  ``states_explored`` sums
-|O(r)| and G sums M(r)**2 / |O(r)|, exact term by term.  The states
-that move disc n from the orbit of x fall in one orbit when peg p-1 is
-empty and one more when a middle peg is, as the relabellings that fix
-x permute its empty middle pegs.
+was reached in an earlier layer is dropped.
+
+R's share of an orbit is a closed count: when r leaves peg 0 empty,
+(p-2)!/(p-2-k)! states of its orbit leave peg p-1 empty too, none when
+k = p-1.  So d_R is the first layer that holds such an r with k < p-1,
+and G sums (p-2)!/(p-2-k)! * c(r)**2 = M(r)**2 * (p-1-k) / (|O(r)| *
+(p-1)) over them, exact term by term.  ``states_explored`` sums |O(r)|,
+plus the |O(r)| * (p-1-k) states that move disc n from such an orbit at
+layer d_R.  ``orbits_explored`` counts the orbits of the relabellings
+of the middle pegs alone, which fix both towers: the orbit of r holds
+k + [k < p-1] of them, by which block of r, if any, sits on peg p-1, and
+the states that move disc n from it fall in [k < p-1] * (1 + k +
+[k < p-2]), one per such orbit x and kind of empty peg x has, p-1 or
+middle, as the relabellings that fix x permute its empty middle pegs.
 
 A dropped code keeps its tag, which need not be its true layer, yet the
 three tags stay sound.  A code first reached in the expansion that makes
@@ -239,9 +248,10 @@ class OracleReport:
     ``dp_cost`` is filled only for n = 0 and when source and target are
     two distinct perfect towers; ``agrees`` is None in the other cases.
     ``states_explored`` counts states; ``orbits_explored`` counts the
-    orbit representatives among them that the search expanded.  Only
-    :func:`tower_distance` on four or more pegs folds, so every other
-    report has ``orbits_explored == states_explored``.
+    orbits among them of the relabellings of the middle pegs 1..p-2,
+    which fix both towers.  Only :func:`tower_distance` on four or more
+    pegs folds, and it reads that count from its own, coarser fold; every
+    other report has ``orbits_explored == states_explored``.
     """
 
     pegs: int
@@ -610,8 +620,12 @@ def _layers(pegs: int, discs: int, source: int, fold):
     the mass of each representative there is final.  The caller may
     reorder ``layer`` in place before the next layer is made: the next
     layer's states and counts do not depend on the order.  ``fold`` holds
-    the :func:`_fold_tables` of the space; after each expansion the new
-    codes are merged into their orbits, as the module docstring describes.
+    the :func:`_fold_tables` of the space, or tables in their layout; after
+    each expansion the new codes are merged into their orbits, as the
+    module docstring describes.  The fold must fix ``source``: only then
+    do its relabellings keep every distance and count from the source, so
+    a fold whose orbit of the source holds other states raises
+    :class:`HanoiError`.
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
@@ -626,6 +640,8 @@ def _layers(pegs: int, discs: int, source: int, fold):
     or d; those three tags are distinct, so a tag tells a new state from
     one already in layer d (add to its path count) and from an older one.
     """
+    if fold[-1][_used_pegs(fold, [source])[0]] != 1:
+        raise HanoiError(f"the fold moves the source {source}")
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
     gate = _gates(pegs, low_occupied)
     size = pegs**discs
@@ -827,7 +843,7 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
 def _merge(fold, new: list[int], tag: int, seen: bytearray, counts: list[int]) -> list[int]:
     """Orbit representatives of a layer's new codes, their masses merged
     into the ``counts`` slots; see the module docstring."""
-    base, low_canon, low_ids, width, high_canon, _ = fold
+    base, low_canon, low_ids, width, high_canon, _, _ = fold
     reps: list[int] = []
     for v in new:
         low = v % base  # measured faster than divmod here
@@ -845,7 +861,7 @@ def _merge(fold, new: list[int], tag: int, seen: bytearray, counts: list[int]) -
     return reps
 
 
-def _first_use(pegs: int, count: int, weight: int, fold, orders, entering):
+def _first_use(pegs: int, count: int, weight: int, fold, orders, entering, last=False):
     """First-use relabelling of a block of ``count`` consecutive discs.
 
     The pegs in ``fold`` (ascending) are renamed in order of first use,
@@ -860,55 +876,76 @@ def _first_use(pegs: int, count: int, weight: int, fold, orders, entering):
     for the block code and the i-th entering order id: the relabelled
     block code, taken at ``weight``, and the order id after the block's
     discs.  Discs are added largest last, so the next disc's label is a
-    lookup by the order id its smaller discs leave.
+    lookup by the order id its smaller discs leave.  With ``last``, for
+    the block of the largest discs, ``leaving`` is instead a bytes table
+    of the number of fold pegs in use, and the last disc adds no order.
     """
+    position = {q: i for i, q in enumerate(fold)}
     labels, ids = [0] * len(entering), list(entering)
-    for _ in range(count):
+    for j in range(count):
+        final = last and j == count - 1
+        value = [q * weight for q in range(pegs)]  # shared, one int per peg
         label: list[list[int]] = [[] for _ in range(pegs)]  # per peg, per order id
         after: list[list[int]] = [[] for _ in range(pegs)]
         for order in list(orders):
+            k = len(order)
             for q in range(pegs):
-                if q in fold:
-                    grown = order if q in order else order + (q,)
-                    label[q].append(fold[grown.index(q)] * weight)
-                    after[q].append(orders.setdefault(grown, len(orders)))
+                if q not in position:
+                    label[q].append(value[q])
+                    after[q].append(k if final else orders[order])
+                elif q in order:
+                    label[q].append(value[fold[order.index(q)]])
+                    after[q].append(k if final else orders[order])
                 else:
-                    label[q].append(q * weight)
-                    after[q].append(orders[order])
+                    label[q].append(value[fold[k]])
+                    grown = k + 1 if final else orders.setdefault(order + (q,), len(orders))
+                    after[q].append(grown)
         labels = [lab + row[o] for row in label for lab, o in zip(labels, ids)]
         ids = [row[o] for row in after for o in ids]
         weight *= pegs
-    return labels, ids
+    return labels, bytes(ids) if last else ids
+
+
+def _fold_split(pegs: int, discs: int) -> int:
+    """The low disc count of :func:`_fold_tables` that minimises its
+    entries: p**low low codes, plus p**(n-low) high codes for each of the
+    first-use orders the low block can leave, the sum of (p-1)!/(p-1-k)!
+    over k <= low.  The high block keeps a disc when there is one."""
+    widths = itertools.accumulate(math.perm(pegs - 1, k) for k in range(max(discs, 1)))
+    entries = [pegs**low + pegs ** (discs - low) * w for low, w in enumerate(widths)]
+    return entries.index(min(entries))
 
 
 @lru_cache(maxsize=1)
 def _fold_tables(pegs: int, discs: int):
-    """(base, low canon, low order ids, width, high canon, high orbit sizes)
-    for the relabellings of the middle pegs 1..p-2.
+    """(base, low canon, low order ids, width, high canon, high k, sizes)
+    for the relabellings of the pegs 1..p-1.
 
-    With the block split of :func:`_move_tables` and ``i = high * width +
-    low_ids[low]``, the canonical form of ``high * base + low`` is
-    ``high_canon[i] + low_canon[low]`` and its orbit holds
-    ``high_sizes[i]`` states: m!/(m-k)! when k of the m middle pegs are in
-    use.  The low block leaves one of ``width`` first-use orders, at most
-    one per low code, so the high tables hold at most p**n entries.
+    They fix the code 0, the tower on peg 0 that the middle-state search
+    starts from; :func:`_layers` needs a fold that fixes its source.  With
+    the split of :func:`_fold_split`, ``base = p**low`` and ``i = high *
+    width + low_ids[low]``, the canonical form of ``high * base + low`` is
+    ``high_canon[i] + low_canon[low]``, and ``high_k[i]`` is the number k
+    of pegs among 1..p-1 that the state uses; its orbit holds
+    ``sizes[k]`` = (p-1)!/(p-1-k)! states.  The low block leaves one of
+    ``width`` first-use orders, so the high tables hold p**(n-low) * width
+    entries, at most p**n.
     """
-    fold = tuple(range(1, pegs - 1))
-    low = discs // 2
+    fold = tuple(range(1, pegs))
+    low = _fold_split(pegs, discs)
     base = pegs**low
     orders = {(): 0}
     low_canon, low_ids = _first_use(pegs, low, 1, fold, orders, [0])
     width = len(orders)
-    high_canon, high_ids = _first_use(pegs, discs - low, base, fold, orders, range(width))
-    sizes = [math.perm(len(fold), len(order)) for order in orders]
-    high_sizes = [sizes[i] for i in high_ids]
-    return base, low_canon, low_ids, width, high_canon, high_sizes
+    high_canon, high_k = _first_use(pegs, discs - low, base, fold, orders, range(width), last=True)
+    sizes = [math.perm(pegs - 1, k) for k in range(min(discs, pegs - 1) + 1)]
+    return base, low_canon, low_ids, width, high_canon, high_k, sizes
 
 
-def _sizes(fold, layer: list[int]) -> list[int]:
-    """Orbit size of each code in a layer."""
-    base, _, low_ids, width, _, high_sizes = fold
-    return [high_sizes[v // base * width + low_ids[v % base]] for v in layer]
+def _used_pegs(fold, codes: list[int]) -> list[int]:
+    """The k of each code in the :func:`_fold_tables` ``fold``."""
+    base, _, low_ids, width, _, high_k, _ = fold
+    return [high_k[v // base * width + low_ids[v % base]] for v in codes]
 
 
 def _search(pegs: int, discs: int, source: int, target: int):
@@ -929,58 +966,66 @@ def _search(pegs: int, discs: int, source: int, target: int):
 
 def _middle_search(pegs: int, discs: int):
     """The :func:`_tower_rows` of p >= 4 pegs, from one folded BFS over
-    the space of the ``discs - 1`` smallest discs; see the module
+    the space of the ``discs - 1`` smaller discs; see the module
     docstring for the middle-state lemma and the fold.
 
-    Once a layer is sorted, its codes below p**k are the k-disc layer:
-    the row of k + 1 discs meets at the first layer d_R whose k-digit
-    codes include one of R, those with no digit 0 or p-1, and reads its
-    ball one layer later.  A code's ``mask`` holds the pegs its digits use
-    up to its top non-zero one: the low block's ``low_occupied`` and the
-    high part's ``used`` entry when the high part is non-zero, else its
-    ``used`` entry.  D grows with the disc count and is odd, so d_R grows
-    too and at most one row meets per layer.
+    Once a layer is sorted, its codes below p**j are the j-disc layer:
+    the row of j + 1 discs meets at the first layer d_R whose j-digit
+    codes include a representative with peg 0 empty that leaves a peg of
+    1..p-1 empty too, and reads its ball one layer later.  A code's
+    ``mask`` holds the pegs its digits use up to its top non-zero one:
+    the low block's ``low_occupied`` and the high part's ``used`` entry
+    when the high part is non-zero, else its ``used`` entry.  D grows with
+    the disc count and is odd, so d_R grows too and at most one row meets
+    per layer.
     """
     rows = [(0, 1, 1, 1)]
     if not discs:
         return rows
     small = discs - 1
     fold = _fold_tables(pegs, small)
+    sizes = fold[-1]
     base, low_occupied, _, _ = _move_tables(pegs, small)
     occupied, used = [0], [0]  # per block code: pegs of all digits, up to the top one
     for _ in range(small - small // 2):
         used += [occ | 1 << q for q in range(1, pegs) for occ in occupied]
         occupied = [occ | 1 << q for q in range(pegs) for occ in occupied]
+    top = pegs - 1
+    # per k pegs of 1..p-1 in use: the middle-peg orbits in an orbit, the
+    # states of R in it when peg 0 is empty, and the middle-peg orbits
+    # of the states that then move the next larger disc to an empty peg
+    parts = [k + (k < top) for k in range(len(sizes))]
+    shares = [math.perm(top - 1, k) for k in range(len(sizes))]
+    moved = [(k < top) * (k + 1 + (k < top - 1)) for k in range(len(sizes))]
     powers = [pegs**k for k in range(discs)]
-    last, middle = 1 << pegs - 1, (1 << pegs - 1) - 2
-    ball = [(0, 0)] * discs  # (states, orbits) below each p**k so far
-    balls, meets = [], []  # ball per layer; (d_R, G, states, orbits moving disc k+1)
+    ball = [(0, 0)] * discs  # (states, orbits) below each p**j so far
+    balls, meets = [], []  # ball per layer; (d_R, G, states, orbits moving disc j+1)
     for d, layer, _, counts in _layers(pegs, small, 0, fold):
         layer.sort()
-        sizes = _sizes(fold, layer)
-        mass = list(itertools.accumulate(sizes, initial=0))
+        ks = _used_pegs(fold, layer)
+        mass = list(itertools.accumulate([sizes[k] for k in ks], initial=0))
+        split = list(itertools.accumulate([parts[k] for k in ks], initial=0))
         ends = [bisect.bisect_left(layer, power) for power in powers]
-        ball = [(s + mass[end], o + end) for (s, o), end in zip(ball, ends)]
+        ball = [(s + mass[end], o + split[end]) for (s, o), end in zip(ball, ends)]
         balls.append(ball)
-        k = len(meets)
-        if k == discs:
+        j = len(meets)
+        if j == discs:
             break
-        start = ends[k - 1] if k else 0
-        codes = layer[start : ends[k]]
+        start = ends[j - 1] if j else 0
+        codes = layer[start : ends[j]]
         masks = [used[v // base] | low_occupied[v % base] if v >= base else used[v] for v in codes]
-        listed = zip(codes, sizes[start : ends[k]], masks)
-        free = [(v, size, mask) for v, size, mask in listed if not mask & 1]
-        if any(not mask & last for _, _, mask in free):
+        free = [(v, k) for v, k, mask in zip(codes, ks[start : ends[j]], masks) if not mask & 1]
+        if any(shares[k] for _, k in free):
             meets.append((
                 d,
-                sum(counts[v] ** 2 // size for v, size, mask in free if not mask & last),
-                sum(size * (pegs - 1 - mask.bit_count()) for _, size, mask in free),
-                sum((not mask & last) + (mask & middle != middle) for _, _, mask in free),
+                sum((counts[v] // sizes[k]) ** 2 * shares[k] for v, k in free),
+                sum(sizes[k] * (top - k) for _, k in free),
+                sum(moved[k] for _, k in free),
             ))
     if len(meets) < discs:
         raise HanoiError("state graph unexpectedly disconnected")
-    for k, (d, geodesics, states, orbits) in enumerate(meets):
-        s, o = balls[min(d + 1, len(balls) - 1)][k]
+    for j, (d, geodesics, states, orbits) in enumerate(meets):
+        s, o = balls[min(d + 1, len(balls) - 1)][j]
         rows.append((2 * d + 1, geodesics, s + states, o + orbits))
     return rows
 

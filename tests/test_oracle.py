@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hanoilab.oracle
-from hanoilab.errors import DiscLimitError, DomainError, StateBudgetExceeded
+from hanoilab.errors import DiscLimitError, DomainError, HanoiError, StateBudgetExceeded
 from hanoilab.moves import Configuration
 from hanoilab.oracle import (
     DEFAULT_METRICS_BUDGET,
@@ -21,6 +22,7 @@ from hanoilab.oracle import (
     _build_masks,
     _dense_layers,
     _dense_search,
+    _fold_split,
     _fold_tables,
     _gate_tables,
     _layers,
@@ -242,16 +244,25 @@ def reference_layers(pegs, discs, source, depth=None):
 
 
 def first_use(code, pegs, discs):
-    """The code with the middle pegs 1..p-2 renamed in order of first use,
+    """The code with the pegs 1..p-1 renamed in order of first use,
     smallest disc first: the canonical form of the middle-state search's
     fold."""
     names = {}
     digits = []
     for q in unpack(code, pegs, discs).pegs:
-        if 0 < q < pegs - 1:
+        if q:
             q = names.setdefault(q, 1 + len(names))
         digits.append(q)
     return pack(Configuration(pegs, tuple(digits)))
+
+
+def relabelled_orbit(code, pegs, discs):
+    """Every code that a relabelling of the pegs 1..p-1 makes of ``code``."""
+    digits = unpack(code, pegs, discs).pegs
+    return {
+        pack(Configuration(pegs, tuple((0, *perm)[q] for q in digits)))
+        for perm in itertools.permutations(range(1, pegs))
+    }
 
 
 class TestLayers:
@@ -305,21 +316,28 @@ class TestLayers:
 
     @pytest.mark.parametrize("pegs,discs", [(p, n) for p, n in SMALL_SPACES if p >= 4])
     def test_folded_matches_reference_bfs(self, pegs, discs):
-        # a folded layer lists one canonical code per orbit, with the orbit's mass
+        # a folded layer lists one canonical code per orbit, with the orbit's
+        # mass; the fold fixes the tower on peg 0 only, so the search runs from it
+        expected = []
+        for layer in reference_layers(pegs, discs, 0):
+            masses = {}
+            for v, paths in layer.items():
+                r = first_use(v, pegs, discs)
+                masses[r] = masses.get(r, 0) + paths
+            expected.append(masses)
+        got = [
+            (d, {v: counts[v] for v in layer})
+            for d, layer, _, counts in _layers(pegs, discs, 0, _fold_tables(pegs, discs))
+        ]
+        assert got == list(enumerate(expected))
+
+    @pytest.mark.parametrize("pegs,discs", [(4, 3), (5, 2), (6, 4), (12, 2)])
+    def test_fold_must_fix_the_source(self, pegs, discs):
         fold = _fold_tables(pegs, discs)
-        for source in sorted({0, pegs**discs - 1}):
-            expected = []
-            for layer in reference_layers(pegs, discs, source):
-                masses = {}
-                for v, paths in layer.items():
-                    r = first_use(v, pegs, discs)
-                    masses[r] = masses.get(r, 0) + paths
-                expected.append(masses)
-            got = [
-                (d, {v: counts[v] for v in layer})
-                for d, layer, _, counts in _layers(pegs, discs, source, fold)
-            ]
-            assert got == list(enumerate(expected))
+        for source in (1, pegs**discs - 1, perfect_state(pegs, discs, 2)):
+            with pytest.raises(HanoiError, match="moves the source"):
+                next(_layers(pegs, discs, source, fold))
+        assert next(_layers(pegs, discs, 0, fold))[:2] == (0, [0])
 
 
 # One search on (pegs, discs) under the budget b, for each budgeted entry point.
@@ -561,18 +579,34 @@ class TestTowerSweep:
 
 def identity_fold(pegs, discs):
     """Tables in the layout of `_fold_tables` that rename no peg, so every
-    orbit is one state and every canonical form is the code itself."""
+    orbit is one state, every canonical form is the code itself and every
+    entry reads k = 0, whose orbit size is 1."""
     base = pegs ** (discs // 2)
     highs = pegs ** (discs - discs // 2)
-    return base, list(range(base)), [0] * base, 1, [h * base for h in range(highs)], [1] * highs
+    high_canon = [h * base for h in range(highs)]
+    return base, list(range(base)), [0] * base, 1, high_canon, bytes(highs), [1]
 
 
-def unfolded(monkeypatch):
-    """Make the middle-state search, the one search that folds, run
-    unfolded by patching in `identity_fold`: every orbit is then one
-    state, so its distance, geodesic count and states explored are the
-    plain BFS's."""
-    monkeypatch.setattr(hanoilab.oracle, "_fold_tables", identity_fold)
+def middle_reference(pegs, discs):
+    """(distance, geodesics, states, orbits) between the towers on pegs 0
+    and p-1 by plain BFS, with no fold: D = 2 d_R + 1 and G from the layers
+    of the n-1 smaller discs, each state tested for R (no disc on peg 0 or
+    p-1), and the half-depth ball of the n-disc space with its codes that
+    are canonical under the relabellings of the middle pegs."""
+    if not discs:
+        return 0, 1, 1, 1
+    for d, layer in enumerate(reference_layers(pegs, discs - 1, 0)):
+        middle = [
+            paths
+            for v, paths in layer.items()
+            if all(0 < q < pegs - 1 for q in unpack(v, pegs, discs - 1).pegs)
+        ]
+        if middle:
+            break
+    ball = [v for layer in reference_layers(pegs, discs, 0, d + 1) for v in layer]
+    free = tuple(range(1, pegs - 1))
+    orbits = sum(is_canonical(v, pegs, discs, free) for v in ball)
+    return 2 * d + 1, sum(c * c for c in middle), len(ball), orbits
 
 
 def nx_search(graph, source, target):
@@ -626,24 +660,18 @@ class TestOrbitFold:
     @pytest.mark.parametrize("call", [bfs_distance, tower_distance], ids=lambda f: f.__name__)
     def test_folded_matches_unfolded(self, monkeypatch, call, pegs, discs, solver):
         report = call(pegs, discs, solver=solver)
-        unfolded(monkeypatch)
-        monkeypatch.setattr(hanoilab.oracle, "_dense_search", layers_search)
-        plain = call(pegs, discs, solver=solver)
-        fields = ("distance", "geodesic_count", "states_explored", "dp_cost", "agrees")
-        assert [getattr(report, f) for f in fields] == [getattr(plain, f) for f in fields]
+        fields = (report.distance, report.geodesic_count, report.states_explored)
+        assert (report.dp_cost, report.agrees) == (solver.cost(pegs, discs) if discs else 0, True)
         # only the middle-state search folds; bfs_distance counts every state as an orbit
         if call is bfs_distance:
-            assert plain.orbits_explored == plain.states_explored
+            monkeypatch.setattr(hanoilab.oracle, "_dense_search", layers_search)
+            plain = call(pegs, discs, solver=solver)
+            assert (*fields, report.orbits_explored) == (
+                plain.distance, plain.geodesic_count, plain.states_explored, plain.orbits_explored
+            )
             assert report.orbits_explored == report.states_explored
         else:
-            # the half-depth ball of a plain BFS, and the canonical codes in it
-            radius = (report.distance + 1) // 2
-            ball = [v for layer in reference_layers(pegs, discs, 0, radius) for v in layer]
-            middle = tuple(range(1, pegs - 1))
-            assert report.states_explored == len(ball)
-            assert report.orbits_explored == sum(
-                is_canonical(v, pegs, discs, middle) for v in ball
-            )
+            assert (*fields, report.orbits_explored) == middle_reference(pegs, discs)
             if discs >= 2:
                 assert report.orbits_explored < report.states_explored
 
@@ -664,12 +692,46 @@ class TestOrbitFold:
 
     @pytest.mark.parametrize("pegs,discs", [(4, 6), (5, 5), (6, 4), (7, 4)])
     def test_layers_yield_canonical_codes(self, pegs, discs):
-        middle = tuple(range(1, pegs - 1))
+        free = tuple(range(1, pegs))
         yielded = []
         for _, layer, _, _ in _layers(pegs, discs, 0, _fold_tables(pegs, discs)):
             yielded += layer
         assert len(yielded) == len(set(yielded))
-        assert all(is_canonical(code, pegs, discs, middle) for code in yielded)
+        assert all(is_canonical(code, pegs, discs, free) for code in yielded)
+
+    @pytest.mark.parametrize(
+        "pegs,discs", [(p, n) for p, n in SMALL_SPACES if p >= 4] + [(12, 2), (16, 2)]
+    )
+    def test_fold_entries_count_the_digits(self, pegs, discs):
+        # every entry's canonical code, k and orbit size, against the code's digits
+        base, low_canon, low_ids, width, high_canon, high_k, sizes = _fold_tables(pegs, discs)
+        assert len(high_k) == len(high_canon) == pegs**discs // base * width
+        for v in range(pegs**discs):
+            high, low = divmod(v, base)
+            i = high * width + low_ids[low]
+            k = len(set(unpack(v, pegs, discs).pegs) - {0})
+            assert (high_canon[i] + low_canon[low], high_k[i]) == (first_use(v, pegs, discs), k)
+            if pegs <= 6:
+                assert sizes[k] == len(relabelled_orbit(v, pegs, discs))
+            else:
+                assert sizes[k] == math.perm(pegs - 1, k)
+
+    @pytest.mark.parametrize("pegs,top", [(4, 9), (5, 7), (6, 6), (7, 5), (8, 5), (12, 4)])
+    def test_split_leaves_the_rows_unchanged(self, monkeypatch, pegs, top):
+        # the fold's own split, against the middle one of the move tables
+        assert _fold_split(pegs, top - 1) != (top - 1) // 2
+        _fold_tables.cache_clear()
+        rows = hanoilab.oracle._tower_rows(pegs, top)
+        monkeypatch.setattr(hanoilab.oracle, "_fold_split", lambda p, m: m // 2)
+        _fold_tables.cache_clear()
+        assert hanoilab.oracle._tower_rows(pegs, top) == rows
+        _fold_tables.cache_clear()
+
+    @pytest.mark.parametrize(
+        "pegs,discs,low", [(4, 8, 5), (4, 11, 6), (5, 9, 6), (8, 7, 5), (12, 5, 4), (16, 5, 4)]
+    )
+    def test_split_minimises_the_entries(self, pegs, discs, low):
+        assert _fold_split(pegs, discs) == low
 
     @pytest.mark.parametrize("call", UNFOLDED_CALLS)
     def test_fewer_than_two_shared_empty_pegs_never_fold(self, monkeypatch, call):
