@@ -224,9 +224,9 @@ def _cmd_moves(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     solver = _solver_for(args)
     budget = _budget_for(args)
-    if args.metrics:  # prints the full BFS ball's states_explored
+    if args.metrics:  # the tower search, plus one search that counts the full balls of radius D
         sweep = orc.certify_range(args.pegs, args.max_discs_swept, budget, solver)
-    else:  # the same rows from one tower search, which counts the half-depth ball only
+    else:  # the tower search alone, which counts the half-depth ball only
         sweep = orc._tower_sweep(args.pegs, args.max_discs_swept, budget, solver)
     header = "n,distance,dp_cost,agree"
     if args.metrics:

@@ -93,7 +93,14 @@ operations win, even against the orbit fold: a full ball between the
 towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
 0.77 s (one core of a shared 2-core host).  The n(p-1) move masks hold
 up to n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at
-(1024,2).  Only masks of at most 8 MiB stay cached after a search.
+(1024,2).  Only masks of at most 8 MiB stay cached after a search, and
+the move, gate and fold tables of the spaces last used while their
+n(p-1) move entries per state sum to at most 8 MiB of such bits.
+
+A :func:`certify_range` sweep runs no pair search: one tower search at
+the largest disc count gives its rows, and one forward search from that
+tower to D gives every full ball, its codes below p**m being the m-disc
+ball.  :func:`bfs_distance` stays the independent check.
 
 The block kernel, :func:`_block_queue`, handles the space copy by copy
 rather than state by state.  The codes with one high part (the
@@ -141,8 +148,8 @@ import bisect
 import itertools
 import math
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, wraps
 
 from .errors import DomainError, HanoiError, StateBudgetExceeded
 from .moves import Configuration
@@ -337,7 +344,32 @@ def _block_moves(pegs: int, count: int, weight: int):
     return occupied, moves
 
 
-@lru_cache(maxsize=1)
+def _space_cache(build):
+    """Cache of the tables ``build(pegs, discs)`` of the spaces last used
+    while their n(p-1) move entries per state, the bits of their
+    :func:`_shift_masks`, take at most ``_MASK_CACHE_BYTES`` together:
+    1.0 MiB for the (3,10), (4,9) and (5,6) of a ``certify`` pass.  The space
+    last used always stays, so a search reads its tables twice but builds
+    them once; a heavier one, like the (4,11) of ``tower_distance(4, 12)``
+    or the (16,5) of (16,6), evicts the others and goes with the next."""
+    cache: dict[tuple[int, int], object] = {}
+
+    @wraps(build)
+    def cached(pegs: int, discs: int):
+        tables = cache.pop((pegs, discs), None)
+        if tables is None:
+            tables = build(pegs, discs)
+        cache[pegs, discs] = tables
+        bits = 8 * _MASK_CACHE_BYTES
+        while len(cache) > 1 and sum(n * (p - 1) * p**n for p, n in cache) > bits:
+            del cache[next(iter(cache))]
+        return tables
+
+    cached.cache_clear = cache.clear
+    return cached
+
+
+@_space_cache
 def _move_tables(pegs: int, discs: int):
     """(base, low occupied masks, low deltas, high moves) for a space.
 
@@ -396,7 +428,7 @@ def _low_ball(low_deltas, source: int) -> tuple[list[int], list[int]]:
     return dist, paths
 
 
-@lru_cache(maxsize=1)
+@_space_cache
 def _gate_tables(pegs: int, discs: int):
     """(gate low codes, distances, geodesic counts, shells memo) of a
     space: the low codes that leave two pegs free and the
@@ -590,23 +622,28 @@ def _block_search(pegs: int, discs: int, source: int, target: int):
     return distance, geodesics, explored, explored
 
 
+@lru_cache(maxsize=1)
 def _block_towers(discs: int):
-    """The :func:`_tower_rows` of three pegs, from one :func:`_block_queue`
-    between the n-disc towers.
+    """The :func:`_tower_rows` of three pegs and the full ball of every
+    tower pair, from one :func:`_block_queue` between the n-disc towers.
 
     The m-disc tower on the last peg is the code 3**m - 1 of the n-disc
     space, within its distance 2**m - 1 of the source, and it has that
     distance and geodesic count in both spaces: deleting the moves of the
     larger discs from a path leaves a legal path, so no geodesic moves
-    them.  The ball of radius ceil(D/2) = 2**(m-1) around the source, the
-    part of the space the middle-state search of p >= 4 explores, holds
-    the same states in both spaces too: disc m+1 first moves after the m
-    smaller discs have left the first peg, at least 2**m - 1 moves in.
+    them.  Disc m+1 first moves after the m smaller discs have left the
+    first peg, at least 2**m - 1 moves in, so the balls of radius up to
+    2**m - 1 around the source hold the same states in both spaces too:
+    the row's ball of radius ceil(D/2), the part of the space the
+    middle-state search of p >= 4 explores, and the full ball of radius D
+    that :func:`certify_range` reports.  The last result stays cached, so
+    a sweep that reads its rows through :func:`_tower_rows` and then its
+    full balls runs one queue.
     """
     queue = _block_queue(3, discs, 0, 3**discs - 1)
     reach = [_block_reach(queue, 3**m - 1) for m in range(discs + 1)]
-    balls = _block_balls(queue, [(d + 1) // 2 for d, _ in reach])
-    return [(d, g, e, e) for (d, g), e in zip(reach, balls)]
+    balls = _block_balls(queue, [(d + 1) // 2 for d, _ in reach] + [d for d, _ in reach])
+    return [(d, g, e, e) for (d, g), e in zip(reach, balls)], balls[discs + 1 :]
 
 
 def _layers(pegs: int, discs: int, source: int, fold):
@@ -707,7 +744,8 @@ def _repeat(block: int, width: int, copies: int) -> int:
 
 
 #: Shift masks whose bits take at most this many bytes stay cached for the
-#: next search in the same space: 0.8 MiB at (4,9), 7.7 MiB at (5,9).
+#: next search in the same space: 0.8 MiB at (4,9), 7.7 MiB at (5,9).  The
+#: move, gate and fold tables stay for several spaces whose masks fit it together.
 _MASK_CACHE_BYTES = 8 << 20
 #: The cached masks of one space, keyed by (pegs, discs).
 _mask_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -840,6 +878,24 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     return d, sum(c * mirror[top - u] for u, c in counts.items()), explored, explored
 
 
+def _dense_balls(pegs: int, discs: int, radii: list[int]) -> list[int]:
+    """For every m in [0, discs], the number of m-disc states within
+    ``radii[m]`` of the tower on peg 0, from one :func:`_dense_layers`
+    search in the ``discs``-disc space, run to the last radius.  Its codes
+    below p**m are the m-disc states with the larger discs on peg 0, which
+    keep their m-disc distances (see the module docstring), so layer d adds
+    its codes below p**m to every m whose radius is d or more."""
+    balls = [0] * (discs + 1)
+    below = [(1 << pegs**m) - 1 for m in range(discs + 1)]
+    for d, layer in enumerate(_dense_layers(_shift_masks(pegs, discs), 0)):
+        for m, radius in enumerate(radii):
+            if d <= radius:
+                balls[m] += (layer & below[m]).bit_count()
+        if d >= radii[-1]:
+            break
+    return balls
+
+
 def _merge(fold, new: list[int], tag: int, seen: bytearray, counts: list[int]) -> list[int]:
     """Orbit representatives of a layer's new codes, their masses merged
     into the ``counts`` slots; see the module docstring."""
@@ -916,7 +972,7 @@ def _fold_split(pegs: int, discs: int) -> int:
     return entries.index(min(entries))
 
 
-@lru_cache(maxsize=1)
+@_space_cache
 def _fold_tables(pegs: int, discs: int):
     """(base, low canon, low order ids, width, high canon, high k, sizes)
     for the relabellings of the pegs 1..p-1.
@@ -1107,7 +1163,7 @@ def _tower_rows(pegs: int, discs: int):
     ``discs``-disc space on three pegs, :func:`_middle_search` in the
     ``discs - 1``-disc space on more.  ``states_explored`` counts the
     states within ceil(D/2) of the source, the half-depth ball."""
-    return _block_towers(discs) if pegs == 3 else _middle_search(pegs, discs)
+    return _block_towers(discs)[0] if pegs == 3 else _middle_search(pegs, discs)
 
 
 def tower_distance(
@@ -1268,11 +1324,23 @@ def certify_range(
 ) -> CertificationSweep:
     """Compare BFS distance to the recurrence for every n in [1, max_discs].
 
-    Disc counts whose state space exceeds the budget are skipped and
-    listed in the sweep instead of aborting it.
+    Each report equals ``bfs_distance(pegs, n)``: the rows of
+    :func:`_tower_sweep`, with the full ball of radius D as states and
+    orbits explored, from its :func:`_block_towers` queue on three pegs
+    and one :func:`_dense_balls` search on more.  Disc counts whose state
+    space exceeds the budget are skipped and listed in the sweep instead
+    of aborting it.
     """
-    admitted, skipped = _admitted(pegs, max_discs, state_budget)
+    sweep = _tower_sweep(pegs, max_discs, state_budget, solver)
+    if not sweep.reports:
+        return sweep
+    top = sweep.reports[-1].discs
+    if pegs == 3:
+        balls = _block_towers(top)[1]
+    else:
+        balls = _dense_balls(pegs, top, [0] + [r.distance for r in sweep.reports])
     reports = [
-        bfs_distance(pegs, n, state_budget=state_budget, solver=solver) for n in admitted
+        replace(r, states_explored=balls[r.discs], orbits_explored=balls[r.discs])
+        for r in sweep.reports
     ]
-    return CertificationSweep(pegs, tuple(reports), tuple(skipped))
+    return CertificationSweep(pegs, tuple(reports), sweep.skipped)

@@ -450,6 +450,43 @@ class TestOracle:
             assert code == 2
             assert "false" in out
 
+    @pytest.mark.parametrize("pegs, top", [(4, 7), (5, 6), (6, 5), (3, 9)])
+    def test_metrics_sweep_is_one_tower_search_and_one_ball_search(
+        self, capsys, monkeypatch, pegs, top
+    ):
+        # the rows come from one tower search and the full balls from one more:
+        # a dense forward search on p >= 4, the same block queue on three pegs
+        oracle = hanoilab.oracle
+        expected = [
+            f"{r.discs},{r.distance},{r.dp_cost},true,{r.geodesic_count},{r.states_explored}"
+            for r in (oracle.bfs_distance(pegs, n) for n in range(1, top + 1))
+        ]
+        calls = []
+
+        def counted(name):
+            real = getattr(oracle, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(oracle, name, call)
+
+        def no_pair_search(*args, **kwargs):
+            raise AssertionError(f"a pair search ran for {args}")
+
+        for name in ("_tower_rows", "_dense_layers", "_block_queue"):
+            counted(name)
+        for name in ("bfs_distance", "_search", "_neighbors"):
+            monkeypatch.setattr(oracle, name, no_pair_search)
+        oracle._block_towers.cache_clear()
+        code, out, err = run(capsys, "oracle", "--pegs", str(pegs), "--max", str(top), "--metrics")
+        assert (code, out.splitlines()[1:], err) == (0, expected, "")
+        if pegs == 3:
+            assert calls == ["_tower_rows", "_block_queue"]
+        else:
+            assert calls == ["_tower_rows", "_dense_layers"]
+
 
 class TestVerifyAll:
     def test_default_scales_pass(self, capsys):

@@ -1316,7 +1316,7 @@ class TestCertify:
 
     def test_budget_skips_do_not_abort(self, solver):
         sweep = certify_range(4, 10, state_budget=4**3, solver=solver)
-        assert [r.discs for r in sweep.reports] == [1, 2, 3]
+        assert sweep.reports == tuple(bfs_distance(4, n, solver=solver) for n in (1, 2, 3))
         assert [s.discs for s in sweep.skipped] == list(range(4, 11))
         assert sweep.skipped[0].required == 4**4
         assert sweep.all_agree
@@ -1324,3 +1324,60 @@ class TestCertify:
     def test_rejects_empty_sweep(self):
         with pytest.raises(DomainError):
             certify_range(4, 0)
+
+    # each peg count of TOWER_SPACES swept to its last disc count, and (3, 1..10)
+    @pytest.mark.parametrize(
+        "pegs,top", [(3, 10)] + [(p, n) for p, n in TOWER_SPACES if (p, n + 1) not in TOWER_SPACES]
+    )
+    def test_matches_per_disc_bfs(self, pegs, top, solver):
+        # one tower search and one ball search against a full BFS per disc count,
+        # whose geodesics the dense back-walk and the block search count apart
+        expected = tuple(bfs_distance(pegs, n, solver=solver) for n in range(1, top + 1))
+        sweep = certify_range(pegs, top, solver=solver)
+        assert (sweep.pegs, sweep.reports, sweep.skipped) == (pegs, expected, ())
+
+    def test_every_level_skipped_runs_no_search(self, monkeypatch, solver):
+        def no_search(*args):
+            raise AssertionError(f"searched {args}")
+
+        for name in ("_tower_rows", "_block_towers", "_dense_balls", "_shift_masks"):
+            monkeypatch.setattr(hanoilab.oracle, name, no_search)
+        sweep = certify_range(4, 3, state_budget=3, solver=solver)
+        assert sweep.reports == ()
+        assert sweep.skipped == tuple(SkippedLevel(n, 4**n, 3) for n in (1, 2, 3))
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("tables", [_move_tables, _fold_tables, _gate_tables],
+                             ids=lambda f: f.__name__)
+    def test_small_spaces_stay_cached_together(self, tables):
+        # the spaces of a certify pass and of the graph workload's pairs
+        spaces = [(3, 10), (4, 9), (5, 6), (3, 11), (3, 6)]
+        tables.cache_clear()
+        first = [tables(*space) for space in spaces]
+        assert all(tables(*space) is built for space, built in zip(spaces, first))
+        tables.cache_clear()
+
+    @pytest.mark.parametrize("large", [(4, 11), (16, 5)])
+    def test_large_spaces_evict_the_others_and_go_next(self, large):
+        _move_tables.cache_clear()
+        small = _move_tables(4, 9)
+        heavy = _move_tables(*large)
+        assert _move_tables(*large) is heavy  # a search reads its tables twice
+        assert _move_tables(4, 9) is not small
+        again = _move_tables(4, 9)
+        assert _move_tables(*large) is not heavy
+        assert _move_tables(4, 9) is not again
+        _move_tables.cache_clear()
+
+    def test_least_recently_used_space_goes_first(self, monkeypatch):
+        # room for the move entries, n(p-1) bits per state, of (4,8) and (4,9) but not (4,7) too
+        room = (8 * 3 * 4**8 + 9 * 3 * 4**9) // 8
+        monkeypatch.setattr(hanoilab.oracle, "_MASK_CACHE_BYTES", room)
+        _move_tables.cache_clear()
+        a, b = _move_tables(4, 8), _move_tables(4, 9)
+        assert _move_tables(4, 8) is a
+        _move_tables(4, 7)
+        assert _move_tables(4, 8) is a
+        assert _move_tables(4, 9) is not b
+        _move_tables.cache_clear()
