@@ -224,7 +224,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     solver = _solver_for(args)
     budget = _budget_for(args)
-    if args.metrics:  # the tower search, plus one search that counts the full balls of radius D
+    if args.metrics:  # the tower search, plus one search for the full balls of radius D on p >= 4
         sweep = orc.certify_range(args.pegs, args.max_discs_swept, budget, solver)
     else:  # the tower search alone, which counts the half-depth ball only
         sweep = orc._tower_sweep(args.pegs, args.max_discs_swept, budget, solver)

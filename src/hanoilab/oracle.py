@@ -98,9 +98,14 @@ the move, gate and fold tables of the spaces last used while their
 n(p-1) move entries per state sum to at most 8 MiB of such bits.
 
 A :func:`certify_range` sweep runs no pair search: one tower search at
-the largest disc count gives its rows, and one forward search from that
-tower to D gives every full ball, its codes below p**m being the m-disc
-ball.  :func:`bfs_distance` stays the independent check.
+the largest disc count gives its rows, and on p >= 4 one forward search
+from that tower to D gives every full ball, its codes below p**m being
+the m-disc ball.  On three pegs the full ball is the whole space, as
+every state reaches the tower on peg 0 within D = 2**n - 1 moves, by
+induction on n: with disc n on peg 0, gather the n-1 smaller discs
+there; else gather them on the peg disc n leaves free, move disc n, and
+move their tower over: 2**(n-1) - 1 + 1 + 2**(n-1) - 1 moves.
+:func:`bfs_distance` stays the independent check.
 
 The block kernel, :func:`_block_queue`, handles the space copy by copy
 rather than state by state.  The codes with one high part (the
@@ -148,8 +153,8 @@ import bisect
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
-from functools import lru_cache, wraps
+from dataclasses import dataclass
+from functools import wraps
 
 from .errors import DomainError, HanoiError, StateBudgetExceeded
 from .moves import Configuration
@@ -622,28 +627,23 @@ def _block_search(pegs: int, discs: int, source: int, target: int):
     return distance, geodesics, explored, explored
 
 
-@lru_cache(maxsize=1)
 def _block_towers(discs: int):
-    """The :func:`_tower_rows` of three pegs and the full ball of every
-    tower pair, from one :func:`_block_queue` between the n-disc towers.
+    """The :func:`_tower_rows` of three pegs, from one :func:`_block_queue`
+    between the n-disc towers.
 
     The m-disc tower on the last peg is the code 3**m - 1 of the n-disc
     space, within its distance 2**m - 1 of the source, and it has that
     distance and geodesic count in both spaces: deleting the moves of the
     larger discs from a path leaves a legal path, so no geodesic moves
-    them.  Disc m+1 first moves after the m smaller discs have left the
-    first peg, at least 2**m - 1 moves in, so the balls of radius up to
-    2**m - 1 around the source hold the same states in both spaces too:
-    the row's ball of radius ceil(D/2), the part of the space the
-    middle-state search of p >= 4 explores, and the full ball of radius D
-    that :func:`certify_range` reports.  The last result stays cached, so
-    a sweep that reads its rows through :func:`_tower_rows` and then its
-    full balls runs one queue.
+    them.  The ball of radius ceil(D/2) = 2**(m-1) around the source, the
+    part of the space the middle-state search of p >= 4 explores, holds
+    the same states in both spaces too: disc m+1 first moves after the m
+    smaller discs have left the first peg, at least 2**m - 1 moves in.
     """
     queue = _block_queue(3, discs, 0, 3**discs - 1)
     reach = [_block_reach(queue, 3**m - 1) for m in range(discs + 1)]
-    balls = _block_balls(queue, [(d + 1) // 2 for d, _ in reach] + [d for d, _ in reach])
-    return [(d, g, e, e) for (d, g), e in zip(reach, balls)], balls[discs + 1 :]
+    balls = _block_balls(queue, [(d + 1) // 2 for d, _ in reach])
+    return [(d, g, e, e) for (d, g), e in zip(reach, balls)]
 
 
 def _layers(pegs: int, discs: int, source: int, fold):
@@ -878,22 +878,25 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     return d, sum(c * mirror[top - u] for u, c in counts.items()), explored, explored
 
 
-def _dense_balls(pegs: int, discs: int, radii: list[int]) -> list[int]:
-    """For every m in [0, discs], the number of m-disc states within
-    ``radii[m]`` of the tower on peg 0, from one :func:`_dense_layers`
-    search in the ``discs``-disc space, run to the last radius.  Its codes
-    below p**m are the m-disc states with the larger discs on peg 0, which
-    keep their m-disc distances (see the module docstring), so layer d adds
-    its codes below p**m to every m whose radius is d or more."""
+def _dense_balls(pegs: int, discs: int) -> list[int]:
+    """For every m in [0, discs], the number of m-disc states within D_m of
+    the tower on peg 0, D_m being the distance to the m-disc tower on the
+    last peg, from one :func:`_dense_layers` search in the ``discs``-disc
+    space, run until it reaches the ``discs``-disc tower.  Its codes below
+    p**m are the m-disc states with the larger discs on peg 0, which keep
+    their m-disc distances (see the module docstring), the code p**m - 1
+    being that m-disc tower, so each layer adds its codes below p**m to
+    every m whose tower it has not yet reached."""
     balls = [0] * (discs + 1)
     below = [(1 << pegs**m) - 1 for m in range(discs + 1)]
-    for d, layer in enumerate(_dense_layers(_shift_masks(pegs, discs), 0)):
-        for m, radius in enumerate(radii):
-            if d <= radius:
-                balls[m] += (layer & below[m]).bit_count()
-        if d >= radii[-1]:
-            break
-    return balls
+    m = 0
+    for layer in _dense_layers(_build_masks(pegs, discs), 0):
+        for k in range(m, discs + 1):
+            balls[k] += (layer & below[k]).bit_count()
+        while m <= discs and (layer >> pegs**m - 1) & 1:
+            m += 1
+        if m > discs:
+            return balls
 
 
 def _merge(fold, new: list[int], tag: int, seen: bytearray, counts: list[int]) -> list[int]:
@@ -1163,7 +1166,7 @@ def _tower_rows(pegs: int, discs: int):
     ``discs``-disc space on three pegs, :func:`_middle_search` in the
     ``discs - 1``-disc space on more.  ``states_explored`` counts the
     states within ceil(D/2) of the source, the half-depth ball."""
-    return _block_towers(discs)[0] if pegs == 3 else _middle_search(pegs, discs)
+    return _block_towers(discs) if pegs == 3 else _middle_search(pegs, discs)
 
 
 def tower_distance(
@@ -1302,18 +1305,36 @@ def _tower_sweep(
     pegs: int, max_discs: int, state_budget: int, solver: HanoiSolver | None
 ) -> CertificationSweep:
     """The :func:`tower_distance` report of every n in [1, max_discs] that
-    the budget admits, the others listed as skipped.
+    the budget admits, the others listed as skipped."""
+    return _sweep(pegs, max_discs, state_budget, solver, _tower_rows)
+
+
+def _sweep(
+    pegs: int, max_discs: int, state_budget: int, solver: HanoiSolver | None, rows_of
+) -> CertificationSweep:
+    """The reports of every n in [1, max_discs] that the budget admits,
+    from the rows ``rows_of(pegs, n)`` of the largest, the others listed
+    as skipped.
 
     Every admitted ``dp_cost`` is looked up first, so the solver's ceiling
     fails at the same disc count as per-n calls would, and before any
-    search; then every row comes from one :func:`_tower_rows` at the
-    largest admitted n.
+    search.
     """
     admitted, skipped = _admitted(pegs, max_discs, state_budget)
     costs = [_dp_cost(True, solver, pegs, n) for n in admitted]
-    rows = _tower_rows(pegs, admitted[-1]) if admitted else []
+    rows = rows_of(pegs, admitted[-1]) if admitted else []
     reports = [_report(pegs, n, cost, rows[n]) for n, cost in zip(admitted, costs)]
     return CertificationSweep(pegs, tuple(reports), tuple(skipped))
+
+
+def _certified_rows(pegs: int, discs: int):
+    """The :func:`_tower_rows` of every m in [0, discs], with the full ball
+    of radius D as states and orbits explored: the whole space on three
+    pegs, one :func:`_dense_balls` search on more.  That search runs
+    first, on masks built for it alone, so neither its masks nor the tower
+    search's cached tables stay beside the other search."""
+    balls = [3**m for m in range(discs + 1)] if pegs == 3 else _dense_balls(pegs, discs)
+    return [(d, g, e, e) for (d, g, _, _), e in zip(_tower_rows(pegs, discs), balls)]
 
 
 def certify_range(
@@ -1324,23 +1345,9 @@ def certify_range(
 ) -> CertificationSweep:
     """Compare BFS distance to the recurrence for every n in [1, max_discs].
 
-    Each report equals ``bfs_distance(pegs, n)``: the rows of
-    :func:`_tower_sweep`, with the full ball of radius D as states and
-    orbits explored, from its :func:`_block_towers` queue on three pegs
-    and one :func:`_dense_balls` search on more.  Disc counts whose state
+    Each report equals ``bfs_distance(pegs, n)``, from the rows of
+    :func:`_certified_rows` at the largest n.  Disc counts whose state
     space exceeds the budget are skipped and listed in the sweep instead
     of aborting it.
     """
-    sweep = _tower_sweep(pegs, max_discs, state_budget, solver)
-    if not sweep.reports:
-        return sweep
-    top = sweep.reports[-1].discs
-    if pegs == 3:
-        balls = _block_towers(top)[1]
-    else:
-        balls = _dense_balls(pegs, top, [0] + [r.distance for r in sweep.reports])
-    reports = [
-        replace(r, states_explored=balls[r.discs], orbits_explored=balls[r.discs])
-        for r in sweep.reports
-    ]
-    return CertificationSweep(pegs, tuple(reports), sweep.skipped)
+    return _sweep(pegs, max_discs, state_budget, solver, _certified_rows)

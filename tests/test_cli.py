@@ -454,8 +454,9 @@ class TestOracle:
     def test_metrics_sweep_is_one_tower_search_and_one_ball_search(
         self, capsys, monkeypatch, pegs, top
     ):
-        # the rows come from one tower search and the full balls from one more:
-        # a dense forward search on p >= 4, the same block queue on three pegs
+        # the rows come from one tower search and, on p >= 4, the full balls from
+        # one dense forward search run before it; on three pegs the full ball is
+        # the whole space
         oracle = hanoilab.oracle
         expected = [
             f"{r.discs},{r.distance},{r.dp_cost},true,{r.geodesic_count},{r.states_explored}"
@@ -479,13 +480,12 @@ class TestOracle:
             counted(name)
         for name in ("bfs_distance", "_search", "_neighbors"):
             monkeypatch.setattr(oracle, name, no_pair_search)
-        oracle._block_towers.cache_clear()
         code, out, err = run(capsys, "oracle", "--pegs", str(pegs), "--max", str(top), "--metrics")
         assert (code, out.splitlines()[1:], err) == (0, expected, "")
         if pegs == 3:
             assert calls == ["_tower_rows", "_block_queue"]
         else:
-            assert calls == ["_tower_rows", "_dense_layers"]
+            assert calls == ["_dense_layers", "_tower_rows"]
 
 
 class TestVerifyAll:

@@ -1340,11 +1340,20 @@ class TestCertify:
         def no_search(*args):
             raise AssertionError(f"searched {args}")
 
-        for name in ("_tower_rows", "_block_towers", "_dense_balls", "_shift_masks"):
+        for name in ("_tower_rows", "_block_towers", "_dense_balls", "_build_masks"):
             monkeypatch.setattr(hanoilab.oracle, name, no_search)
         sweep = certify_range(4, 3, state_budget=3, solver=solver)
         assert sweep.reports == ()
         assert sweep.skipped == tuple(SkippedLevel(n, 4**n, 3) for n in (1, 2, 3))
+
+    def test_disc_ceiling_checked_before_either_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError(f"searched {args}")
+
+        for name in ("_tower_rows", "_dense_balls"):
+            monkeypatch.setattr(hanoilab.oracle, name, no_search)
+        with pytest.raises(DiscLimitError, match="disc count 6 exceeds"):
+            certify_range(4, 8, solver=HanoiSolver(max_discs=5))
 
 
 class TestTableCache:
