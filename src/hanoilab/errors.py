@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import decimal
 import math
 
 _LOG10_2 = math.log10(2)
@@ -32,6 +31,8 @@ def render_exact(value: int) -> str:
     try:
         return str(value)
     except ValueError:
+        import decimal
+
         return str(decimal.Decimal(value))
 
 

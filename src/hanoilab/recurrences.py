@@ -17,9 +17,12 @@ exponent t repeats C(t+p-3, p-3) times (Klavzar, Milutinovic & Petr,
 2002).  The split cost f(k) = 2*T_p(k) + T_{p-1}(n-k) is convex: its
 step f(k+1) - f(k) = 2**(1 + t_p(k+1)) - 2**t_{p-1}(n-k) never
 decreases, so the optimal splits are the k where that step turns from
-negative to positive, found by bisection over the exponents.  A
-:class:`HanoiSolver` session memoises the exponents and costs per peg
-count; the module-level helpers share a default session.
+negative to positive, found by bisection over the exponents.  On four
+pegs that step is the split derivative Delta(n, k), which
+:func:`delta_k`, :func:`sensitivity_profile` and the ``deltas`` table
+read from the exponents in O(1) per entry.  A :class:`HanoiSolver`
+session memoises the exponents and costs per peg count; the
+module-level helpers share a default session.
 
 Split indices follow the parking convention throughout: ``k`` is the
 number of discs parked, so the three-peg shuttle has size ``n - k``.
@@ -28,13 +31,14 @@ number of discs parked, so the three-peg shuttle has size ``n - k``.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import DiscLimitError, DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Default ceiling on disc counts accepted by a solver session.  The memo
 #: holds one exponent and one exact cost per disc count and peg count
@@ -123,6 +127,8 @@ class RatioValue:
 
     @property
     def exact(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
 
@@ -296,28 +302,54 @@ def ratio_rho(n: int, solver: HanoiSolver | None = None) -> RatioValue:
     return RatioValue(numerator, denominator, render_ratio(numerator, denominator))
 
 
+def _split_steps(s: HanoiSolver, n: int, first: int, last: int) -> list[int]:
+    """Split derivatives Delta(n, k) for k = first .. last, as plain ints.
+
+    The four-peg split cost is f(k) = 2*T_4(k) + 2**(n-k) - 1, and each
+    increment T_4(k+1) - T_4(k) is 2**t_4(k+1), so
+
+        Delta(n, k) = f(k+1) - f(k) = 2**(1 + t_4(k+1)) - 2**(n-k-1):
+
+    one read of the session's exponent list and two shifts per k.  Only
+    T_4(k+1) is bounded by the disc ceiling, so the error names the first
+    k + 1 past it, as evaluating f(k+1) row by row would.
+    """
+    if last >= s.max_discs:
+        raise DiscLimitError(max(first, s.max_discs) + 1, s.max_discs)
+    exponents = s._level(4, last + 1)[0]
+    return [(2 << exponents[k + 1]) - (1 << (n - k - 1)) for k in range(first, last + 1)]
+
+
 def delta_k(n: int, k: int, solver: HanoiSolver | None = None) -> DeltaValue:
     """Exact change in the four-peg split cost when k grows by one.
 
-    Positive values mean parking more discs worsens the cost.
+    Delta(n, k) = fs_split(n, k+1) - fs_split(n, k)
+    = 2**(1 + t_4(k+1)) - 2**(n-k-1), read in O(1) from the exponent list
+    of the session (filled once to k + 1).  Positive values mean parking
+    more discs worsens the cost.
     """
     if n < 3:
         raise DomainError(f"disc count must be at least 3, got {n}")
     if k < 1 or k > n - 2:
         raise DomainError(f"split must satisfy 1 <= k <= n-2, got k={k} for n={n}")
-    s = _resolve(solver)
-    return DeltaValue(n, k, fs_split(n, k + 1, s) - fs_split(n, k, s))
+    return DeltaValue(n, k, _split_steps(_resolve(solver), n, k, k)[0])
 
 
 def sensitivity_profile(n: int, solver: HanoiSolver | None = None) -> SensitivityProfile:
-    """Split derivatives for every admissible k, plus sign-change count."""
+    """Split derivatives for every admissible k, plus sign-change count.
+
+    The row holds Delta(n, k) = 2**(1 + t_4(k+1)) - 2**(n-k-1) for
+    k = 1 .. n-2 (see :func:`delta_k`), each read in O(1) from the
+    session's exponent list.
+    """
     if n < 3:
         raise DomainError(f"disc count must be at least 3, got {n}")
-    s = _resolve(solver)
-    deltas = tuple(delta_k(n, k, s) for k in range(1, n - 1))
-    signs = [1 if d.delta > 0 else -1 for d in deltas if d.delta != 0]
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return SensitivityProfile(n, deltas, changes)
+    deltas = _split_steps(_resolve(solver), n, 1, n - 2)
+    signs = [d > 0 for d in deltas if d]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    return SensitivityProfile(
+        n, tuple(DeltaValue(n, k, d) for k, d in enumerate(deltas, 1)), changes
+    )
 
 
 def plateau_scan(
@@ -364,7 +396,9 @@ def growth_table(
 ) -> list[GrowthRow]:
     """One row per disc count with the recurrence cost for each peg count.
 
-    Peg counts are deduplicated and reported in ascending order.
+    Peg counts are deduplicated and reported in ascending order.  Each
+    peg count's cost list is filled once to the stop, in O(n) steps, and
+    three pegs are (1 << n) - 1; a row is then one read per peg count.
     """
     wanted = sorted(set(pegs))
     if not wanted:
@@ -376,9 +410,14 @@ def growth_table(
     if lo < 0 or lo > hi:
         raise DomainError(f"need 0 <= start <= stop, got {n_range}")
     s = _resolve(solver)
-    return [
-        GrowthRow(n, tuple(s.cost(p, n) for p in wanted)) for n in range(lo, hi + 1)
+    if hi > s.max_discs:
+        # name the first disc count past the ceiling, as its first cell's cost would
+        raise DiscLimitError(max(lo, s.max_discs + 1), s.max_discs)
+    columns = [
+        [(1 << n) - 1 for n in range(lo, hi + 1)] if p == 3 else s._level(p, hi)[1][lo : hi + 1]
+        for p in wanted
     ]
+    return [GrowthRow(n, costs) for n, costs in zip(range(lo, hi + 1), zip(*columns))]
 
 
 def growth_exponent_diagnostic(
@@ -398,6 +437,8 @@ def growth_exponent_diagnostic(
         raise DomainError(f"range must start at 1 or above, got {lo}")
     if hi - lo < 8:
         raise DomainError(f"range must span at least 8, got {n_range}")
+    import statistics
+
     s = _resolve(solver)
     exponent = 1.0 / (pegs - 2)
     xs = [n**exponent for n in range(lo, hi + 1)]

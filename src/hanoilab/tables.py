@@ -16,8 +16,8 @@ from .errors import DomainError, render_exact
 from .recurrences import (
     HanoiSolver,
     _resolve,
+    _split_steps,
     balanced_fs,
-    delta_k,
     growth_table,
     ratio_rho,
     t3_closed,
@@ -165,6 +165,13 @@ def emit_table(
     ``growth`` (n plus one cost column per requested peg count,
     ascending), ``deltas`` (n,k,delta for every admissible split).  The
     text is returned and, when ``sink`` is given, written to it as well.
+
+    Both data kinds read the solver's lists directly.  A ``growth`` row
+    is one cost read per peg count (see
+    :func:`~hanoilab.recurrences.growth_table`).  A ``deltas`` row renders
+    Delta(n, k) = 2**(1 + t_4(k+1)) - 2**(n-k-1) for k = 1 .. n-2,
+    each entry one exponent read and two shifts, O(1) per entry and O(n)
+    per row.
     """
     if kind == "ratios_extended":
         kind = "ratios"
@@ -198,8 +205,8 @@ def emit_table(
             raise DomainError(f"delta rows start at n=3, got {lo}")
         lines = ["n,k,delta"]
         for n in range(lo, hi + 1):
-            for k in range(1, n - 1):
-                lines.append(f"{n},{k},{delta_k(n, k, s).delta}")
+            row = _split_steps(s, n, 1, n - 2)
+            lines += [f"{n},{k},{delta}" for k, delta in enumerate(row, 1)]
 
     text = "\n".join(lines) + "\n"
     if sink is not None:

@@ -171,6 +171,96 @@ class TestTable:
         _, second, _ = run(capsys, "table", "--kind", "table1")
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["--kind", "deltas", "--to", "600"], 1, "--from and --to must be given together"),
+            (["--kind", "growth", "--to", "513"], 1, "--from and --to must be given together"),
+            (["--kind", "deltas", "--from", "2"], 1, "--from and --to must be given together"),
+            # a deltas row n asks T_4 up to n - 1, so the first row past the ceiling
+            # always names the ceiling plus one, whatever --from and --to are
+            (
+                ["--kind", "deltas", "--from", "3", "--to", "600"],
+                3,
+                "disc count 513 exceeds the configured maximum 512",
+            ),
+            (
+                ["--kind", "deltas", "--from", "600", "--to", "700"],
+                3,
+                "disc count 513 exceeds the configured maximum 512",
+            ),
+            (
+                ["--max-discs", "100", "--kind", "deltas", "--from", "3", "--to", "150"],
+                3,
+                "disc count 101 exceeds the configured maximum 100",
+            ),
+            # growth names the first disc count past the ceiling
+            (
+                ["--kind", "growth", "--from", "1", "--to", "513"],
+                3,
+                "disc count 513 exceeds the configured maximum 512",
+            ),
+            (
+                ["--kind", "growth", "--from", "600", "--to", "700"],
+                3,
+                "disc count 600 exceeds the configured maximum 512",
+            ),
+            (["--kind", "deltas", "--from", "2", "--to", "5"], 1, "delta rows start at n=3, got 2"),
+            (["--kind", "deltas", "--from", "10", "--to", "5"], 1, "range start 10 exceeds stop 5"),
+            (["--kind", "growth", "--from", "10", "--to", "5"], 1, "range start 10 exceeds stop 5"),
+            (
+                ["--kind", "growth", "--from", "-3", "--to", "5"],
+                1,
+                "need 0 <= start <= stop, got (-3, 5)",
+            ),
+            (["--kind", "growth", "--pegs", "2,4"], 1, "need at least 3 pegs, got 2"),
+            (
+                ["--kind", "growth", "--pegs", "2,4", "--from", "1", "--to", "600"],
+                1,
+                "need at least 3 pegs, got 2",
+            ),
+        ],
+    )
+    def test_refusals(self, capsys, argv, code, err):
+        assert run(capsys, "table", *argv) == (code, "", f"hanoilab: {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, lines, digest",
+        [
+            (
+                ["--kind", "deltas", "--from", "3", "--to", "512"],
+                130306,
+                "92329a6eabf68d6ec5f50243041efa930061aa83621f1d6a7974e51e522cb24f",
+            ),
+            (
+                ["--kind", "deltas", "--from", "134", "--to", "164"],
+                4558,
+                "9376fcdfd7f8461dd9580627cfb9a1b8225d8c5f52b65480f43e153125dce96e",
+            ),
+            (
+                ["--max-discs", "100", "--kind", "deltas", "--from", "3", "--to", "101"],
+                4951,
+                "d22e4b11679baf4ae36fb092c2b80b19a221fd3e8ec17fc7b1831933ecdc1247",
+            ),
+            (
+                ["--kind", "growth", "--pegs", ",".join(map(str, range(3, 21))),
+                 "--from", "1", "--to", "512"],
+                513,
+                "21902d6063576354323affcc3678a451f600788445e4def047031c64266d82fb",
+            ),
+            (
+                ["--kind", "growth", "--pegs", "20,3,7,3", "--from", "0", "--to", "512"],
+                514,
+                "a592e28631f81e25c202cfa1211b8ba966ea21d745c035848b61012c889f2f0e",
+            ),
+        ],
+    )
+    def test_golden_tables(self, capsys, argv, lines, digest):
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class Sha256Stream:
     """A text stream that keeps only the sha256 of what is written to it."""
@@ -578,6 +668,15 @@ class TestCommandLineSurface:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_import_loads_no_statistics_fractions_or_decimal(self):
+        # each is imported by the one function that needs it
+        code = (
+            "import sys, hanoilab, hanoilab.cli; "
+            "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_module_entry_point(self):
         import subprocess

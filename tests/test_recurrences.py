@@ -269,6 +269,30 @@ class TestDeltas:
         with pytest.raises(DomainError):
             sensitivity_profile(2)
 
+    @pytest.mark.parametrize(
+        "call, discs, limit",
+        [
+            # only T_4(k + 1) is bounded, so the first k + 1 past the ceiling is named
+            (lambda: delta_k(600, 512, HanoiSolver()), 513, 512),
+            (lambda: delta_k(20, 12, HanoiSolver(10)), 13, 10),
+            (lambda: delta_k(20, 10, HanoiSolver(10)), 11, 10),
+            (lambda: sensitivity_profile(514, HanoiSolver()), 513, 512),
+            (lambda: sensitivity_profile(50, HanoiSolver(10)), 11, 10),
+            (lambda: sensitivity_profile(12, HanoiSolver(10)), 11, 10),
+        ],
+    )
+    def test_past_the_ceiling(self, call, discs, limit):
+        with pytest.raises(DiscLimitError) as info:
+            call()
+        assert (info.value.discs, info.value.limit) == (discs, limit)
+
+    def test_rows_up_to_the_ceiling_plus_one(self):
+        # n may pass the ceiling by one: the shuttle's 2**(n-k) is not bounded
+        assert delta_k(20, 9, HanoiSolver(10)).delta == -1008
+        assert delta_k(600, 511, HanoiSolver()).delta == fs_split(600, 512) - fs_split(600, 511)
+        assert len(sensitivity_profile(513, HanoiSolver()).deltas) == 511
+        assert len(sensitivity_profile(11, HanoiSolver(10)).deltas) == 9
+
 
 class TestPlateaus:
     def test_shuttle_five_plateau(self, solver):
@@ -323,6 +347,19 @@ class TestGrowthTable:
             growth_table((2, 4), (1, 5))
         with pytest.raises(DomainError):
             growth_table((), (1, 5))
+
+    @pytest.mark.parametrize(
+        "pegs, n_range, discs",
+        [((3, 4), (5, 15), 11), ((3,), (12, 15), 12), ((20, 4), (11, 11), 11)],
+    )
+    def test_past_the_ceiling_names_the_first_disc_count(self, pegs, n_range, discs):
+        with pytest.raises(DiscLimitError) as info:
+            growth_table(pegs, n_range, HanoiSolver(10))
+        assert (info.value.discs, info.value.limit) == (discs, 10)
+
+    def test_up_to_the_ceiling(self):
+        rows = growth_table((20, 4), (0, 10), HanoiSolver(10))
+        assert [row.discs for row in rows] == list(range(11))
 
 
 class TestGrowthDiagnostic:

@@ -5,6 +5,13 @@ import io
 import pytest
 
 from hanoilab.errors import DomainError
+from hanoilab.recurrences import (
+    HanoiSolver,
+    delta_k,
+    fs_split,
+    growth_table,
+    sensitivity_profile,
+)
 from hanoilab.tables import (
     REFERENCE,
     Table1Row,
@@ -149,3 +156,63 @@ class TestEmission:
 
     def test_repeated_emission_is_byte_identical(self, solver):
         assert emit_table("table1", solver=solver) == emit_table("table1", solver=solver)
+
+
+def split_step(n, k, solver):
+    """Delta(n, k) as the difference of two split costs, the definition."""
+    return fs_split(n, k + 1, solver) - fs_split(n, k, solver)
+
+
+def reference_deltas(lo, hi, solver):
+    """The deltas CSV from one ``fs_split`` difference per row."""
+    rows = ["n,k,delta"]
+    rows += [
+        f"{n},{k},{split_step(n, k, solver)}" for n in range(lo, hi + 1) for k in range(1, n - 1)
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def reference_growth_rows(pegs, lo, hi, solver):
+    """Growth rows from one ``cost`` call per cell."""
+    wanted = sorted(set(pegs))
+    return [(n, tuple(solver.cost(p, n) for p in wanted)) for n in range(lo, hi + 1)]
+
+
+class TestDirectReads:
+    """Deltas and growth rows read from the solver's exponent and cost
+    lists give the same bytes and fields as the per-row split costs and
+    per-cell ``cost`` calls they replace."""
+
+    @pytest.mark.parametrize("lo, hi", [(3, 3), (3, 4), (134, 164), (480, 512)])
+    def test_deltas_csv(self, solver, lo, hi):
+        expected = reference_deltas(lo, hi, solver)
+        assert emit_table("deltas", (lo, hi), solver=solver) == expected
+        assert emit_table("deltas", (lo, hi), solver=HanoiSolver()) == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 16, 134, 257, 512])
+    def test_every_profile_and_delta_field(self, solver, n):
+        values = [split_step(n, k, solver) for k in range(1, n - 1)]
+        signs = [v > 0 for v in values if v != 0]
+        profile = sensitivity_profile(n, HanoiSolver())
+        assert profile.discs == n
+        assert profile.sign_changes == sum(a != b for a, b in zip(signs, signs[1:]))
+        assert [(d.discs, d.split, d.delta) for d in profile.deltas] == [
+            (n, k, v) for k, v in enumerate(values, 1)
+        ]
+        for k, v in enumerate(values, 1):
+            d = delta_k(n, k, solver)
+            assert (d.discs, d.split, d.delta) == (n, k, v)
+        assert profile == sensitivity_profile(n, solver)
+
+    @pytest.mark.parametrize("pegs", [(20, 3, 7, 3), (5, 20, 4, 3, 20, 11)])
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 40), (17, 17), (0, 512), (512, 512)])
+    def test_growth_rows_and_csv(self, solver, pegs, lo, hi):
+        expected = reference_growth_rows(pegs, lo, hi, solver)
+        for session in (solver, HanoiSolver()):
+            rows = growth_table(pegs, (lo, hi), session)
+            assert [(row.discs, row.costs) for row in rows] == expected
+            header = "n," + ",".join(f"t{p}" for p in sorted(set(pegs)))
+            body = [f"{n}," + ",".join(map(str, costs)) for n, costs in expected]
+            assert emit_table("growth", (lo, hi), pegs=pegs, solver=session) == (
+                "\n".join([header, *body]) + "\n"
+            )
