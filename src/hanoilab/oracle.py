@@ -43,44 +43,49 @@ source, so every state of an orbit has the same distance and geodesic
 count.  The canonical form of a state renames those pegs in order of
 first use, smallest disc first; a layer lists canonical codes only.  A
 state r that uses k of the pegs 1..p-1 has |O(r)| = (p-1)!/(p-1-k)!
-states in its orbit, whose mass M(r) = |O(r)| * c(r) the count slot of
-its representative holds.  Masses add along edges as counts do: the mass
-of an orbit is the sum, over the edges reaching it from the layer
-before, of the count at the edge's near end, and the edges leaving an
-orbit are |O| copies of those leaving its representative.  So the kernel
-expands representatives unchanged and then merges the new codes of the
-layer: a code whose orbit is new hands its mass to the canonical code,
-which becomes the orbit's representative; a code whose representative
-is already tagged in this layer adds its mass to it; a code whose orbit
-was reached in an earlier layer is dropped.
+states in its orbit.  The kernel expands representatives unchanged and
+canonicalises each new code as it is reached: when its orbit is new,
+the canonical code becomes the orbit's representative in the layer
+being made.  The forward search counts no paths.
 
 R's share of an orbit is a closed count: when r leaves peg 0 empty,
 (p-2)!/(p-2-k)! states of its orbit leave peg p-1 empty too, none when
 k = p-1.  So d_R is the first layer that holds such an r with k < p-1,
-and G sums (p-2)!/(p-2-k)! * c(r)**2 = M(r)**2 * (p-1-k) / (|O(r)| *
-(p-1)) over them, exact term by term.  ``states_explored`` sums |O(r)|,
-plus the |O(r)| * (p-1-k) states that move disc n from such an orbit at
-layer d_R.  ``orbits_explored`` counts the orbits of the relabellings
-of the middle pegs alone, which fix both towers: the orbit of r holds
-k + [k < p-1] of them, by which block of r, if any, sits on peg p-1, and
-the states that move disc n from it fall in [k < p-1] * (1 + k +
-[k < p-2]), one per such orbit x and kind of empty peg x has, p-1 or
-middle, as the relabellings that fix x permute its empty middle pegs.
+and G sums (p-2)!/(p-2-k)! * c(r)**2 over them.  Those counts come from
+the cone alone, the orbits on some shortest path from the source to
+such an r (:func:`_cone`): a walk back from the r of every disc count
+finds it, and a count pass forward over it gives each c(r) exactly, as
+every shortest path to a state of the cone lies in the cone.  On four
+and five pegs the cone is a sliver of the search: 782 of the 371,051
+representatives at (4,13), 248 of 65,691 at (5,11).
+``states_explored`` sums |O(r)|, plus the |O(r)| * (p-1-k) states that
+move disc n from such an orbit at layer d_R.  ``orbits_explored`` counts
+the orbits of the relabellings of the middle pegs alone, which fix both
+towers: the orbit of r holds k + [k < p-1] of them, by which block of
+r, if any, sits on peg p-1, and the states that move disc n from it fall
+in [k < p-1] * (1 + k + [k < p-2]), one per such orbit x and kind of
+empty peg x has, p-1 or middle, as the relabellings that fix x permute
+its empty middle pegs.
 
-A dropped code keeps its tag, which need not be its true layer, yet the
-three tags stay sound.  A code first reached in the expansion that makes
-layer d lies at distance d-2, d-1 or d, so it can be reached again only
-by the expansions that make layers d..d+2 at most; those carry the tag
-of d only while making d itself, where adding to the dropped slot is
-harmless, and the code is never listed again.  A canonical code is tagged
-only when its orbit is first reached, with that layer's tag.
+Every tag is the tag of the state's own layer.  A code is tagged when it
+is first reached, in the expansion that makes some layer d: with the tag
+of d when its orbit is new, and its representative too; else with the
+tag its representative already carries, as every state of an orbit lies
+at the same distance.  So the walk back can read a neighbour's own tag:
+among the neighbours of a state at distance d, those tagged for d-1 are
+the ones one layer nearer, and once a representative is expanded, every
+neighbour of it is tagged.
 
 Three kernels run the searches, on purpose, picked by the kind of
 search and the peg count alone.  Every three-peg search runs the block
 kernel below: pairs, towers and the eccentricity sweeps of
 :func:`graph_metrics`.  On four or more pegs the middle-state search
-between the towers folds and runs :func:`_layers`, which keeps a layer
-tag and a geodesic count per state of the (n-1)-disc space; every pair
+between the towers folds and runs :func:`_layers`, which keeps one layer
+tag byte per state of the (n-1)-disc space and no count, then
+:func:`_cone`.  It holds p**(n-1) tag bytes, plus the fold and move
+tables, the two widest layers of representatives and the cone:
+``_middle_search(4, 11)`` traced 2.2 MiB at its peak with warm tables,
+where a count slot per state besides took 11.8 MiB; every pair
 and every eccentricity sweep there runs :func:`_dense_layers`, which
 holds a set of states as one big int with a bit per code and expands a
 whole layer with one shift-and-mask pair per disc and peg offset;
@@ -648,21 +653,22 @@ def _block_towers(discs: int):
 
 def _layers(pegs: int, discs: int, source: int, fold):
     """The folded BFS of :func:`_middle_search` from ``source``, one yield
-    per completed layer.
+    per completed layer, with no path counts: :func:`_cone` counts them
+    afterwards from the tags.
 
-    Yields ``(d, layer, seen, counts)`` for d = 0, 1, ... while layers are
+    Yields ``(d, layer, seen)`` for d = 0, 1, ... while layers are
     non-empty: ``layer`` lists the orbit representatives at distance d,
-    and ``seen`` and ``counts`` are the same two arrays at every yield.
-    When layer d is yielded, every state at distance <= d is tagged and
-    the mass of each representative there is final.  The caller may
-    reorder ``layer`` in place before the next layer is made: the next
-    layer's states and counts do not depend on the order.  ``fold`` holds
-    the :func:`_fold_tables` of the space, or tables in their layout; after
-    each expansion the new codes are merged into their orbits, as the
-    module docstring describes.  The fold must fix ``source``: only then
-    do its relabellings keep every distance and count from the source, so
-    a fold whose orbit of the source holds other states raises
-    :class:`HanoiError`.
+    and ``seen`` is the same tag array at every yield.  When layer d is
+    yielded, every representative at distance <= d is tagged, and every
+    neighbour of those at distance < d.  The caller may reorder ``layer``
+    in place before the next layer is made: the next layer's states do not
+    depend on the order.  ``fold`` holds the :func:`_fold_tables` of the
+    space, or tables in their layout; each new code is canonicalised as
+    it is reached, as the module docstring describes.  The fold must fix
+    ``source``: only then do its relabellings keep every distance from the
+    source, so a fold whose orbit of the source holds other states raises
+    :class:`HanoiError`.  Besides the tables, the search holds
+    ``pegs**discs`` tag bytes, the layer it expands and the one it makes.
 
     Successors come from :func:`_move_tables`, built once per space: the
     low block's legal deltas, then the high block's moves whose source and
@@ -672,41 +678,40 @@ def _layers(pegs: int, discs: int, source: int, fold):
     625 at (5,9), and all wherever n//2 <= p-2.
 
     The visited array keeps one byte per state, the tag ``1 + d % 3`` of
-    the state's layer d (0 = unseen).  Layers of adjacent states differ by
-    at most one, so a neighbour of a layer d-1 state lies in layer d-2, d-1
-    or d; those three tags are distinct, so a tag tells a new state from
-    one already in layer d (add to its path count) and from an older one.
+    the state's layer d (0 = unseen), which every tagged code carries: a
+    code whose orbit was reached before takes its representative's tag.
+    Layers of adjacent states differ by at most one, so those three tags
+    tell the layers around a state apart.
     """
     if fold[-1][_used_pegs(fold, [source])[0]] != 1:
         raise HanoiError(f"the fold moves the source {source}")
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
     gate = _gates(pegs, low_occupied)
-    size = pegs**discs
-    seen = bytearray(size)
+    fbase, low_canon, low_ids, width, high_canon, _, _ = fold
+    seen = bytearray(pegs**discs)
     seen[source] = 1
-    counts = [0] * size
-    counts[source] = 1
     frontier = [source]
     d = 0
     # The low and high loops share a body; one loop over a per-state list
     # of deltas measured 15-30% slower at (4,10).
     while frontier:
-        yield d, frontier, seen, counts
+        yield d, frontier, seen
         nxt: list[int] = []
         d += 1
         tag = 1 + d % 3
         for code in frontier:
             low = code % base
-            cu = counts[code]
             for delta in low_deltas[low]:
                 v = code + delta
-                tv = seen[v]
-                if not tv:
-                    seen[v] = tag
-                    nxt.append(v)
-                    counts[v] = cu
-                elif tv == tag:
-                    counts[v] += cu
+                if not seen[v]:
+                    flow = v % fbase
+                    r = high_canon[v // fbase * width + low_ids[flow]] + low_canon[flow]
+                    tr = seen[r]
+                    if tr:
+                        seen[v] = tr
+                    else:
+                        seen[v] = seen[r] = tag
+                        nxt.append(r)
             occ = gate[low]
             if occ is None:
                 continue
@@ -718,14 +723,82 @@ def _layers(pegs: int, discs: int, source: int, fold):
                     if occ & end_bit:
                         continue
                     v = lifted + end_offset
-                    tv = seen[v]
-                    if not tv:
-                        seen[v] = tag
-                        nxt.append(v)
-                        counts[v] = cu
-                    elif tv == tag:
-                        counts[v] += cu
-        frontier = _merge(fold, nxt, tag, seen, counts)
+                    if not seen[v]:
+                        flow = v % fbase
+                        r = high_canon[v // fbase * width + low_ids[flow]] + low_canon[flow]
+                        tr = seen[r]
+                        if tr:
+                            seen[v] = tr
+                        else:
+                            seen[v] = seen[r] = tag
+                            nxt.append(r)
+        frontier = nxt
+
+
+def _cone(pegs: int, discs: int, fold, seen: bytearray, starts: dict[int, list[int]]):
+    """Geodesic counts from the source of a :func:`_layers` search over
+    the cone of ``starts``, one yield per layer.
+
+    ``starts`` maps layers d to representatives at distance d, and ``seen``
+    is the tag array of a :func:`_layers` search with the same ``fold``
+    that has expanded the last of those layers: it yielded the next layer,
+    or ran out.  The cone is the set of orbits on some shortest path from
+    the source to a start.  Yields ``(d, counts)`` for d = 0 ..
+    max(starts): ``counts`` maps each cone representative at distance d
+    to its geodesic count c, the count of every state of its orbit, so its
+    mass is |O| * c.
+
+    The walk back runs from the last start layer to the source.  The
+    neighbours of a cone representative at distance d that carry the tag
+    ``1 + (d-1) % 3`` are those at distance d-1 (see the module
+    docstring), and their representatives make the cone's layer d-1.  The
+    walk keeps, per cone representative, those neighbours'
+    representatives, one entry per neighbour.  Then the count pass runs
+    forward from c = 1 at the source: c(r) is the sum of c over r's
+    entries, as a state has its representative's count.  Every shortest
+    path to a cone state lies in the cone, so the counts are exact, and
+    one walk serves every start layer at once.  It holds the cone with its
+    entries and two layers of counts, and canonicalises only the
+    neighbours one layer nearer.
+    """
+    base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    fbase, low_canon, low_ids, width, high_canon, _, _ = fold
+    walked = []  # per layer, farthest first: (representative, nearer entries)
+    layer: set[int] = set()
+    for d in range(max(starts), -1, -1):
+        layer.update(starts.get(d, ()))
+        if not d:
+            break
+        tag = 1 + (d - 1) % 3
+        edges = []
+        for code in layer:
+            low = code % base
+            entries = []
+            for delta in low_deltas[low]:
+                v = code + delta
+                if seen[v] == tag:
+                    flow = v % fbase
+                    entries.append(high_canon[v // fbase * width + low_ids[flow]] + low_canon[flow])
+            occ = low_occupied[low]
+            if occ.bit_count() <= pegs - 2:  # two pegs free: a high disc may move
+                for bit, src_offset, to in high_moves[code // base]:
+                    if occ & bit:
+                        continue
+                    lifted = code - src_offset
+                    for end_bit, end_offset in to:
+                        v = lifted + end_offset
+                        if not occ & end_bit and seen[v] == tag:
+                            flow = v % fbase
+                            entries.append(high_canon[v // fbase * width + low_ids[flow]] + low_canon[flow])
+            edges.append((code, entries))
+        walked.append(edges)
+        layer = {r for _, entries in edges for r in entries}
+    counts = dict.fromkeys(layer, 1)
+    yield 0, counts
+    for d, edges in enumerate(reversed(walked), 1):
+        near = counts.__getitem__
+        counts = {code: sum(map(near, entries)) for code, entries in edges}
+        yield d, counts
 
 
 def _repeat(block: int, width: int, copies: int) -> int:
@@ -899,27 +972,6 @@ def _dense_balls(pegs: int, discs: int) -> list[int]:
             return balls
 
 
-def _merge(fold, new: list[int], tag: int, seen: bytearray, counts: list[int]) -> list[int]:
-    """Orbit representatives of a layer's new codes, their masses merged
-    into the ``counts`` slots; see the module docstring."""
-    base, low_canon, low_ids, width, high_canon, _, _ = fold
-    reps: list[int] = []
-    for v in new:
-        low = v % base  # measured faster than divmod here
-        r = high_canon[v // base * width + low_ids[low]] + low_canon[low]
-        if r == v:
-            reps.append(v)
-            continue
-        tr = seen[r]
-        if tr == tag:
-            counts[r] += counts[v]
-        elif not tr:
-            seen[r] = tag
-            counts[r] = counts[v]
-            reps.append(r)
-    return reps
-
-
 def _first_use(pegs: int, count: int, weight: int, fold, orders, entering, last=False):
     """First-use relabelling of a block of ``count`` consecutive discs.
 
@@ -1036,7 +1088,13 @@ def _middle_search(pegs: int, discs: int):
     the low block's ``low_occupied`` and the high part's ``used`` entry
     when the high part is non-zero, else its ``used`` entry.  D grows with
     the disc count and is odd, so d_R grows too and at most one row meets
-    per layer.
+    per layer.  Each meeting row keeps its ``free`` representatives, and
+    one :func:`_cone` from all of them gives their counts c, for G, once
+    the forward search is done.
+
+    It holds p**(n-1) tag bytes, plus the fold and move tables of the
+    (n-1)-disc space, the two widest layers of representatives and the
+    cone: (4,14) and (5,12) take 99 and 86 MiB in a fresh process.
     """
     rows = [(0, 1, 1, 1)]
     if not discs:
@@ -1058,8 +1116,8 @@ def _middle_search(pegs: int, discs: int):
     moved = [(k < top) * (k + 1 + (k < top - 1)) for k in range(len(sizes))]
     powers = [pegs**k for k in range(discs)]
     ball = [(0, 0)] * discs  # (states, orbits) below each p**j so far
-    balls, meets = [], []  # ball per layer; (d_R, G, states, orbits moving disc j+1)
-    for d, layer, _, counts in _layers(pegs, small, 0, fold):
+    balls, meets = [], []  # ball per layer; (d_R, free, states, orbits moving disc j+1)
+    for d, layer, seen in _layers(pegs, small, 0, fold):
         layer.sort()
         ks = _used_pegs(fold, layer)
         mass = list(itertools.accumulate([sizes[k] for k in ks], initial=0))
@@ -1073,17 +1131,25 @@ def _middle_search(pegs: int, discs: int):
         start = ends[j - 1] if j else 0
         codes = layer[start : ends[j]]
         masks = [used[v // base] | low_occupied[v % base] if v >= base else used[v] for v in codes]
-        free = [(v, k) for v, k, mask in zip(codes, ks[start : ends[j]], masks) if not mask & 1]
-        if any(shares[k] for _, k in free):
+        free = [
+            (v, k)
+            for v, k, mask in zip(codes, ks[start : ends[j]], masks)
+            if not mask & 1 and shares[k]
+        ]
+        if free:
             meets.append((
                 d,
-                sum((counts[v] // sizes[k]) ** 2 * shares[k] for v, k in free),
+                free,
                 sum(sizes[k] * (top - k) for _, k in free),
                 sum(moved[k] for _, k in free),
             ))
     if len(meets) < discs:
         raise HanoiError("state graph unexpectedly disconnected")
-    for j, (d, geodesics, states, orbits) in enumerate(meets):
+    starts = {d: [v for v, _ in free] for d, free, _, _ in meets}
+    cone = _cone(pegs, small, fold, seen, starts)
+    for j, (d, free, states, orbits) in enumerate(meets):
+        counts = next(c for e, c in cone if e == d)  # both run in order of d
+        geodesics = sum(counts[v] ** 2 * shares[k] for v, k in free)
         s, o = balls[min(d + 1, len(balls) - 1)][j]
         rows.append((2 * d + 1, geodesics, s + states, o + orbits))
     return rows
@@ -1184,7 +1250,9 @@ def tower_distance(
     counts the whole ball of radius D around it.  It reads the last row of
     :func:`_tower_rows`.  The budget bounds p**n, as there.  On three pegs
     the block kernel holds O(3**ceil(n/2)) entries; on more pegs the
-    middle-state search holds p**(n-1) bytes and p**(n-1) count slots.
+    middle-state search holds p**(n-1) tag bytes, plus the fold and move
+    tables, the two widest layers of representatives and the cone, whose
+    geodesic counts it alone keeps.
     """
     _check_space(pegs, discs, state_budget)
     dp_cost = _dp_cost(True, solver, pegs, discs)

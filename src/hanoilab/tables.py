@@ -171,7 +171,8 @@ def emit_table(
     :func:`~hanoilab.recurrences.growth_table`).  A ``deltas`` row renders
     Delta(n, k) = 2**(1 + t_4(k+1)) - 2**(n-k-1) for k = 1 .. n-2,
     each entry one exponent read and two shifts, O(1) per entry and O(n)
-    per row.
+    per row.  A row with a delta too long for the int-to-str digit limit
+    in force is rendered through :func:`~hanoilab.errors.render_exact`.
     """
     if kind == "ratios_extended":
         kind = "ratios"
@@ -206,7 +207,10 @@ def emit_table(
         lines = ["n,k,delta"]
         for n in range(lo, hi + 1):
             row = _split_steps(s, n, 1, n - 2)
-            lines += [f"{n},{k},{delta}" for k, delta in enumerate(row, 1)]
+            try:
+                lines += [f"{n},{k},{delta}" for k, delta in enumerate(row, 1)]
+            except ValueError:  # a delta longer than the int-to-str digit limit
+                lines += [f"{n},{k},{render_exact(delta)}" for k, delta in enumerate(row, 1)]
 
     text = "\n".join(lines) + "\n"
     if sink is not None:

@@ -16,6 +16,7 @@ import hanoilab.oracle
 import hanoilab.tables
 from hanoilab.cli import main
 from hanoilab.errors import StateBudgetExceeded, render_count
+from hanoilab.recurrences import HanoiSolver
 from hanoilab.tables import REFERENCE, Table1Row
 
 
@@ -154,6 +155,38 @@ class TestTable:
         n, cost = rows[-1].split(",")
         assert n == "15000"
         assert int(decimal.Decimal(cost)) == 2**15000 - 1
+
+    def test_deltas_past_the_int_to_str_limit(self):
+        # 2**14988 has 4,512 digits, past the default limit of 4,300
+        proc = run_module(
+            "table", "--kind", "deltas", "--from", "14990", "--to", "14990", "--max-discs", "15000"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = proc.stdout.splitlines()
+        assert rows[0] == "n,k,delta" and len(rows) == 14989
+        n, solver = 14990, HanoiSolver(max_discs=14990)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for k in (1, 2, 1000, 10_000, n - 2):
+                # Delta(n, k) = fs_split(n, k+1) - fs_split(n, k), fs_split = 2 T_4(k) + 2^(n-k) - 1
+                delta = 2 * (solver.cost(4, k + 1) - solver.cost(4, k)) - 2 ** (n - k - 1)
+                assert rows[k] == f"{n},{k},{delta}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_deltas_under_a_lowered_int_to_str_limit(self, capsys):
+        # 2**2198 has 662 digits: the same text as under the default limit
+        argv = ["table", "--kind", "deltas", "--from", "2199", "--to", "2200", "--max-discs", "2200"]
+        expected = run(capsys, *argv)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == expected
+        assert expected[0] == 0 and expected[1].count("\n") == 1 + 2197 + 2198
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"

@@ -20,6 +20,7 @@ from hanoilab.oracle import (
     _block_queue,
     _block_search,
     _build_masks,
+    _cone,
     _dense_layers,
     _dense_search,
     _fold_split,
@@ -27,11 +28,13 @@ from hanoilab.oracle import (
     _gate_tables,
     _layers,
     _members,
+    _middle_search,
     _move_tables,
     _orbit_codes,
     _search,
     _shift_masks,
     _tower_sweep,
+    _used_pegs,
     bfs_distance,
     certify_range,
     geodesic_uniqueness,
@@ -277,7 +280,7 @@ class TestLayers:
             lambda p, n: (base, low_occupied, low_deltas, counted),
         )
         layers = _layers(pegs, discs, 0, identity_fold(pegs, discs))
-        assert sum(len(layer) for _, layer, _, _ in layers) == pegs**discs
+        assert sum(len(layer) for _, layer, _ in layers) == pegs**discs
         low = discs // 2
         free = sum(
             len(set(unpack(code, pegs, low).pegs)) <= pegs - 2 for code in range(base)
@@ -302,34 +305,58 @@ class TestLayers:
 
     @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
     def test_matches_reference_bfs(self, pegs, discs):
+        # the count pass from every layer of an unfolded search is the whole ball
         size = pegs**discs
         sources = {0, size - 1, *random.Random(size).sample(range(size), min(2, size))}
+        fold = identity_fold(pegs, discs)
         for source in sorted(sources):
             expected = reference_layers(pegs, discs, source)
-            got = [
-                (d, {v: counts[v] for v in layer})
-                for d, layer, _, counts in _layers(
-                    pegs, discs, source, identity_fold(pegs, discs)
-                )
-            ]
+            layers, seen = searched_layers(pegs, discs, source, fold)
+            assert [set(layer) for layer in layers] == [set(layer) for layer in expected]
+            got = list(_cone(pegs, discs, fold, seen, dict(enumerate(layers))))
             assert got == list(enumerate(expected))
 
     @pytest.mark.parametrize("pegs,discs", [(p, n) for p, n in SMALL_SPACES if p >= 4])
     def test_folded_matches_reference_bfs(self, pegs, discs):
-        # a folded layer lists one canonical code per orbit, with the orbit's
-        # mass; the fold fixes the tower on peg 0 only, so the search runs from it
-        expected = []
-        for layer in reference_layers(pegs, discs, 0):
-            masses = {}
-            for v, paths in layer.items():
-                r = first_use(v, pegs, discs)
-                masses[r] = masses.get(r, 0) + paths
-            expected.append(masses)
+        # a folded layer lists one canonical code per orbit, whose mass is its
+        # size times the count of each of its states; the fold fixes the tower
+        # on peg 0 only, so the search runs from it
+        fold = _fold_tables(pegs, discs)
+        expected = [orbit_masses(layer, pegs, discs) for layer in reference_layers(pegs, discs, 0)]
+        layers, seen = searched_layers(pegs, discs, 0, fold)
+        assert [set(layer) for layer in layers] == [set(masses) for masses in expected]
         got = [
-            (d, {v: counts[v] for v in layer})
-            for d, layer, _, counts in _layers(pegs, discs, 0, _fold_tables(pegs, discs))
+            (d, folded_masses(counts, fold))
+            for d, counts in _cone(pegs, discs, fold, seen, dict(enumerate(layers)))
         ]
         assert got == list(enumerate(expected))
+
+    @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
+    def test_every_tag_is_its_own_layers(self, pegs, discs):
+        # a code whose orbit an earlier layer reached takes its orbit's tag, so
+        # every tagged code, canonical or not, carries the tag of its own layer
+        folds = [identity_fold(pegs, discs)] + [_fold_tables(pegs, discs)] * (pegs >= 4)
+        for fold in folds:
+            _, seen = searched_layers(pegs, discs, 0, fold)
+            for d, layer in enumerate(reference_layers(pegs, discs, 0)):
+                assert {seen[v] for v in layer} <= {0, 1 + d % 3}
+            assert all(seen[v] for v in range(pegs**discs) if first_use(v, pegs, discs) == v)
+
+    @pytest.mark.parametrize("pegs,discs", [(p, n) for p, n in SMALL_SPACES if p >= 4])
+    def test_cone_masses_match_reference_bfs(self, pegs, discs):
+        # the cone of the middle-state search: every orbit on a geodesic from
+        # the source to a state of R at its least depth, for every disc count
+        fold = _fold_tables(pegs, discs)
+        layers = reference_layers(pegs, discs, 0)
+        starts, cone = middle_cone(pegs, discs, layers)
+        expected = []
+        for d, states in enumerate(cone):
+            orbits = {first_use(v, pegs, discs) for v in states}
+            masses = orbit_masses(layers[d], pegs, discs)
+            expected.append({r: masses[r] for r in masses if r in orbits})
+        _, seen = searched_layers(pegs, discs, 0, fold)
+        got = [folded_masses(counts, fold) for _, counts in _cone(pegs, discs, fold, seen, starts)]
+        assert got == expected
 
     @pytest.mark.parametrize("pegs,discs", [(4, 3), (5, 2), (6, 4), (12, 2)])
     def test_fold_must_fix_the_source(self, pegs, discs):
@@ -507,6 +534,20 @@ class TestTowerDistance:
             tower_distance(4, 20)
         assert err.value.required == 4**20
 
+    def test_memory_is_a_byte_per_state(self):
+        # with warm tables the search holds a tag byte per state of the 4**10
+        # smaller-disc states (1 MiB), its two widest layers and the cone;
+        # a count slot per state besides took 11.8 MiB
+        _middle_search(4, 11)
+        tracemalloc.start()
+        try:
+            rows = _middle_search(4, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[-1][:2] == (65, 74_056_628)
+        assert peak < 5 << 20
+
     def test_searches_half_deep(self, solver):
         # the full BFS explores all 4**10 = 1,048,576 states here
         report = tower_distance(4, 10, solver=solver)
@@ -514,6 +555,28 @@ class TestTowerDistance:
         assert report.states_explored == 50_428
         assert report.orbits_explored == 25_278
         assert report.agrees
+
+
+# Per peg count in 4..16, the most discs n <= p - 1 that the default budget
+# admits: 75 spaces in all.
+WIDE_TOWERS = [
+    (pegs, max(n for n in range(1, pegs) if pegs**n <= DEFAULT_STATE_BUDGET))
+    for pegs in range(4, 17)
+]
+
+
+class TestWideTowers:
+    @pytest.mark.parametrize("pegs,top", WIDE_TOWERS)
+    def test_closed_form(self, pegs, top, solver):
+        # With n <= p - 1 a state of R at depth n - 1 has moved each smaller
+        # disc once, smallest first, onto an empty middle peg: one path to
+        # each of (p-2)!/(p-1-n)! states, so D = 2n - 1 and G is their number.
+        # There the cone is most of the ball, the count pass's hardest case.
+        sweep = _tower_sweep(pegs, top, DEFAULT_STATE_BUDGET, solver)
+        assert [(r.discs, r.distance, r.geodesic_count) for r in sweep.reports] == [
+            (n, 2 * n - 1, math.perm(pegs - 2, n - 1)) for n in range(1, top + 1)
+        ]
+        assert sweep.all_agree and sweep.skipped == ()
 
 
 def counting_tower_rows(monkeypatch):
@@ -585,6 +648,55 @@ def identity_fold(pegs, discs):
     highs = pegs ** (discs - discs // 2)
     high_canon = [h * base for h in range(highs)]
     return base, list(range(base)), [0] * base, 1, high_canon, bytes(highs), [1]
+
+
+def searched_layers(pegs, discs, source, fold):
+    """The layers of a `_layers` search run until it is exhausted, each
+    copied when it is yielded, and the tag array it leaves."""
+    layers = []
+    for _, layer, seen in _layers(pegs, discs, source, fold):
+        layers.append(list(layer))
+    return layers, seen
+
+
+def orbit_masses(layer, pegs, discs):
+    """The plain counts of a layer summed per first-use orbit."""
+    masses = {}
+    for v, paths in layer.items():
+        r = first_use(v, pegs, discs)
+        masses[r] = masses.get(r, 0) + paths
+    return masses
+
+
+def folded_masses(counts, fold):
+    """The mass |O| * c of each representative of a `_cone` layer."""
+    sizes = fold[-1]
+    return {r: sizes[k] * c for (r, c), k in zip(counts.items(), _used_pegs(fold, list(counts)))}
+
+
+def middle_cone(pegs, discs, layers):
+    """The starts of the middle-state search over this space and the states
+    of their cone, per layer, by plain BFS layers: for every m <= discs,
+    the first layer that holds an m-disc state of R (no disc on peg 0 or
+    p-1), whose representatives start, and every state on a shortest path
+    to those states."""
+    starts, reached = {}, {}
+    for m in range(discs + 1):
+        for d, layer in enumerate(layers):
+            middle = {
+                v for v in layer
+                if v < pegs**m and all(0 < q < pegs - 1 for q in unpack(v, pegs, discs).pegs[:m])
+            }
+            if middle:
+                starts[d] = sorted({first_use(v, pegs, discs) for v in middle})
+                reached.setdefault(d, set()).update(middle)
+                break
+    cone = [set() for _ in range(max(starts) + 1)]
+    for d in range(max(starts), -1, -1):
+        cone[d] |= reached.get(d, set())
+        if d:
+            cone[d - 1] = {u for v in cone[d] for u in neighbors(v, pegs, discs) if u in layers[d - 1]}
+    return starts, cone
 
 
 def middle_reference(pegs, discs):
@@ -694,7 +806,7 @@ class TestOrbitFold:
     def test_layers_yield_canonical_codes(self, pegs, discs):
         free = tuple(range(1, pegs))
         yielded = []
-        for _, layer, _, _ in _layers(pegs, discs, 0, _fold_tables(pegs, discs)):
+        for _, layer, _ in _layers(pegs, discs, 0, _fold_tables(pegs, discs)):
             yielded += layer
         assert len(yielded) == len(set(yielded))
         assert all(is_canonical(code, pegs, discs, free) for code in yielded)
@@ -754,11 +866,17 @@ class TestOrbitFold:
 
 
 def layers_search(pegs, discs, source, target):
-    """(distance, geodesics, states, orbits) from an unfolded `_layers` BFS."""
+    """(distance, geodesics, states, orbits) from an unfolded `_layers` BFS
+    and the `_cone` count pass, which `TestLayers` checks against
+    `reference_layers`."""
+    fold = identity_fold(pegs, discs)
     explored = 0
-    for d, layer, seen, counts in _layers(pegs, discs, source, identity_fold(pegs, discs)):
+    layers = _layers(pegs, discs, source, fold)
+    for d, layer, seen in layers:
         explored += len(layer)
         if seen[target]:
+            next(layers, None)  # the walk reads the neighbours of the target's layer
+            *_, (_, counts) = _cone(pegs, discs, fold, seen, {d: [target]})
             return d, counts[target], explored, explored
     raise AssertionError("target never reached")
 
@@ -993,7 +1111,7 @@ class TestDenseSearch:
         sources = {0, size - 1, *random.Random(size).sample(range(size), min(4, size))}
         fold = identity_fold(pegs, discs)
         for source in sorted(sources):
-            layers = [layer for _, layer, _, _ in _layers(pegs, discs, source, fold)]
+            layers = [layer for _, layer, _ in _layers(pegs, discs, source, fold)]
             expected = [sum(1 << v for v in layer) for layer in layers]
             assert list(_dense_layers(_shift_masks(pegs, discs), source)) == expected
 
