@@ -88,7 +88,8 @@ tables, the two widest layers of representatives and the cone:
 where a count slot per state besides took 11.8 MiB; every pair
 and every eccentricity sweep there runs :func:`_dense_layers`, which
 holds a set of states as one big int with a bit per code and expands a
-whole layer with one shift-and-mask pair per disc and peg offset;
+whole layer with a few shifts and masks per disc, over the cliques of
+that disc's moves;
 :func:`_dense_search` counts geodesics afterwards over the states on
 some geodesic only, walking back from the target: to the source for an
 arbitrary pair, and only to the middle layer floor(D/2) between two
@@ -96,11 +97,11 @@ towers, whose other half it reads as the digit reversal of the half
 walked.  There the layers are wide, so the whole-set
 operations win, even against the orbit fold: a full ball between the
 towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
-0.77 s (one core of a shared 2-core host).  The n(p-1) move masks hold
-up to n(p-1) bits per state: 27 at (4,10), 90 at (16,6), 2,046 at
-(1024,2).  Only masks of at most 8 MiB stay cached after a search, and
+0.77 s (one core of a shared 2-core host).  Its tables hold two sets
+per disc, at most 2n bits per state: 20 at (4,10), 12 at (16,6), 4 at
+(1024,2).  Only tables of at most 8 MiB stay cached after a search, and
 the move, gate and fold tables of the spaces last used while their
-n(p-1) move entries per state sum to at most 8 MiB of such bits.
+n(p-1) move entries per state sum to at most 8 MiB of bits.
 
 A :func:`certify_range` sweep runs no pair search: one tower search at
 the largest disc count gives its rows, and on p >= 4 one forward search
@@ -356,9 +357,9 @@ def _block_moves(pegs: int, count: int, weight: int):
 
 def _space_cache(build):
     """Cache of the tables ``build(pegs, discs)`` of the spaces last used
-    while their n(p-1) move entries per state, the bits of their
-    :func:`_shift_masks`, take at most ``_MASK_CACHE_BYTES`` together:
-    1.0 MiB for the (3,10), (4,9) and (5,6) of a ``certify`` pass.  The space
+    while their n(p-1) move entries per state, counted as one bit each,
+    take at most ``_MASK_CACHE_BYTES`` together: 1.0 MiB for the (3,10),
+    (4,9) and (5,6) of a ``certify`` pass.  The space
     last used always stays, so a search reads its tables twice but builds
     them once; a heavier one, like the (4,11) of ``tower_distance(4, 12)``
     or the (16,5) of (16,6), evicts the others and goes with the next."""
@@ -816,83 +817,111 @@ def _repeat(block: int, width: int, copies: int) -> int:
     return block
 
 
-#: Shift masks whose bits take at most this many bytes stay cached for the
-#: next search in the same space: 0.8 MiB at (4,9), 7.7 MiB at (5,9).  The
-#: move, gate and fold tables stay for several spaces whose masks fit it together.
+#: Group tables whose bits take at most this many bytes stay cached for the
+#: next search in the same space: 0.5 MiB at (4,9), 3.9 MiB at (5,9).  The
+#: move, gate and fold tables stay for several spaces whose move entries fit it
+#: together.
 _MASK_CACHE_BYTES = 8 << 20
-#: The cached masks of one space, keyed by (pegs, discs).
-_mask_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+#: (shifts, tops, base) per disc: the :func:`_build_masks` of a space.
+_Groups = tuple[tuple[tuple[int, ...], int, int], ...]
+#: The cached group tables of one space, keyed by (pegs, discs).
+_mask_cache: dict[tuple[int, int], _Groups] = {}
 
 
-def _shift_masks(pegs: int, discs: int) -> tuple[tuple[int, int], ...]:
+def _shift_masks(pegs: int, discs: int) -> _Groups:
     """The :func:`_build_masks` of a space, from the cache when they are
-    there.  One space is cached at a time, and only when its masks take at
-    most ``_MASK_CACHE_BYTES``: larger ones (15.3 MiB at (4,11)) are built
+    there.  One space is cached at a time, and only when its tables take
+    at most ``_MASK_CACHE_BYTES``: larger ones (10.4 MiB at (4,11)) are built
     per search and dropped when it returns, so they leave the cache as it
     was."""
-    masks = _mask_cache.get((pegs, discs))
-    if masks is None:
-        masks = _build_masks(pegs, discs)
-        if sum(mask.bit_length() for _, mask in masks) <= 8 * _MASK_CACHE_BYTES:
+    tables = _mask_cache.get((pegs, discs))
+    if tables is None:
+        tables = _build_masks(pegs, discs)
+        bits = sum(tops.bit_length() + base.bit_length() for _, tops, base in tables)
+        if bits <= 8 * _MASK_CACHE_BYTES:
             _mask_cache.clear()
-            _mask_cache[pegs, discs] = masks
-    return masks
+            _mask_cache[pegs, discs] = tables
+    return tables
 
 
-def _build_masks(pegs: int, discs: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) for each disc j and peg offset delta in 1..p-1.
+def _build_masks(pegs: int, discs: int) -> _Groups:
+    """(shifts, tops, base) for each disc j, the tables of :func:`_expand`.
 
-    ``shift`` is delta * p**j, and bit v of ``mask`` is set iff disc j of
-    code v may move from its peg a to a + delta: its digit is a <= p-1-delta
-    and no smaller disc's digit is a or a + delta.  Shifted up by
-    ``shift``, the same mask is the set of codes where the reverse move,
-    back down by delta, is legal.  A mask depends on the discs up to j
-    only, so it is a block of p**(j+1) bits repeated.  Within a block,
-    ``tops`` is the set of codes where no smaller disc shares disc j's
-    peg; shifted down by ``shift`` it is the set where none is on the peg
-    delta above, so the block is the two sets' intersection.  ``free[q]``
-    holds the codes of the j smallest discs that leave peg q empty.  Each
-    set is built by whole-set operations, so the masks cost time in
-    proportion to their bits, even where p is in the hundreds.
+    Bit v of ``tops`` is set iff no smaller disc shares disc j's peg in
+    code v, and bit v of ``base`` iff disc j's digit is 0.  ``shifts`` are
+    multiples of p**j whose doubling sums cover the offsets 0..p-1 of disc
+    j's digit, an overlapping last step included, as in :func:`_repeat`.
+    Both sets depend on the discs up to j only, so each is a block of
+    p**(j+1) bits repeated.  Within a block, ``tops`` puts ``free[q]``, the
+    codes of the j smallest discs that leave peg q empty, at digit q.  Each
+    set is built by whole-set operations, so the tables cost time in
+    proportion to their bits, 2n per state, even where p is in the hundreds.
     """
     size = pegs**discs
+    steps = []
+    have = 1
+    while 2 * have <= pegs:
+        steps.append(have)
+        have *= 2
+    if have < pegs:
+        steps.append(pegs - have)
     free = [1] * pegs
-    masks = []
+    tables = []
     weight = 1
     for j in range(discs):
         width = weight * pegs
         tops = sum(codes << q * weight for q, codes in enumerate(free))
-        for delta in range(1, pegs):
-            block = tops & tops >> delta * weight
-            masks.append((delta * weight, _repeat(block, width, size // width)))
+        tables.append((
+            tuple(step * weight for step in steps),
+            _repeat(tops, width, size // width),
+            _repeat((1 << weight) - 1, width, size // width),
+        ))
         if j + 1 < discs:
             free = [
                 _repeat(codes, weight, pegs) ^ codes << q * weight
                 for q, codes in enumerate(free)
             ]
         weight = width
-    return tuple(masks)
+    return tuple(tables)
 
 
-def _expand(states: int, masks) -> int:
-    """Every state one move from a state of the set ``states``, as a set."""
+def _expand(states: int, tables: _Groups) -> int:
+    """Every state one move from a state of the set ``states``, as a set,
+    together with ``states`` itself: disc 0 is on top in every state.
+
+    The codes that differ from v in disc j's digit only, and where disc j
+    has no smaller disc on its peg, form a clique of disc j's moves
+    (Hinz, Klavzar, Milutinovic & Petr, *The Tower of Hanoi -- Myths and
+    Maths*, 2013).  So per disc, the set's codes in ``tops`` are gathered
+    by right shifts onto the clique's code with digit j = 0, kept there by
+    ``base``, spread back over the clique by left shifts, and kept where
+    disc j is on top again: 4 + 4*ceil(log2 p) big-int operations."""
     out = 0
-    for shift, mask in masks:
-        out |= (states & mask) << shift | (states >> shift) & mask
+    for shifts, tops, base in tables:
+        x = states & tops
+        for shift in shifts:
+            x |= x >> shift
+        x &= base
+        for shift in shifts:
+            x |= x << shift
+        out |= x & tops
     return out
 
 
-def _dense_layers(masks, source: int):
+def _dense_layers(tables, source: int):
     """Layered BFS from ``source``: yields the set of states at distance d,
     as a big int, for d = 0, 1, ... while layers are non-empty.  One move
-    changes one digit, disc j's, by some delta, so a layer's successors
-    are :func:`_expand` over the n(p-1) :func:`_shift_masks` of the space,
-    ``masks``, not a loop over edges."""
-    seen = layer = 1 << source
+    changes one digit, disc j's, within a clique, so a layer's successors
+    are one :func:`_expand` over the :func:`_shift_masks` of the space,
+    ``tables``, not a loop over edges.  The states not yet reached are kept
+    as a positive int: disc 0 is on top in every state, so its ``tops`` is
+    every code."""
+    layer = 1 << source
+    unseen = (tables[0][1] if tables else 1) ^ layer
     while layer:
         yield layer
-        layer = _expand(layer, masks) & ~seen
-        seen |= layer
+        layer = _expand(layer, tables) & unseen
+        unseen ^= layer
 
 
 def _members(states: int) -> list[int]:
@@ -1399,7 +1428,7 @@ def _certified_rows(pegs: int, discs: int):
     """The :func:`_tower_rows` of every m in [0, discs], with the full ball
     of radius D as states and orbits explored: the whole space on three
     pegs, one :func:`_dense_balls` search on more.  That search runs
-    first, on masks built for it alone, so neither its masks nor the tower
+    first, on tables built for it alone, so neither its tables nor the tower
     search's cached tables stay beside the other search."""
     balls = [3**m for m in range(discs + 1)] if pegs == 3 else _dense_balls(pegs, discs)
     return [(d, g, e, e) for (d, g, _, _), e in zip(_tower_rows(pegs, discs), balls)]

@@ -23,6 +23,7 @@ from hanoilab.oracle import (
     _cone,
     _dense_layers,
     _dense_search,
+    _expand,
     _fold_split,
     _fold_tables,
     _gate_tables,
@@ -948,32 +949,51 @@ TOWER_SPACES = [
 ]
 
 
-def mask_moves(code, masks):
-    """States one move from ``code``, read from the shift masks."""
-    moved = [code + shift for shift, mask in masks if mask >> code & 1]
-    moved += [code - shift for shift, mask in masks if code >= shift and mask >> (code - shift) & 1]
-    return sorted(moved)
+def expand_moves(code, tables):
+    """States one move from ``code``, read from the group tables."""
+    return _members(_expand(1 << code, tables) & ~(1 << code))
+
+
+def table_bits(tables):
+    return sum(tops.bit_length() + base.bit_length() for _, tops, base in tables)
 
 
 class TestDenseSearch:
     @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
     def test_masks_give_the_legal_moves(self, pegs, discs):
-        masks = _shift_masks(pegs, discs)
-        assert len(masks) == discs * (pegs - 1)
+        tables = _shift_masks(pegs, discs)
+        assert len(tables) == discs
+        assert table_bits(tables) <= 2 * discs * pegs**discs
         for code in range(pegs**discs):
-            assert mask_moves(code, masks) == sorted(neighbors(code, pegs, discs))
+            assert expand_moves(code, tables) == sorted(neighbors(code, pegs, discs))
 
-    @pytest.mark.parametrize("pegs,discs", [(512, 2), (64, 3)])
+    @pytest.mark.parametrize("pegs,discs", [(512, 2), (64, 3), (256, 3)])
     def test_wide_spaces_build_masks_quickly(self, pegs, discs):
-        # every pair on p >= 4 runs the dense kernel, so the masks must cost
-        # time in proportion to their bits, not to the p**2 peg pairs
+        # every pair on p >= 4 runs the dense kernel, so the tables must cost
+        # time in proportion to their bits, 2n per state, not to the p**2 peg
+        # pairs or to n(p - 1) shift masks (1.3 GiB at (256,3))
         started = time.perf_counter()
-        masks = _build_masks(pegs, discs)
+        tables = _build_masks(pegs, discs)
         elapsed = time.perf_counter() - started
-        assert len(masks) == discs * (pegs - 1)
+        assert len(tables) == discs
+        assert table_bits(tables) <= 2 * discs * pegs**discs
         for code in random.Random(pegs).sample(range(pegs**discs), 6):
-            assert mask_moves(code, masks) == sorted(neighbors(code, pegs, discs))
+            assert expand_moves(code, tables) == sorted(neighbors(code, pegs, discs))
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("pegs", range(4, 9))
+    def test_expand_gives_the_neighbours_of_a_set(self, pegs):
+        rng = random.Random(pegs)
+        for discs in range(1, 6):
+            size = pegs**discs
+            if size > 4096:
+                break
+            tables = _shift_masks(pegs, discs)
+            for density in (0.001, 0.05, 0.5):
+                states = {v for v in range(size) if rng.random() < density}
+                union = {u for v in states for u in neighbors(v, pegs, discs)}
+                bits = sum(1 << v for v in states)
+                assert _members(_expand(bits, tables) & ~bits) == sorted(union - states)
 
     @pytest.mark.parametrize("pegs,discs", DENSE_SPACES)
     def test_matches_layers(self, monkeypatch, pegs, discs):
@@ -1254,7 +1274,7 @@ def counting_builds(monkeypatch):
 
 class TestMaskCache:
     def test_large_masks_are_dropped(self, monkeypatch):
-        # the masks of (4,11) take 15.3 MiB; they must not outlive the search
+        # the tables of (4,11) take 10.4 MiB; they must not outlive the search
         built = counting_builds(monkeypatch)
         bfs_distance(4, 9, 5, 4**9 - 7)
         tracemalloc.start()
