@@ -2,14 +2,18 @@
 
 Data goes to stdout, diagnostics to stderr, so output can be piped into
 golden-file comparisons.  Exit codes: 0 success, 1 bad arguments,
-2 verification mismatch, 3 resource budget exceeded.  The two budgets
+2 verification mismatch, 3 resource budget exceeded or a size past what
+the machine can hold; every non-zero exit says why on a ``hanoilab:``
+line.  The two budgets
 can also be set via HANOILAB_MAX_DISCS and HANOILAB_STATE_BUDGET; the
 state budget also bounds moves traces (L moves count as L + 1 states).
 For moves it bounds time only: the trace is written and checked chunk by
 chunk as it is generated, so memory is O(n * p**2) plus one chunk plus
-the generator's memo of short sub-solves, plus one pointer per move of
-each long sub-solve and its before- and after-runs in the check and
-the CSV (see :mod:`hanoilab.moves`).
+the generator's memo of short sub-solves, plus, in the check and the
+CSV, one pointer per move of each long sub-solve, two copies of the
+replay's stacks until its second sighting, then its before- and
+after-runs and, on four pegs, the groups under them at each play after
+the largest disc's move (see :mod:`hanoilab.moves`).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import moves as mv
 from . import oracle as orc
@@ -73,6 +77,16 @@ def _parse_pegs_list(text: str) -> tuple[int, ...]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end, like every other
+    diagnostic, in a ``hanoilab:`` line: ``hanoilab: error: ...`` for the
+    command and ``hanoilab: moves: error: ...`` for a subcommand."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(2, f"{self.prog.replace(' ', ': ', 1)}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -88,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"state-space ceiling for the oracle and moves (default {orc.DEFAULT_STATE_BUDGET})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hanoilab",
         description="Multi-peg Tower of Hanoi: solve, tabulate, generate, certify.",
     )
@@ -307,6 +321,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         _err(f"output error: {exc}")
         return EXIT_DOMAIN
+    except OverflowError as exc:  # a size no list on this platform can have, such as 2**63 pegs
+        _err(f"size too large: {exc}")
+        return EXIT_BUDGET
+    except MemoryError:  # a size the budgets admit but this machine cannot hold
+        _err("out of memory")
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -14,13 +14,16 @@ pass, so a trace of any length needs memory for one chunk plus
 O(n * p**2) for the generator's task stack, split and plan caches, the
 replay's linked stacks and the CSV tails, plus the generator's memo of
 blocks -- optimal sub-solves of fewer than 4,096 moves -- plus, in the
-check and the CSV, one pointer per move of each long block and the
-block's before- and after-runs, plus fixed tables shared by every trace
-and built on first use: two tuples of 4,095 ints for the ruler and the
-2,000 numerals of :func:`_numerals`.  The memo's three-peg blocks never
-nest, so they hold at most the trace's own moves; blocks on four or
-more pegs are kept only once they recur and may nest, and the whole
-memo measured at most 1.22 times the trace's own moves (see
+check and the CSV, one pointer per move of each long block, two copies
+of the replay's linked stacks until the block's second sighting, then
+its before- and after-runs and, on four pegs, the groups under those
+runs at each play after the critical move, plus fixed tables shared by
+every trace and built on first use: two tuples of 4,095 ints for the
+ruler and the 2,000 numerals of :func:`_numerals`.  The memo's
+three-peg blocks never nest, so they hold at most the trace's own
+moves; blocks on four or more pegs are kept only once they recur and
+may nest, and the whole memo measured at most 1.22 times the trace's
+own moves (see
 :func:`_walk`): 12,285 of the 262,143 at p = 3, n = 18; 358,684 of the
 16,252,929 at p = 4, n = 203; 300,776 of the 688,127 at p = 5, n = 460;
 73,507 of the 60,417 at p = 6, n = 475.
@@ -35,12 +38,13 @@ through the step template of :func:`_ruler_templates`, a block on more
 pegs joins its park, shuttle and rebuild, and each kept block is then
 spliced in wherever it recurs, a long one as its own chunk; the ruler
 check compares slices of the disc template, the replay keeps linked
-stacks (:func:`_replay`) and each CSV chunk is one join of cached
-numerals and move tails.  A long block is checked and rendered once
-per distinct block, not per play: the check replays it at its first
-two sightings and from then on swaps in its recorded effect wherever
-that is sound (see :class:`TraceCheck`), and the CSV reuses its list of
-tails.
+stacks (:func:`_replay`), on four pegs with the subtower test inside
+the same loop (:class:`_SubtowerFold`), and each CSV chunk is one join
+of cached numerals and move tails.  A long block is checked and
+rendered once per distinct block, not per play: the check replays it at
+its first sighting only, and from its second on swaps in its recorded
+effect wherever that is sound (see :class:`TraceCheck`), and the CSV
+reuses its list of tails.
 """
 
 from __future__ import annotations
@@ -221,11 +225,23 @@ def _numerals() -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 class _Tails(dict[Step, str]):
-    """The ``,disc,from,to`` row tail of each move, rendered on first use."""
+    """The ``,disc,from,to`` row tail of each move, rendered on first use
+    from the labels of the pegs seen so far."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._labels: dict[int, str] = {}
 
     def __missing__(self, move: Step) -> str:
         disc, source, target = move
-        tail = self[move] = f",{disc},{peg_label(source)},{peg_label(target)}\n"
+        labels = self._labels
+        try:
+            tail = f",{disc},{labels[source]},{labels[target]}\n"
+        except KeyError:
+            labels[source] = peg_label(source)
+            labels[target] = peg_label(target)
+            tail = f",{disc},{labels[source]},{labels[target]}\n"
+        self[move] = tail
         return tail
 
 
@@ -597,27 +613,49 @@ def _stacks(state: _Linked) -> list[list[int]]:
     return stacks
 
 
-def _replay(state: _Linked, chunk: Sequence[Step], first: int, discs: int) -> None:
+def _replay(
+    state: _Linked,
+    chunk: Sequence[Step],
+    first: int,
+    discs: int,
+    fold: _SubtowerFold | None = None,
+) -> None:
     """Apply a chunk of moves, numbered from step ``first``, to linked
     stacks, raising at the first one that breaks a rule.
 
     A legal move costs three tests and three stores: its disc must be the
     source peg's top and must not exceed the target peg's top, and
     neither peg may be negative, which would index ``top`` from its end.
-    The loop counts no steps; a rejected move's index is read off the
-    moves left after it.
+    With a subtower ``fold`` it costs one test more, of the groups of its
+    disc and of the disc it lands on (see :class:`_SubtowerFold`).  The
+    loops count no steps; a rejected move's index is read off the moves
+    left after it.
     """
     top, below = state
     moves = iter(chunk)
     try:
-        for disc, src, dst in moves:
-            if top[src] != disc or top[dst] < disc or src | dst < 0:
-                break
-            top[src] = below[disc]
-            below[disc] = top[dst]
-            top[dst] = disc
+        if fold is None:
+            for disc, src, dst in moves:
+                if top[src] != disc or top[dst] < disc or src | dst < 0:
+                    break
+                top[src] = below[disc]
+                below[disc] = top[dst]
+                top[dst] = disc
+            else:
+                return
         else:
-            return
+            group = fold.group
+            for disc, src, dst in moves:
+                under = top[dst]
+                if top[src] != disc or under < disc or src | dst < 0:
+                    break
+                if not group[under] & group[disc]:
+                    fold.meet(state, disc, src, dst)
+                top[src] = below[disc]
+                below[disc] = top[dst]  # not ``under``: a move onto its own peg changes nothing
+                top[dst] = disc
+            else:
+                return
     except IndexError:  # a peg past the board, or disc n + 1
         pass
     index = len(chunk) - 1 - sum(1 for _ in moves)
@@ -778,73 +816,66 @@ class SubtowerReport:
 
 
 class _SubtowerFold:
-    """The subtower report of a trace with discs, folded over chunks that
-    have already been replayed."""
+    """The subtower report of a trace with discs, folded into its replay:
+    each chunk is passed to :func:`_replay` with the fold.
+
+    ``group[d]`` is a bit set of the groups that disc d, or the bottom
+    mark d = n + 1, may share a peg with.  Up to the largest disc's first
+    move, the critical one, it is every bit (-1), and for the largest disc
+    no bit.  At the critical move the source peg holds only the largest
+    disc and the target peg is empty, so every other disc sits on a spare
+    peg; it gets that peg's bit, and its group is named after that peg.
+    So the replay passes to :meth:`meet` only a move of the largest disc,
+    a landing on the largest disc, which is on the sink (its peg), and,
+    after the critical move, a landing on a disc of another group.
+    Testing the disc landed on equals testing the bottom disc of the
+    target peg: while no landing off the sink has met another group, each
+    peg off the sink holds one group.
+    """
 
     def __init__(self, initial: Configuration) -> None:
+        n = self.largest = initial.num_discs
         self._pegs = initial.num_pegs
-        self._largest = initial.num_discs
-        self._where = [-1, *initial.pegs]  # disc -> peg up to the critical move
-        self._hits = 0
-        self._sink: int | None = None
+        self.group = [-1] * (n + 2)
+        self.group[n] = 0
+        self.sink = initial.pegs[n - 1]  # the largest disc's peg
+        self.hits = 0
+        self.independent = True
         self._subtowers: tuple[tuple[int, frozenset[int]], ...] = ()
-        # after the critical move: each disc's group, and per peg its bottom
-        # disc (0 if empty), which names the one group a peg off the sink holds
-        self._group_of: list[int] | None = None
-        self._bottom: list[int] = []
-        self._independent = True
 
-    def feed(self, chunk: Sequence[Step]) -> None:
-        largest, moves = self._largest, iter(chunk)
-        if self._group_of is None:
-            where = self._where
-            for disc, src, dst in moves:
-                if disc == largest:
-                    self._hits += 1
-                    self._split(src, dst)
-                    break
-                where[disc] = dst
-            else:
-                return
-        if self._independent:
-            group_of, bottom, sink = self._group_of, self._bottom, self._sink
-            for disc, src, dst in moves:
-                if disc == largest:
-                    self._hits += 1
-                    continue
-                if bottom[src] == disc:
-                    bottom[src] = 0
-                under = bottom[dst]
-                if not under:
-                    bottom[dst] = disc
-                elif dst != sink and group_of[under] != group_of[disc]:
-                    self._independent = False
-                    break
-        # moves after a failed check count only towards the largest disc's
-        self._hits += list(map(itemgetter(0), moves)).count(largest)
+    @property
+    def watching(self) -> bool:
+        """Whether a landing can still change the report: after a single
+        move of the largest disc, and before any interference."""
+        return self.hits == 1 and self.independent
 
-    def _split(self, src: int, dst: int) -> None:
-        # At this moment the source peg holds only the largest disc and the
-        # target peg is empty, so every other disc sits on a spare peg, and
-        # its group is named after that peg.
-        group_of = self._group_of = self._where[: self._largest]
-        self._sink = dst
-        self._subtowers = tuple(
-            (q, frozenset(d for d, home in enumerate(group_of) if home == q))
-            for q in range(self._pegs)
-            if q != src and q != dst
-        )
-        bottom = self._bottom = [0] * self._pegs
-        for disc in range(1, self._largest):  # larger discs sit lower
-            bottom[group_of[disc]] = disc
+    def meet(self, state: _Linked, disc: int, src: int, dst: int) -> None:
+        """Take in a legal move, before it is made, whose disc shares no
+        group with the disc it lands on."""
+        if disc != self.largest:
+            if dst != self.sink:
+                self.independent = False
+            return
+        self.hits += 1
+        self.sink = dst
+        if self.hits == 1:
+            self._subtowers = tuple(
+                (q, frozenset(stack))
+                for q, stack in enumerate(_stacks(state))
+                if q != src and q != dst
+            )
+            group = self.group
+            for q, discs in self._subtowers:
+                for d in discs:
+                    group[d] = 1 << q
 
     def report(self) -> SubtowerReport:
-        n = self._largest
-        if self._hits != 1:
-            return SubtowerReport(n, self._hits, False, None, (), False, False, False)
-        independent = self._independent
+        n = self.largest
+        if self.hits != 1:
+            return SubtowerReport(n, self.hits, False, None, (), False, False, False)
+        independent = self.independent
         return SubtowerReport(
-            n, 1, True, self._sink, self._subtowers, True, independent, independent
+            n, 1, True, self.sink, self._subtowers, True, independent, independent
         )
 
 
@@ -861,16 +892,9 @@ def verify_subtower_independence(trace: MoveTrace) -> SubtowerReport:
     fold = _SubtowerFold(trace.initial)
     first = 1
     for chunk in _chunked(trace.moves):
-        _replay(state, chunk, first, trace.initial.num_discs)
-        fold.feed(chunk)
+        _replay(state, chunk, first, trace.initial.num_discs, fold)
         first += len(chunk)
     return fold.report()
-
-
-#: What a block does to the linked stacks: the largest disc it moves, the
-#: pegs it touches in increasing order, and per peg its discs up to that
-#: largest, top first, before and after the block.
-_Effect = tuple[int, tuple[int, ...], list[list[int]], list[list[int]]]
 
 
 def _runs(
@@ -891,47 +915,71 @@ def _runs(
     return runs, bases
 
 
-def _record(state: _Linked, block: _Block, first: int, discs: int) -> _Effect | None:
-    """Replay a block as :func:`_replay` does and return its effect; None,
-    with nothing recorded, when a peg or disc of the block is off the
-    board, where the replay raises."""
-    largest = max(map(itemgetter(0), block))
-    pegs = tuple(sorted({peg for _, src, dst in block for peg in (src, dst)}))
-    if pegs[0] < 0 or pegs[-1] >= len(state[0]) or largest > discs:
-        _replay(state, block, first, discs)
-        return None
-    before, _ = _runs(state, pegs, largest)
-    _replay(state, block, first, discs)
-    return largest, pegs, before, _runs(state, pegs, largest)[0]
-
-
-def _apply(state: _Linked, effect: _Effect) -> bool:
-    """Swap in a block's after-runs if every peg it touches shows its
-    before-runs; False, with nothing changed, otherwise."""
-    largest, pegs, before, after = effect
-    runs, bases = _runs(state, pegs, largest)
-    if runs != before:
-        return False
+def _swap(state: _Linked, pegs: tuple[int, ...], runs: list[list[int]], bases: list[int]) -> None:
+    """Put ``runs`` on ``pegs``, each on its base."""
     top, below = state
-    for peg, run, disc in zip(pegs, after, bases):
+    for peg, run, disc in zip(pegs, runs, bases):
         for above in reversed(run):
             below[above] = disc
             disc = above
         top[peg] = disc
-    return True
 
 
 class _Seen:
     """What a check learnt of one block chunk: the block itself, held so
-    that no other object takes its id, its discs for the ruler check, and
-    from its second sighting on its effect."""
+    that no other object takes its id, and its first play -- copies of the
+    linked stacks before and after it, and whether the subtower check was
+    watching (:attr:`_SubtowerFold.watching`) -- until its second sighting
+    turns that into the block's effect: the largest disc c it moves, the
+    pegs T it touches in increasing order and, per peg of T, its discs up
+    to c, top first, before and after the block.  Also its last ruler
+    verdict with the phase of its first step, and ``clean``: the groups of
+    the discs under its runs (its bases) at each play while the check was
+    watching.  A play that meets another group ends the watch for good, so
+    while the check watches, each set in ``clean`` is one under which the
+    block meets none."""
 
-    __slots__ = ("block", "discs", "effect")
+    __slots__ = ("block", "_first", "largest", "pegs", "before", "after", "ruler", "clean")
 
-    def __init__(self, block: _Block) -> None:
+    def __init__(self, block: _Block, before: _Linked, after: _Linked, watched: bool) -> None:
         self.block = block
-        self.discs: tuple[int, ...] | None = None
-        self.effect: _Effect | None = None
+        self._first: tuple[_Linked, _Linked, bool] | None = before, after, watched
+        self.largest = 0
+        self.pegs: tuple[int, ...] = ()
+        self.before: list[list[int]] = []
+        self.after: list[list[int]] = []
+        self.ruler: tuple[int, bool] | None = None
+        self.clean: set[tuple[int, ...]] = set()
+
+    def learn(self, group: list[int] | None) -> None:
+        """Turn the first play, which was legal, into the block's effect;
+        ``group`` is the subtower groups of the discs where it was watched."""
+        if self._first is None:
+            return
+        before, after, watched = self._first
+        self._first = None
+        block = self.block
+        self.largest = max(block, default=(0,))[0]
+        touched = set(map(itemgetter(1), block))
+        touched.update(map(itemgetter(2), block))
+        self.pegs = tuple(sorted(touched))
+        self.before, bases = _runs(before, self.pegs, self.largest)
+        self.after = _runs(after, self.pegs, self.largest)[0]
+        if watched:
+            self.clean.add(tuple(map(group.__getitem__, bases)))
+
+    def follows_ruler(self, first: int) -> bool:
+        """:func:`_follows_ruler` of the block from step ``first``.  With
+        no step at a multiple of ``_BLOCK`` the verdict reads the slice of
+        the disc template at ``first % _BLOCK``, so it is kept per block
+        for the last such phase."""
+        phase = first % _BLOCK
+        if self.ruler is None or self.ruler[0] != phase:
+            verdict = _follows_ruler(tuple(map(itemgetter(0), self.block)), first)
+            if not phase or phase + len(self.block) > _BLOCK:
+                return verdict
+            self.ruler = phase, verdict
+        return self.ruler[1]
 
 
 class TraceCheck:
@@ -940,21 +988,41 @@ class TraceCheck:
     Feed the chunks in order with :meth:`feed`, then read
     :meth:`failures`.  An illegal move ends the replay, and with it the
     ruler and subtower checks, which need a legal trace; the moves after
-    it are still counted for the length check.
+    it are still counted for the length check.  On four pegs the subtower
+    check runs inside the replay (see :class:`_SubtowerFold`).
 
     A block chunk of :func:`trace_chunks` is replayed move by move at its
-    first sighting and again at its second, which also records its
-    effect: the largest disc c it moves, the set T of pegs it touches
-    and, per peg of T, the run of discs <= c at its top before and after.
-    At a later sighting, if every peg of T shows the recorded before-run,
-    the after-runs are swapped in, in O(c + |T|); otherwise the block is
-    replayed move by move, so an illegal move is still reported at its
-    step.  This is sound: the block moves only discs <= c between pegs of
-    T, and each of its legality tests compares one of those discs with
-    the top of a peg of T.  Discs <= c sit above every larger disc, so
-    with the same runs every test reads the same top, or a disc larger
-    than c either way, and the block ends on the recorded runs.  Every
-    other chunk is replayed move by move.
+    first sighting, between two copies of the linked stacks.  At its
+    second sighting those copies give its effect: the largest disc c it
+    moves, the set T of pegs it touches and, per peg of T, the run of
+    discs <= c at its top before and after.  From that sighting on, if
+    every peg of T shows the recorded before-run, the after-runs are
+    swapped in, in O(c + |T|); otherwise the block is replayed move by move, so an
+    illegal move is still reported at its step.  This is sound: the block
+    moves only discs <= c between pegs of T, and each of its legality
+    tests compares one of those discs with the top of a peg of T.  Discs
+    <= c sit above every larger disc, so with the same runs every test
+    reads the same top, or a disc larger than c either way, and the block
+    ends on the recorded runs.  A block played once costs a replay and
+    the two copies, in O(n + p).
+
+    The subtower check adds two conditions.  A block that moves the
+    largest disc is always replayed, so that each move of that disc is
+    counted.  And after the critical move, until a landing off the sink
+    meets another group, a block is swapped in only where it is known to
+    meet none.  That depends only on its runs and on the groups of the
+    discs under them, its bases: every disc it lands on is a disc of its
+    runs or a base, and the groups and the sink stay fixed.  So each play
+    with the recorded runs keeps the groups of the bases, and the effect
+    is swapped in for those groups; a play that meets another group
+    settles the check.  Before the critical move no landing can fail, and
+    after a failure or a second move of the largest disc no landing
+    counts.
+
+    The ruler verdict of a block is reused where the block starts at the
+    same step modulo ``_BLOCK`` and no step of it is a multiple of
+    ``_BLOCK`` (:meth:`_Seen.follows_ruler`).  Every other chunk is
+    replayed move by move.
     """
 
     def __init__(
@@ -985,30 +1053,43 @@ class TraceCheck:
             if type(chunk) is _Block:
                 seen = self._play(chunk, first)
             else:
-                _replay(self._state, chunk, first, self._initial.num_discs)
+                _replay(self._state, chunk, first, self._initial.num_discs, self._subtowers)
         except IllegalMove as exc:
             self._illegal = exc
             return
         if self._initial.num_pegs == 3 and self._ruler_ok:
             if seen is None:
-                discs = tuple(map(itemgetter(0), chunk))
+                self._ruler_ok = _follows_ruler(tuple(map(itemgetter(0), chunk)), first)
             else:
-                discs = seen.discs = seen.discs or tuple(map(itemgetter(0), chunk))
-            self._ruler_ok = _follows_ruler(discs, first)
-        if self._subtowers is not None:
-            self._subtowers.feed(chunk)
+                self._ruler_ok = seen.follows_ruler(first)
 
     def _play(self, block: _Block, first: int) -> _Seen:
         """Check a block chunk by the block rule; what is known of it."""
-        discs = self._initial.num_discs
+        state, discs, fold = self._state, self._initial.num_discs, self._subtowers
+        group = fold and fold.group
         seen = self._seen.get(id(block))
         if seen is None:
-            seen = self._seen[id(block)] = _Seen(block)
-            _replay(self._state, block, first, discs)
-        elif seen.effect is None:
-            seen.effect = _record(self._state, block, first, discs)
-        elif not _apply(self._state, seen.effect):
-            _replay(self._state, block, first, discs)
+            before = state[0][:], state[1][:]
+            watching = fold is not None and fold.watching
+            _replay(state, block, first, discs, fold)
+            after = state[0][:], state[1][:]
+            seen = self._seen[id(block)] = _Seen(block, before, after, watching)
+            return seen
+        seen.learn(group)
+        runs, bases = _runs(state, seen.pegs, seen.largest)
+        key = None
+        if runs == seen.before:
+            if fold is None or seen.largest < discs and not fold.watching:
+                _swap(state, seen.pegs, seen.after, bases)
+                return seen
+            if seen.largest < discs:
+                key = tuple(map(group.__getitem__, bases))
+                if key in seen.clean:
+                    _swap(state, seen.pegs, seen.after, bases)
+                    return seen
+        _replay(state, block, first, discs, fold)
+        if key is not None:
+            seen.clean.add(key)
         return seen
 
     def failures(self) -> tuple[str, ...]:

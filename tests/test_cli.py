@@ -8,8 +8,11 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hanoilab.errors
 import hanoilab.oracle
@@ -323,6 +326,11 @@ GOLDEN_MOVES = [
     (7, 300, "optimal", "80bd8c28903dda0c10a6d17ddf653aefcfa8ac8d3727f1520616653a0e05abd9", 8575),
     (4, 20, "balanced", "595f8c58201eb91ee334299b6e50e43e2a24f1481b4267c895a984993e95c695", 1121),
     (8, 512, "fixed:500", "8fd2af77f6d6979560b7e9958330c7b4b83aab6215dafbc4294c67031111a965", 26149),
+    (4, 80, "fixed:66", "c8f19b6c8e7fc16560d509fe4f307ef13baa0fa6c09a09f295651aa09560aff0", 57345),
+    (5, 225, "optimal", "10b310d4d6182a0df6150be6279c35a93630612f9a909e781d273fb28febf2a6", 52223),
+    (5, 224, "fixed:160", "4f346af3214dc53cdb02071bfb792328b9e2a8559cd5275452d418190d72067f", 53759),
+    (6, 442, "optimal", "4666427fcf799a175367ad6108988872e2d38fb3b6b5e8a736420955ab9957e8", 51969),
+    (6, 472, "fixed:324", "989aa9519654dfff64435bfeb1807ad7b26c07052c5a260e91f15ada4573bba5", 59649),
 ]
 
 
@@ -454,10 +462,12 @@ class TestMoves:
         ids=[f"{pegs}-{discs}-{strategy}" for pegs, discs, strategy, *_ in GOLDEN_MOVES],
     )
     def test_output_is_pinned(self, pegs, discs, strategy, digest, moves):
-        """stdout (by sha256), stderr and exit code of ``moves --verify``,
-        recorded before sub-solves on four or more pegs were memoised: the
-        benchmark's seed-1 traces and a few longer, wider and forced-split
-        ones."""
+        """stdout (by sha256), stderr and exit code of ``moves --verify``.
+        The first twelve were recorded before sub-solves on four or more
+        pegs were memoised: (3, 18), the seed-1 traces of an older draw of
+        the benchmark and a few longer, wider and forced-split ones.  The
+        last five complete the benchmark's current seed-1 traces with
+        (3, 18) and (4, 80)."""
         out, err = Sha256Stream(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(
@@ -801,3 +811,113 @@ class TestCommandLineSurface:
         assert (exc.required, exc.budget) == (4**20_000, 10)
         monkeypatch.undo()
         assert str(exc) == "search needs at least 10^12041 states, budget is 10"
+
+
+#: Boundary ints for the grammar fuzz: negative, zero, one, small, and
+#: huge ones that no list can be sized by.  Values in between, which a
+#: run might try to allocate, are left out.
+_EDGES = [-1, 0, 1, 2, 3, 4, 5, 2**63, 10**30]
+
+
+def _draw_argv(data) -> list[str]:
+    """A command line of the CLI grammar: a subcommand or none, and each
+    of its flags or not, with edge values and a few malformed ones."""
+    draw = data.draw
+
+    def number(values=_EDGES):
+        return str(draw(st.sampled_from([*values, "x", "1.5"])))
+
+    command = draw(st.sampled_from(["solve", "table", "moves", "oracle", "verify-all", "sing", None]))
+    if command is None:
+        return draw(st.sampled_from([[], ["--help"], ["--pegs", "3"]]))
+    flags = {
+        "solve": [("--pegs", number), ("--discs", number), ("--all-splits", None)],
+        "table": [
+            ("--kind", lambda: draw(st.sampled_from(["table1", "growth", "ratios", "deltas", "pie"]))),
+            ("--from", number),
+            ("--to", number),
+            ("--pegs", lambda: draw(st.sampled_from(["3,4,5", "4", "", "3,,4", "0,3", "x", str(10**30)]))),
+        ],
+        "moves": [
+            ("--pegs", number),
+            ("--discs", lambda: number([*_EDGES, 12])),
+            ("--strategy", lambda: draw(st.sampled_from(
+                ["optimal", "balanced", "fixed:1", "fixed:2", "fixed:0", "fixed:", "fixed:x", "fast"]
+            ))),
+            ("--verify", None),
+        ],
+        "oracle": [
+            ("--pegs", number),
+            ("--max", lambda: number([-1, 0, 1, 2, 3, 5])),  # a sweep lists every n up to --max
+            ("--metrics", None),
+        ],
+        "verify-all": [],
+        "sing": [],
+    }[command] + [
+        ("--max-discs", lambda: number([-1, 0, 1, 2, 3, 12, 512])),
+        ("--state-budget", number),
+    ]
+    argv = [command]
+    for flag, value in flags:
+        if draw(st.booleans()):
+            argv += [flag] if value is None else [flag, value()]
+    return argv
+
+
+class TestCommandLineGrammar:
+    """No command line ends in a traceback: whatever the subcommand, flags,
+    environment and int-to-str digit limit, ``main`` returns 0, 1, 2 or 3,
+    and a non-zero exit says why on a ``hanoilab:`` line of stderr."""
+
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_every_exit_is_a_known_code(self, data):
+        argv = _draw_argv(data)
+        values = [None, "", "x", "-1", "0", "1", "3", "600"]
+        env = {
+            name: value
+            for name, value in (
+                ("HANOILAB_MAX_DISCS", data.draw(st.sampled_from(values), label="max discs")),
+                ("HANOILAB_STATE_BUDGET", data.draw(st.sampled_from([*values, str(10**30)]), label="budget")),
+            )
+            if value is not None
+        }
+        digits = data.draw(st.sampled_from([None, 640, 1000]), label="int max str digits")
+        out, err = io.StringIO(), io.StringIO()
+        limit = sys.get_int_max_str_digits()
+        try:
+            with mock.patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+                if digits is not None:
+                    sys.set_int_max_str_digits(digits)
+                code = main(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code in (0, 1, 2, 3), (argv, env, digits)
+        if code:
+            assert any(line.startswith("hanoilab:") for line in err.getvalue().splitlines()), (
+                argv, env, digits, err.getvalue()
+            )
+
+    def test_usage_errors_end_in_a_hanoilab_line(self, capsys):
+        code, out, err = run(capsys, "moves", "--pegs", "x", "--discs", "3")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "hanoilab: moves: error: argument --pegs: invalid int value: 'x'"
+        code, _, err = run(capsys, "sing")
+        assert code == 1 and err.splitlines()[-1].startswith("hanoilab: error: argument command")
+
+    def test_peg_count_past_the_index_range(self, capsys):
+        """2**63 pegs cannot size the replay's list of peg tops."""
+        for discs in ("0", "3"):
+            code, out, err = run(capsys, "moves", "--pegs", str(2**63), "--discs", discs, "--verify")
+            assert (code, err) == (
+                3, "hanoilab: size too large: cannot fit 'int' into an index-sized integer\n"
+            )
+
+    @pytest.mark.parametrize("metrics", [[], ["--metrics"]])
+    def test_search_past_this_machine(self, capsys, metrics):
+        """A one-disc space of 2**63 states that the budget admits."""
+        huge = str(2**63)
+        code, _, err = run(capsys, "oracle", "--pegs", huge, "--max", "1", "--state-budget", huge, *metrics)
+        assert code == 3 and err.splitlines()[-1] in (
+            "hanoilab: out of memory", "hanoilab: size too large: cannot fit 'int' into an index-sized integer"
+        )

@@ -115,8 +115,7 @@ def _folded(trace: MoveTrace, cuts: set[int]):
     fold = moves_module._SubtowerFold(trace.initial)
     bounds = [0, *sorted(cuts), len(moves)]
     for start, stop in zip(bounds, bounds[1:]):
-        moves_module._replay(state, moves[start:stop], start + 1, trace.initial.num_discs)
-        fold.feed(moves[start:stop])
+        moves_module._replay(state, moves[start:stop], start + 1, trace.initial.num_discs, fold)
     return fold.report()
 
 
@@ -129,6 +128,73 @@ INTERFERING_WALK = MoveTrace(
         Move(1, 2, 1), Move(2, 2, 3), Move(1, 1, 3),
     ),
 )
+
+
+class ReferenceSubtowerFold:
+    """The per-move subtower fold the library ran in a loop of its own
+    before the subtower test moved into the replay, kept unchanged as the
+    reference: it reads chunks that have already been replayed, and
+    tracks each peg's bottom disc after the critical move."""
+
+    def __init__(self, initial: Configuration) -> None:
+        self._pegs = initial.num_pegs
+        self._largest = initial.num_discs
+        self._where = [-1, *initial.pegs]  # disc -> peg up to the critical move
+        self._hits = 0
+        self._sink = None
+        self._subtowers = ()
+        # after the critical move: each disc's group, and per peg its bottom
+        # disc (0 if empty), which names the one group a peg off the sink holds
+        self._group_of = None
+        self._bottom = []
+        self._independent = True
+
+    def feed(self, chunk) -> None:
+        largest, moves = self._largest, iter(chunk)
+        if self._group_of is None:
+            where = self._where
+            for disc, src, dst in moves:
+                if disc == largest:
+                    self._hits += 1
+                    self._split(src, dst)
+                    break
+                where[disc] = dst
+            else:
+                return
+        if self._independent:
+            group_of, bottom, sink = self._group_of, self._bottom, self._sink
+            for disc, src, dst in moves:
+                if disc == largest:
+                    self._hits += 1
+                    continue
+                if bottom[src] == disc:
+                    bottom[src] = 0
+                under = bottom[dst]
+                if not under:
+                    bottom[dst] = disc
+                elif dst != sink and group_of[under] != group_of[disc]:
+                    self._independent = False
+                    break
+        # moves after a failed check count only towards the largest disc's
+        self._hits += [move[0] for move in moves].count(largest)
+
+    def _split(self, src: int, dst: int) -> None:
+        group_of = self._group_of = self._where[: self._largest]
+        self._sink = dst
+        self._subtowers = tuple(
+            (q, frozenset(d for d, home in enumerate(group_of) if home == q))
+            for q in range(self._pegs)
+            if q != src and q != dst
+        )
+        bottom = self._bottom = [0] * self._pegs
+        for disc in range(1, self._largest):  # larger discs sit lower
+            bottom[group_of[disc]] = disc
+
+    def report(self):
+        """(largest disc's move count, sink, subtowers, independent)."""
+        if self._hits != 1:
+            return self._hits, None, (), False
+        return 1, self._sink, self._subtowers, self._independent
 
 
 # The recursive generators and the per-Move CSV loop the library used
@@ -581,10 +647,11 @@ class TestSubtowers:
         assert not report.disjoint_outside_sink
 
     def test_random_walks_match_brute_force_scan(self):
-        """The report matches the brute-force scan however the walk is cut
-        into chunks: each of the largest disc's moves is put at the start,
-        in the middle and at the end of a chunk, with random cuts besides.
-        A walk with one broken move fails the replay the same way."""
+        """The report matches the brute-force scan and the per-move fold
+        of :class:`ReferenceSubtowerFold` however the walk is cut into
+        chunks: each of the largest disc's moves is put at the start, in
+        the middle and at the end of a chunk, with random cuts besides.  A
+        walk with one broken move fails the replay the same way."""
         rng = random.Random(20240601)
         single = interfering = twice = 0
         for _ in range(3000):
@@ -593,6 +660,11 @@ class TestSubtowers:
             report = verify_subtower_independence(trace)
             expected = brute_force_subtowers(trace)
             assert report.disjoint_outside_sink == report.independent
+            reference = ReferenceSubtowerFold(trace.initial)
+            reference.feed([(m.disc, m.source, m.target) for m in trace.moves])
+            assert reference.report() == (
+                report.largest_move_count, report.sink_peg, report.subtowers, report.independent
+            )
             hits = [i for i, move in enumerate(trace.moves) if move.disc == discs]
             assert report.largest_move_count == len(hits)
             for cuts in _cuts_around(rng, hits, len(trace)):
@@ -743,34 +815,32 @@ class TestTraceChecks:
     def test_replays_once(self, pegs, monkeypatch, capsys):
         """verify_trace and ``moves --verify`` check every step exactly
         once, in order, over a trace of more than one chunk: each by the
-        move-by-move replay or by one application of a block's recorded
-        effect, and a block is replayed move by move at most twice."""
+        move-by-move replay or by one swap of a block's recorded runs, and
+        a block is replayed move by move only at its first sighting."""
         discs = 16 if pegs == 3 else 46
         checked, replays, applied = [], Counter(), []
         fed = [0, 0]  # first step and moves of the chunk being fed
         real_feed, real_replay = TraceCheck.feed, moves_module._replay
-        real_apply = moves_module._apply
+        real_swap = moves_module._swap
 
         def feed(self, chunk):
             fed[:] = self.moves + 1, len(chunk)
             real_feed(self, chunk)
 
-        def replay(stacks, chunk, first, n):
+        def replay(stacks, chunk, first, n, *fold):
             checked.extend(range(first, first + len(chunk)))
             if type(chunk) is moves_module._Block:
                 replays[chunk] += 1
-            return real_replay(stacks, chunk, first, n)
+            return real_replay(stacks, chunk, first, n, *fold)
 
-        def apply(stacks, effect):
-            done = real_apply(stacks, effect)
-            if done:
-                checked.extend(range(fed[0], sum(fed)))
-                applied.append(fed[0])
-            return done
+        def swap(stacks, pegs, runs, bases):
+            real_swap(stacks, pegs, runs, bases)
+            checked.extend(range(fed[0], sum(fed)))
+            applied.append(fed[0])
 
         monkeypatch.setattr(TraceCheck, "feed", feed)
         monkeypatch.setattr(moves_module, "_replay", replay)
-        monkeypatch.setattr(moves_module, "_apply", apply)
+        monkeypatch.setattr(moves_module, "_swap", swap)
         trace = generate_three_peg(discs) if pegs == 3 else generate_frame_stewart(4, discs)
         steps = list(range(1, len(trace) + 1))
         assert len(trace) > moves_module.CHUNK_MOVES
@@ -780,9 +850,9 @@ class TestTraceChecks:
         assert main(["moves", "--pegs", str(pegs), "--discs", str(discs), "--verify"]) == 0
         capsys.readouterr()
         assert checked == steps
-        assert max(replays.values(), default=0) <= 2
-        if pegs == 3:  # 16 plays of 12-disc blocks
-            assert applied and len(applied) + sum(replays.values()) == 16
+        assert max(replays.values(), default=0) <= 1
+        if pegs == 3:  # 16 plays of 3 distinct 12-disc blocks
+            assert len(replays) == 3 and len(applied) == 13
 
     def test_public_checks_still_replay(self):
         trace = generate_three_peg(3)
@@ -1253,8 +1323,105 @@ def _checked(initial: Configuration, chunks) -> tuple:
     return check.failures(), check.moves
 
 
+def _reference_checked(initial: Configuration, chunks) -> tuple:
+    """What :func:`_checked` gives, from the stack-based replay and the
+    per-move subtower fold of :class:`ReferenceSubtowerFold`."""
+    pegs, discs = initial.num_pegs, initial.num_discs
+    moves = [tuple(move) for chunk in chunks for move in chunk]
+    failures = []
+    try:
+        stacks = reference_replay(initial, moves)
+    except DomainError as exc:
+        return ("raised", str(exc))
+    except IllegalMove as exc:
+        failures.append(f"replay failed: {exc}")
+    else:
+        if discs and len(stacks[pegs - 1]) != discs:
+            failures.append("replay does not end all-on-target")
+    predicted = trace_length(pegs, discs)
+    if len(moves) != predicted:
+        failures.append(f"length {len(moves)} differs from predicted {predicted}")
+    if failures and failures[0].startswith("replay failed"):
+        return tuple(failures), len(moves)
+    if pegs == 3 and any(disc != (t & -t).bit_length() for t, (disc, _, _) in enumerate(moves, 1)):
+        failures.append("flip sequence does not follow the ruler pattern")
+    if pegs == 4 and discs:
+        fold = ReferenceSubtowerFold(initial)
+        fold.feed(moves)
+        hits, _, _, independent = fold.report()
+        if hits != 1:
+            failures.append(f"largest disc moved {hits} times, expected once")
+        elif not independent:
+            failures.append("subtowers interfere after the largest-disc move")
+    return tuple(failures), len(moves)
+
+
+def _after_all(config: Configuration | None, moves) -> Configuration | None:
+    """The configuration after legal ``moves``, or None."""
+    for move in moves:
+        config = config and _after(config, move)
+    return config
+
+
+def four_peg_stream(rng: random.Random, discs: int) -> tuple[Configuration, list]:
+    """A stream of block chunks and list chunks on four pegs from a random
+    start, in which the largest disc moves about once, sometimes twice.
+
+    Blocks are short walks of the discs up to some c, most walked back
+    again, so that they recur before and after the largest disc's move,
+    on runs that may sit on discs of other groups; a block with the
+    largest disc is played where it is legal, like any other.  List
+    chunks are walks of one to three moves, so the largest disc's moves
+    fall at the start, the middle and the end of a chunk, and now and
+    then a junk move."""
+    pegs = 4
+    home = Configuration(pegs, tuple(rng.randrange(pegs) for _ in range(discs)))
+    largest_moves = rng.choice([1, 1, 1, 2])
+
+    def walk(config, largest, steps):
+        nonlocal largest_moves
+        moves = []
+        for _ in range(steps):
+            options = [
+                m for m in legal_moves(config)
+                if m.disc <= largest and (m.disc < discs or largest_moves and rng.random() < 0.3)
+            ]
+            if not options:
+                break
+            move = rng.choice(options)
+            largest_moves -= move.disc == discs
+            moves.append((move.disc, move.source, move.target))
+            config = config.apply(move)
+        return moves
+
+    blocks = []
+    for _ in range(rng.randint(1, 4)):
+        saved, largest_moves = largest_moves, 1
+        moves = walk(home, rng.randint(1, discs), rng.randint(1, 6))
+        largest_moves = saved
+        if rng.random() < 0.8:
+            moves += [(disc, b, a) for disc, a, b in reversed(moves)]
+        if moves:
+            blocks.append(moves_module._Block(moves))
+    stream, state = [], home
+    for _ in range(rng.randint(1, 40)):
+        playable = [block for block in blocks if _after_all(state, block) is not None]
+        if rng.random() < 0.5 and playable:
+            chunk = rng.choice(playable)
+        elif rng.random() < 0.02:
+            chunk = [(rng.randint(0, discs + 1), rng.randrange(-1, pegs + 1), rng.randrange(pegs))]
+        else:
+            chunk = walk(state, discs, rng.randint(1, 3))
+        if chunk:
+            state = _after_all(state, chunk)
+            stream.append(chunk)
+        if state is None:
+            break
+    return home, stream
+
+
 class TestBlockChunks:
-    """A block chunk is checked by its recorded effect from its third
+    """A block chunk is checked by its recorded effect from its second
     sighting on, wherever its before-runs match; the verdict is always
     that of the same moves fed as plain lists."""
 
@@ -1305,6 +1472,91 @@ class TestBlockChunks:
                 state = state and _after(state, move)
             stream.append(chunk)
         assert _checked(home, stream) == _checked(home, [list(chunk) for chunk in stream])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_four_peg_streams_check_as_the_reference(self, seed, discs):
+        """Four-peg streams around the largest disc's moves (see
+        :func:`four_peg_stream`) check as the per-move subtower fold and
+        the stack-based replay do, and as the same moves fed as lists."""
+        home, stream = four_peg_stream(random.Random(seed), discs)
+        expected = _reference_checked(home, stream)
+        assert _checked(home, stream) == expected
+        assert _checked(home, [list(chunk) for chunk in stream]) == expected
+
+    def test_four_peg_streams_reach_every_case(self, monkeypatch):
+        """The streams of :func:`four_peg_stream` reach each case of the
+        block rule on four pegs: a block first seen before the critical
+        move and swapped in after it, a block replayed after the critical
+        move because the groups under its runs changed, a largest disc in
+        a block, interference found and a largest disc that moves twice."""
+        cases = Counter()
+        real_swap, real_replay = moves_module._swap, moves_module._replay
+        current = {}
+
+        def swap(state, pegs, runs, bases):
+            fold = current["check"]._subtowers
+            if fold.hits == 1:
+                seen = current["seen"]
+                cases["swapped after the critical move"] += 1
+                cases["first seen before it"] += seen in current["early"]
+            real_swap(state, pegs, runs, bases)
+
+        def replay(state, chunk, first, n, *fold):
+            if type(chunk) is moves_module._Block and fold[0].watching:
+                seen = current["check"]._seen.get(id(chunk))
+                if seen and seen.clean and seen.pegs:
+                    runs, _ = moves_module._runs(state, seen.pegs, seen.largest)
+                    cases["replayed with new groups"] += runs == seen.before
+            real_replay(state, chunk, first, n, *fold)
+
+        monkeypatch.setattr(moves_module, "_swap", swap)
+        monkeypatch.setattr(moves_module, "_replay", replay)
+        rng = random.Random(20261020)
+        for _ in range(400):
+            home, stream = four_peg_stream(rng, rng.randint(2, 6))
+            check = current["check"] = TraceCheck(home)
+            current["early"] = early = set()
+            try:
+                for chunk in stream:
+                    if type(chunk) is moves_module._Block:
+                        current["seen"] = check._seen.get(id(chunk))
+                        cases["largest disc in a block"] += max(chunk)[0] == home.num_discs
+                    check.feed(chunk)
+                    if type(chunk) is moves_module._Block and not check._subtowers.hits:
+                        early.add(check._seen[id(chunk)])
+            except DomainError as exc:
+                assert _reference_checked(home, stream) == ("raised", str(exc))
+                continue
+            failures = check.failures()
+            cases["interfering"] += "subtowers interfere after the largest-disc move" in failures
+            cases["moved twice"] += "largest disc moved 2 times, expected once" in failures
+            assert failures == _reference_checked(home, stream)[0]
+        assert len(cases) == 6 and min(cases.values()) >= 3, cases
+
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_interfering_walk_in_blocks(self, twice):
+        """INTERFERING_WALK, and a walk whose largest disc moves twice,
+        cut into block and list chunks at every pair of cuts, with each
+        block played twice, as recorded and again once swapped in."""
+        moves = [(m.disc, m.source, m.target) for m in INTERFERING_WALK.moves]
+        if twice:
+            moves[5:5] = [(3, 3, 0), (3, 0, 3)]  # disc 3 moves away and back
+        home = INTERFERING_WALK.initial
+        for a in range(len(moves)):
+            for b in range(a + 1, len(moves) + 1):
+                block = moves_module._Block(moves[a:b])
+                undo = [(d, y, x) for d, x, y in reversed(block)]
+                stream = [moves[:a], block, undo, block, moves[b:]]
+                stream = [chunk for chunk in stream if chunk]
+                expected = _reference_checked(home, stream)
+                assert _checked(home, stream) == expected
+                assert _checked(home, [list(chunk) for chunk in stream]) == expected
+                hits = sum(disc == 3 for chunk in stream for disc, _, _ in chunk)
+                assert expected[0][-1] == (
+                    "subtowers interfere after the largest-disc move" if hits == 1
+                    else f"largest disc moved {hits} times, expected once"
+                )
 
     def test_a_block_needs_its_whole_runs(self):
         """Disc 1 tops peg A as when the block was recorded, but disc 2 has

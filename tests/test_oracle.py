@@ -580,6 +580,120 @@ class TestWideTowers:
         assert sweep.all_agree and sweep.skipped == ()
 
 
+def tower_moves(pegs_of: list[int], discs: int, peg: int) -> int:
+    """Moves that take discs 1 .. ``discs`` of a three-peg state, disc k on
+    peg ``pegs_of[k]``, to a tower on ``peg``: a disc off its target moves
+    there once, after the discs above it have gone to the third peg, and
+    then the 2**(k-1) - 1 moves of the tower above it follow."""
+    moves = 0
+    for k in range(discs, 0, -1):
+        if pegs_of[k] != peg:
+            moves += 1 << (k - 1)
+            peg = 3 - pegs_of[k] - peg
+    return moves
+
+
+def hinz_candidates(source: int, target: int, discs: int) -> tuple[int, int]:
+    """The two path lengths of Hinz's rule (Hinz, "Shortest paths between
+    regular states of the Tower of Hanoi", Information Sciences 63, 1992)
+    between two three-peg codes, or (0, 0) for equal states.  Let d be the
+    largest disc on which they differ, on peg a in the source and b in the
+    target, and c the third peg.  A geodesic moves disc d once, a -> b with
+    the smaller discs on c, or twice, a -> c -> b with them on b and then
+    on a; each candidate path is unique, and the larger discs never move."""
+    s = [0, *unpack(source, 3, discs).pegs]
+    t = [0, *unpack(target, 3, discs).pegs]
+    d = max((k for k in range(1, discs + 1) if s[k] != t[k]), default=0)
+    if not d:
+        return 0, 0
+    a, b = s[d], t[d]
+    c = 3 - a - b
+    once = tower_moves(s, d - 1, c) + 1 + tower_moves(t, d - 1, c)
+    twice = tower_moves(s, d - 1, b) + tower_moves(t, d - 1, a) + (1 << (d - 1)) + 1
+    return once, twice
+
+
+def hinz_distance(source: int, target: int, discs: int) -> tuple[int, int]:
+    """(distance, geodesic count) of two three-peg codes by Hinz's rule."""
+    once, twice = hinz_candidates(source, target, discs)
+    if once == twice == 0:
+        return 0, 1
+    distance = min(once, twice)
+    return distance, (once == distance) + (twice == distance)
+
+
+def tied_pair(rng: random.Random, discs: int) -> tuple[int, int] | None:
+    """Two codes whose candidates tie, so that they have two geodesics:
+    a random source and larger discs, and the target's discs below d
+    found disc by disc, largest first, so that tower_moves to c exceeds
+    tower_moves to a by what the source leaves over; None if no such
+    target exists for the source drawn."""
+    d = rng.randint(2, discs)
+    a, b = rng.sample(range(3), 2)
+    c = 3 - a - b
+    s = [0] + [rng.randrange(3) for _ in range(discs)]
+    s[d] = a
+    want = (1 << (d - 1)) + tower_moves(s, d - 1, b) - tower_moves(s, d - 1, c)
+    t = s[:]
+    t[d] = b
+
+    def place(k: int, to_c: int, to_a: int, left: int) -> bool:
+        if k == 0:
+            return left == 0
+        if abs(left) >= 1 << k:  # the discs up to k shift the gap by less
+            return False
+        for peg in rng.sample(range(3), 3):
+            t[k] = peg
+            step = 1 << (k - 1)
+            gain = (step if peg != to_c else 0) - (step if peg != to_a else 0)
+            next_c = to_c if peg == to_c else 3 - peg - to_c
+            next_a = to_a if peg == to_a else 3 - peg - to_a
+            if place(k - 1, next_c, next_a, left - gain):
+                return True
+        return False
+
+    if not place(d - 1, c, a, want):
+        return None
+    code = lambda pegs_of: pack(Configuration(3, tuple(pegs_of[1:])))  # noqa: E731
+    return code(s), code(t)
+
+
+class TestHinzReference:
+    """``bfs_distance`` on three pegs against Hinz's two-candidate rule,
+    which shares no code or argument with the block kernel's gate-state
+    search."""
+
+    def test_every_pair_of_four_discs(self):
+        for source in range(3**4):
+            for target in range(3**4):
+                report = bfs_distance(3, 4, source, target)
+                assert (report.distance, report.geodesic_count) == hinz_distance(
+                    source, target, 4
+                ), (source, target)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_pairs(self, data):
+        discs = data.draw(st.integers(0, 15), label="discs")
+        source = data.draw(st.integers(0, 3**discs - 1), label="source")
+        target = data.draw(st.integers(0, 3**discs - 1), label="target")
+        report = bfs_distance(3, discs, source, target)
+        assert (report.distance, report.geodesic_count) == hinz_distance(source, target, discs)
+
+    @pytest.mark.parametrize("discs", [2, 3, 5, 8, 11, 13, 15])
+    def test_pairs_with_two_geodesics(self, discs):
+        """Ties are rare among random pairs (0.03% at n = 12), so pairs
+        are built to have two geodesics."""
+        rng = random.Random(1992 + discs)
+        pairs = [pair for pair in (tied_pair(rng, discs) for _ in range(60)) if pair][:3]
+        assert len(pairs) == 3
+        for pair in pairs:
+            once, twice = hinz_candidates(*pair, discs)
+            assert once == twice > 0
+            report = bfs_distance(3, discs, *pair)
+            assert (report.distance, report.geodesic_count) == (once, 2)
+
+
 def counting_tower_rows(monkeypatch):
     """Record the (pegs, discs) of every `_tower_rows` search."""
     calls = []
