@@ -8,8 +8,9 @@ line.  The two budgets
 can also be set via HANOILAB_MAX_DISCS and HANOILAB_STATE_BUDGET; the
 state budget also bounds moves traces (L moves count as L + 1 states).
 For moves it bounds time only: the trace is written and checked chunk by
-chunk as it is generated, so memory is O(n * p**2) plus one chunk plus
-the generator's memo of short sub-solves, plus, in the check and the
+chunk as it is generated, so memory is O(n * q**2), q = min(p, n + 2),
+plus one slot per peg for the replay's stacks, plus one chunk, plus the
+generator's memo of short sub-solves, plus, in the check and the
 CSV, one pointer per move of each long sub-solve, two copies of the
 replay's stacks until its second sighting, then its before- and
 after-runs and, on four pegs, the groups under them at each play after

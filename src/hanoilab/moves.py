@@ -11,8 +11,9 @@ each kept block of at least half a chunk as a chunk of its own, the same
 immutable object wherever it recurs.  :class:`TraceCsv` renders those
 chunks as CSV and :class:`TraceCheck` replays and checks them in one
 pass, so a trace of any length needs memory for one chunk plus
-O(n * p**2) for the generator's task stack, split and plan caches, the
-replay's linked stacks and the CSV tails, plus the generator's memo of
+O(n * q**2), q = min(p, n + 2), for the generator's task stack, split
+and plan caches and the CSV tails, plus one slot per peg and disc for
+the replay's linked stacks, plus the generator's memo of
 blocks -- optimal sub-solves of fewer than 4,096 moves -- plus, in the
 check and the CSV, one pointer per move of each long block, two copies
 of the replay's linked stacks until the block's second sighting, then
@@ -393,7 +394,11 @@ def _walk(
     caches, the set of blocks asked for once, and at most one chunk plus
     the block being captured.  A sub-solve of at most p - 2 discs on p
     pegs parks one disc and takes 2n - 1 moves, each disc on a peg of its
-    own, so a wide trace asks the solver for no cost table."""
+    own, so a wide trace asks the solver for no cost table.  Such a trace
+    uses only the n lowest pegs besides its ends, so the top plan holds
+    the ends and pegs 0 .. n + 1, not all p: every sub-solve still has two
+    pegs more than discs and parks on the same lowest spare peg, so the
+    moves are the same."""
     if not discs:
         return
     fits = min(CHUNK_MOVES, _BLOCK)
@@ -432,7 +437,7 @@ def _walk(
     asked: set[tuple[int, int, int]] = set()  # blocks on p >= 4 requested once
     starts: list[int] = []  # where in ``out`` each open capture began
     out: list[Step] = []  # moves not yet cut into chunks
-    top = plan(tuple(range(pegs)), source, target)
+    top = plan(tuple(sorted({source, target, *range(min(pegs, discs + 2))})), source, target)
     # (count, lowest disc, plan), or (-count, ...) to close a capture;
     # popped last in, first out, so each level pushes rebuild, shuttle, park
     if split is None:
@@ -1096,10 +1101,14 @@ class TraceCheck:
         """Failure messages of the replay, length, ruler (three pegs) and
         subtower (four pegs) checks; empty when the trace passed."""
         pegs, discs = self._initial.num_pegs, self._initial.num_discs
+        top, below = self._state
+        held, disc = 0, top[pegs - 1]
+        while disc <= discs:  # down the target's stack to the bottom mark n + 1
+            held, disc = held + 1, below[disc]
         failures: list[str] = []
         if self._illegal is not None:
             failures.append(f"replay failed: {self._illegal}")
-        elif discs and len(_stacks(self._state)[pegs - 1]) != discs:
+        elif discs and held != discs:
             failures.append("replay does not end all-on-target")
         predicted = trace_length(pegs, discs, self._strategy, self._solver)
         if self.moves != predicted:

@@ -91,13 +91,12 @@ holds a set of states as one big int with a bit per code and expands a
 whole layer with a few shifts and masks per disc, over the cliques of
 that disc's moves;
 :func:`_dense_search` counts geodesics afterwards over the states on
-some geodesic only, walking back from the target: to the source for an
-arbitrary pair, and only to the middle layer floor(D/2) between two
-towers, whose other half it reads as the digit reversal of the half
-walked.  There the layers are wide, so the whole-set
-operations win, even against the orbit fold: a full ball between the
-towers took 0.07 s at (4,10), where the folded :func:`_layers` loop took
-0.77 s (one core of a shared 2-core host).  Its tables hold two sets
+some geodesic only, walking back from the target to the source for
+every pair, towers included, so it borrows no symmetry from the
+middle-state search it checks.  On four or more pegs the layers are
+wide, so the whole-set operations win, even against the orbit fold: a
+full ball between the towers took 0.07 s at (4,10), where the folded
+:func:`_layers` loop took 0.77 s (one core of a shared 2-core host).  Its tables hold two sets
 per disc, at most 2n bits per state: 20 at (4,10), 12 at (16,6), 4 at
 (1024,2).  Only tables of at most 8 MiB stay cached after a search, and
 the move, gate and fold tables of the spaces last used while their
@@ -763,6 +762,7 @@ def _cone(pegs: int, discs: int, fold, seen: bytearray, starts: dict[int, list[i
     neighbours one layer nearer.
     """
     base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    gate = _gates(pegs, low_occupied)
     fbase, low_canon, low_ids, width, high_canon, _, _ = fold
     walked = []  # per layer, farthest first: (representative, nearer entries)
     layer: set[int] = set()
@@ -780,8 +780,8 @@ def _cone(pegs: int, discs: int, fold, seen: bytearray, starts: dict[int, list[i
                 if seen[v] == tag:
                     flow = v % fbase
                     entries.append(high_canon[v // fbase * width + low_ids[flow]] + low_canon[flow])
-            occ = low_occupied[low]
-            if occ.bit_count() <= pegs - 2:  # two pegs free: a high disc may move
+            occ = gate[low]
+            if occ is not None:
                 for bit, src_offset, to in high_moves[code // base]:
                     if occ & bit:
                         continue
@@ -941,17 +941,8 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     neighbours one layer nearer the source, and each gets the state's
     number of geodesics c_t to the target added to its own.  The classes
     are read there as bytes, where testing a bit takes constant time.
-
-    Between the towers on pegs 0 and p-1, the pair :func:`bfs_distance`
-    gives every two distinct perfect towers, the walk stops at layer
-    h = floor(D/2).  The digit reversal rho(u) = p**n - 1 - u swaps the
-    towers, so the number of geodesics from the source to u is
-    c_t(rho(u)), and rho(u) lies in layer D - h of the interval: the
-    layer just walked when D is odd, layer h itself when D is even.  Every
-    geodesic crosses layer h once, so the geodesic count is the sum of
-    c_t(u) * c_t(rho(u)) over the interval states u of layer h.  The
-    forward search still runs to D, so ``states_explored`` is the whole
-    ball.
+    The walk runs every layer back to the source, whatever the pair, and
+    the source's count is the geodesic count.
     """
     classes = [0, 0, 0]
     for d, layer in enumerate(_dense_layers(_shift_masks(pegs, discs), source)):
@@ -961,23 +952,18 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     else:
         raise HanoiError("state graph unexpectedly disconnected")
     explored = sum(c.bit_count() for c in classes)
-    top = pegs**discs - 1
-    width = (top + 8) // 8
+    width = (pegs**discs + 7) // 8
     for r in range(3):  # one class at a time, so only one is held twice
         classes[r] = classes[r].to_bytes(width, "little")
-    half = source == 0 and target == top
     counts = {target: 1}
-    for k in range(d, d // 2 if half else 0, -1):
+    for k in range(d, 0, -1):
         nearer = classes[(k - 1) % 3]
         farther, counts = counts, {}
         for v, paths in farther.items():
             for u in _neighbors(v, pegs, discs):
                 if nearer[u >> 3] >> (u & 7) & 1:
                     counts[u] = counts.get(u, 0) + paths
-    if not half:
-        return d, counts[source], explored, explored
-    mirror = farther if d % 2 else counts
-    return d, sum(c * mirror[top - u] for u, c in counts.items()), explored, explored
+    return d, counts[source], explored, explored
 
 
 def _dense_balls(pegs: int, discs: int) -> list[int]:
@@ -1233,10 +1219,10 @@ def bfs_distance(
     bounds p**n for both kernels, though on three pegs the search holds
     O(3**ceil(n/2)) entries, not a slot per state.
 
-    Two distinct perfect towers are searched as the towers on pegs 0 and
-    p-1: relabelling the pegs changes no distance, geodesic count or ball
-    size, and on p >= 4 :func:`_dense_search` counts the geodesics of that
-    pair from the middle layer, walking back only half as deep.
+    Two distinct perfect towers are searched as given, like any pair, so
+    the check shares no argument with :func:`tower_distance`, the fast
+    path between towers; they only add ``dp_cost`` and ``agrees`` to the
+    report.
     """
     _check_space(pegs, discs, state_budget)
     if source is None:
@@ -1248,8 +1234,6 @@ def bfs_distance(
     src_peg = _perfect_peg(source, pegs, discs)
     dst_peg = _perfect_peg(target, pegs, discs)
     towers = src_peg is not None and dst_peg is not None and src_peg != dst_peg
-    if towers:
-        source, target = 0, pegs**discs - 1
     dp_cost = _dp_cost(towers, solver, pegs, discs)
     return _report(pegs, discs, dp_cost, _search(pegs, discs, source, target))
 

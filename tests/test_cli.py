@@ -331,6 +331,9 @@ GOLDEN_MOVES = [
     (5, 224, "fixed:160", "4f346af3214dc53cdb02071bfb792328b9e2a8559cd5275452d418190d72067f", 53759),
     (6, 442, "optimal", "4666427fcf799a175367ad6108988872e2d38fb3b6b5e8a736420955ab9957e8", 51969),
     (6, 472, "fixed:324", "989aa9519654dfff64435bfeb1807ad7b26c07052c5a260e91f15ada4573bba5", 59649),
+    (30, 20, "optimal", "ad67edd6ff4a02845e147f60a63d6ec500620d7c5d05c154d3acdc562dec4c38", 39),
+    (1100, 1050, "optimal", "be2b6ed85bfa5c538f15f68d0bfc4c13c7aed7cbed0548f4964dae5d31fd5412", 2099,
+     "--max-discs", "1050"),
 ]
 
 
@@ -457,22 +460,24 @@ class TestMoves:
         assert len(done.stdout.splitlines()) == 2100
 
     @pytest.mark.parametrize(
-        "pegs, discs, strategy, digest, moves",
-        GOLDEN_MOVES,
+        "pegs, discs, strategy, digest, moves, extra",
+        [(*case[:5], case[5:]) for case in GOLDEN_MOVES],
         ids=[f"{pegs}-{discs}-{strategy}" for pegs, discs, strategy, *_ in GOLDEN_MOVES],
     )
-    def test_output_is_pinned(self, pegs, discs, strategy, digest, moves):
-        """stdout (by sha256), stderr and exit code of ``moves --verify``.
-        The first twelve were recorded before sub-solves on four or more
-        pegs were memoised: (3, 18), the seed-1 traces of an older draw of
-        the benchmark and a few longer, wider and forced-split ones.  The
-        last five complete the benchmark's current seed-1 traces with
-        (3, 18) and (4, 80)."""
+    def test_output_is_pinned(self, pegs, discs, strategy, digest, moves, extra):
+        """stdout (by sha256), stderr and exit code of ``moves --verify``,
+        after any extra arguments.  The first twelve were recorded before
+        sub-solves on four or more pegs were memoised: (3, 18), the seed-1
+        traces of an older draw of the benchmark and a few longer, wider
+        and forced-split ones.  The next five complete the benchmark's
+        current seed-1 traces with (3, 18) and (4, 80).  The last two were
+        recorded before the walk's plans dropped the pegs above n + 1 on
+        boards with n <= p - 2."""
         out, err = Sha256Stream(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(
                 ["moves", "--pegs", str(pegs), "--discs", str(discs), "--strategy", strategy,
-                 "--verify"]
+                 *extra, "--verify"]
             )
         assert code == 0
         assert err.getvalue() == f"hanoilab: verify: ok ({moves} moves)\n"

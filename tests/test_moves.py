@@ -1186,6 +1186,24 @@ class TestBlockMemo:
             check.feed(chunk)
         assert check.failures() == () and check.moves == 2099
 
+    def test_a_wide_board_holds_one_slot_per_peg(self, solver):
+        """A 5-move trace on a million pegs: the walk's plans hold the n + 2
+        lowest pegs and the end check counts the target's discs down its
+        stack, so only the replay's one slot per peg grows with p."""
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            check = TraceCheck(Configuration.perfect(3, 10**6), solver=solver)
+            for chunk in trace_chunks(10**6, 3, solver=solver):
+                check.feed(chunk)
+            failures = check.failures()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert failures == () and check.moves == 5
+        # 69 MiB with every peg in each plan and a disc list per peg
+        assert peak - start < 16 * 2**20
+
     @pytest.mark.parametrize(
         "pegs, discs, strategy",
         [(4, 40, "optimal"), (5, 90, "optimal"), (6, 150, 100), (6, 469, "optimal"), (8, 512, 500)],

@@ -1022,7 +1022,7 @@ DENSE_SPACES = [
 def full_walk(pegs, discs, source, target):
     """(distance, geodesics, states, orbits) by the dense layers out to the
     target and a walk back over `neighbors()` through every layer of the
-    interval to the source, the walk arbitrary pairs take."""
+    interval to the source, the walk every pair takes."""
     layers = []
     for layer in _dense_layers(_shift_masks(pegs, discs), source):
         layers.append(layer)
@@ -1152,40 +1152,20 @@ class TestDenseSearch:
         assert (*fields, report.orbits_explored) == expected
 
     @pytest.mark.parametrize("pegs,discs", [(4, n) for n in range(6)] + [(5, n) for n in range(5)])
-    def test_every_ordered_tower_pair(self, monkeypatch, pegs, discs):
-        # distinct towers reach the dense kernel as the towers on 0 and p - 1
+    def test_every_ordered_tower_pair(self, pegs, discs):
         graph = build_graph(pegs, discs)
         towers = sorted({perfect_state(pegs, discs, q) for q in range(pegs)})
-        searched = []
-        real = hanoilab.oracle._dense_search
-
-        def recorded(*args):
-            searched.append(args[2:])
-            return real(*args)
-
-        monkeypatch.setattr(hanoilab.oracle, "_dense_search", recorded)
         for source, target in itertools.product(towers, repeat=2):
             report = bfs_distance(pegs, discs, source, target)
             fields = (report.distance, report.geodesic_count, report.states_explored)
             assert fields == nx_search(graph, source, target)
             assert report.orbits_explored == report.states_explored
             assert report.agrees is (None if source == target and discs else True)
-            if source != target:
-                assert searched[-1] == (0, pegs**discs - 1)
-
-    def test_tower_walk_stops_at_the_middle(self, monkeypatch):
-        walked = counting_walk(monkeypatch)
-        report = bfs_distance(5, 7)
-        assert (report.distance, report.geodesic_count) == (19, 32_598)
-        # the interval's layers 10..19 only; the walk back to the source reads 1,965
-        assert len(walked) == 983
-        walked.clear()
-        assert full_walk(5, 7, 0, 5**7 - 1)[:2] == (19, 32_598)
-        assert len(walked) == 1_965
 
     @pytest.mark.parametrize("pegs,discs", [s for s in DENSE_SPACES if s[0] >= 4])
     def test_arbitrary_pairs_walk_to_the_source(self, monkeypatch, pegs, discs):
-        pairs = [pair for pair in dense_pairs(pegs, discs) if pair != (0, pegs**discs - 1)]
+        # towers included: every pair walks back through every layer
+        pairs = dense_pairs(pegs, discs)
         walked = counting_walk(monkeypatch)
         for pair in pairs:
             walked.clear()
