@@ -98,9 +98,10 @@ wide, so the whole-set operations win, even against the orbit fold: a
 full ball between the towers took 0.07 s at (4,10), where the folded
 :func:`_layers` loop took 0.77 s (one core of a shared 2-core host).  Its tables hold two sets
 per disc, at most 2n bits per state: 20 at (4,10), 12 at (16,6), 4 at
-(1024,2).  Only tables of at most 8 MiB stay cached after a search, and
-the move, gate and fold tables of the spaces last used while their
-n(p-1) move entries per state sum to at most 8 MiB of bits.
+(1024,2).  The dense, move, gate and fold tables of the spaces last used
+stay cached while those spaces' n(p-1) move entries per state, one bit
+each, sum to at most 8 MiB; a heavier space's tables are built for each
+search that fetches them and go when it returns.
 
 A :func:`certify_range` sweep runs no pair search: one tower search at
 the largest disc count gives its rows, and on p >= 4 one forward search
@@ -354,24 +355,32 @@ def _block_moves(pegs: int, count: int, weight: int):
     return occupied, moves
 
 
+#: The per-space tables stay cached, least recently used first out, while
+#: the n(p-1) move entries per state of their spaces, one bit each, fit this
+#: many bytes together: up to (4,10) and (5,8) on their own.
+_TABLE_CACHE_BYTES = 8 << 20
+
+
 def _space_cache(build):
-    """Cache of the tables ``build(pegs, discs)`` of the spaces last used
-    while their n(p-1) move entries per state, counted as one bit each,
-    take at most ``_MASK_CACHE_BYTES`` together: 1.0 MiB for the (3,10),
-    (4,9) and (5,6) of a ``certify`` pass.  The space
-    last used always stays, so a search reads its tables twice but builds
-    them once; a heavier one, like the (4,11) of ``tower_distance(4, 12)``
-    or the (16,5) of (16,6), evicts the others and goes with the next."""
+    """Cache of the tables ``build(pegs, discs)`` of the spaces last used,
+    under the rule of ``_TABLE_CACHE_BYTES``: the (3,10), (4,9) and (5,6)
+    of a ``certify`` pass take 1.0 MiB of it together.  A space heavier
+    than the whole budget, like the (4,11) of ``tower_distance(4, 12)`` or
+    the (16,5) of (16,6), is built for the call and leaves the cache as it
+    was, so its tables go when the search that fetched them returns; each
+    search fetches its tables once and hands them down."""
     cache: dict[tuple[int, int], object] = {}
 
     @wraps(build)
     def cached(pegs: int, discs: int):
+        bits = 8 * _TABLE_CACHE_BYTES
+        if discs * (pegs - 1) * pegs**discs > bits:
+            return build(pegs, discs)
         tables = cache.pop((pegs, discs), None)
         if tables is None:
             tables = build(pegs, discs)
         cache[pegs, discs] = tables
-        bits = 8 * _MASK_CACHE_BYTES
-        while len(cache) > 1 and sum(n * (p - 1) * p**n for p, n in cache) > bits:
+        while sum(n * (p - 1) * p**n for p, n in cache) > bits:
             del cache[next(iter(cache))]
         return tables
 
@@ -440,23 +449,26 @@ def _low_ball(low_deltas, source: int) -> tuple[list[int], list[int]]:
 
 @_space_cache
 def _gate_tables(pegs: int, discs: int):
-    """(gate low codes, distances, geodesic counts, shells memo) of a
-    space: the low codes that leave two pegs free and the
-    :func:`_low_ball` of each, in the same order.  They hold O(p**(n//2))
-    entries per gate: 3 gates of 243 low codes at (3,11).  The memo, empty
-    here, keeps the :func:`_block_copies` shells of each pattern of gate
-    entries for every later search in the space."""
-    _, low_occupied, low_deltas, _ = _move_tables(pegs, discs)
+    """(move tables, gate low codes, distances, geodesic counts, shells
+    memo) of a space: the :func:`_move_tables` they are built from, the
+    low codes that leave two pegs free and the :func:`_low_ball` of each,
+    in the same order.  They hold O(p**(n//2)) entries per gate: 3 gates
+    of 243 low codes at (3,11).  The memo, empty here, keeps the
+    :func:`_block_copies` shells of each pattern of gate entries for every
+    later search in the space."""
+    moves = _move_tables(pegs, discs)
+    _, low_occupied, low_deltas, _ = moves
     gates = [low for low, occ in enumerate(_gates(pegs, low_occupied)) if occ is not None]
     balls = [_low_ball(low_deltas, g) for g in gates]
-    return gates, [dist for dist, _ in balls], [paths for _, paths in balls], {}
+    return moves, gates, [dist for dist, _ in balls], [paths for _, paths in balls], {}
 
 
 def _block_queue(pegs: int, discs: int, source: int, target: int | None):
     """The gate-state search of :func:`_block_search` from ``source``, run
     to the target's distance, or until its queue is empty when ``target``
     is None; returns (base, arrivals, distance rows, count rows, shells
-    memo), the memo being the space's, from the :func:`_gate_tables`.
+    memo), the memo being the space's, from its :func:`_gate_tables`, which
+    hold the move tables too.
 
     A copy is the set of codes with one high part.  Each gate state, a
     gate low code in some copy, has two events in a bucket queue keyed by
@@ -472,8 +484,8 @@ def _block_queue(pegs: int, discs: int, source: int, target: int | None):
     order of their first entry.  A row indexes the low-block distance and
     count rows: one per gate, then the source's own.
     """
-    base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
-    gates, gate_dist, gate_paths, memo = _gate_tables(pegs, discs)
+    moves, gates, gate_dist, gate_paths, memo = _gate_tables(pegs, discs)
+    base, low_occupied, low_deltas, high_moves = moves
     gate_index = {g: i for i, g in enumerate(gates)}
     s_high, s_low = divmod(source, base)
     t_high, t_low = (None, 0) if target is None else divmod(target, base)
@@ -651,7 +663,7 @@ def _block_towers(discs: int):
     return [(d, g, e, e) for (d, g), e in zip(reach, balls)]
 
 
-def _layers(pegs: int, discs: int, source: int, fold):
+def _layers(pegs: int, discs: int, source: int, moves, fold):
     """The folded BFS of :func:`_middle_search` from ``source``, one yield
     per completed layer, with no path counts: :func:`_cone` counts them
     afterwards from the tags.
@@ -670,9 +682,9 @@ def _layers(pegs: int, discs: int, source: int, fold):
     :class:`HanoiError`.  Besides the tables, the search holds
     ``pegs**discs`` tag bytes, the layer it expands and the one it makes.
 
-    Successors come from :func:`_move_tables`, built once per space: the
-    low block's legal deltas, then the high block's moves whose source and
-    end pegs hold no low disc.  Such a move needs two pegs free of low
+    Successors come from ``moves``, the :func:`_move_tables` of the space:
+    the low block's legal deltas, then the high block's moves whose source
+    and end pegs hold no low disc.  Such a move needs two pegs free of low
     discs, so the high table is read only for the low codes in ``gate``,
     those that leave two pegs empty: 184 of 1,024 pass at (4,10), 505 of
     625 at (5,9), and all wherever n//2 <= p-2.
@@ -685,7 +697,7 @@ def _layers(pegs: int, discs: int, source: int, fold):
     """
     if fold[-1][_used_pegs(fold, [source])[0]] != 1:
         raise HanoiError(f"the fold moves the source {source}")
-    base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    base, low_occupied, low_deltas, high_moves = moves
     gate = _gates(pegs, low_occupied)
     fbase, low_canon, low_ids, width, high_canon, _, _ = fold
     seen = bytearray(pegs**discs)
@@ -735,14 +747,14 @@ def _layers(pegs: int, discs: int, source: int, fold):
         frontier = nxt
 
 
-def _cone(pegs: int, discs: int, fold, seen: bytearray, starts: dict[int, list[int]]):
+def _cone(pegs: int, moves, fold, seen: bytearray, starts: dict[int, list[int]]):
     """Geodesic counts from the source of a :func:`_layers` search over
     the cone of ``starts``, one yield per layer.
 
     ``starts`` maps layers d to representatives at distance d, and ``seen``
-    is the tag array of a :func:`_layers` search with the same ``fold``
-    that has expanded the last of those layers: it yielded the next layer,
-    or ran out.  The cone is the set of orbits on some shortest path from
+    is the tag array of a :func:`_layers` search with the same ``moves``
+    and ``fold`` that has expanded the last of those layers: it yielded
+    the next layer, or ran out.  The cone is the set of orbits on some shortest path from
     the source to a start.  Yields ``(d, counts)`` for d = 0 ..
     max(starts): ``counts`` maps each cone representative at distance d
     to its geodesic count c, the count of every state of its orbit, so its
@@ -761,7 +773,7 @@ def _cone(pegs: int, discs: int, fold, seen: bytearray, starts: dict[int, list[i
     entries and two layers of counts, and canonicalises only the
     neighbours one layer nearer.
     """
-    base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
+    base, low_occupied, low_deltas, high_moves = moves
     gate = _gates(pegs, low_occupied)
     fbase, low_canon, low_ids, width, high_canon, _, _ = fold
     walked = []  # per layer, farthest first: (representative, nearer entries)
@@ -817,33 +829,11 @@ def _repeat(block: int, width: int, copies: int) -> int:
     return block
 
 
-#: Group tables whose bits take at most this many bytes stay cached for the
-#: next search in the same space: 0.5 MiB at (4,9), 3.9 MiB at (5,9).  The
-#: move, gate and fold tables stay for several spaces whose move entries fit it
-#: together.
-_MASK_CACHE_BYTES = 8 << 20
 #: (shifts, tops, base) per disc: the :func:`_build_masks` of a space.
 _Groups = tuple[tuple[tuple[int, ...], int, int], ...]
-#: The cached group tables of one space, keyed by (pegs, discs).
-_mask_cache: dict[tuple[int, int], _Groups] = {}
 
 
-def _shift_masks(pegs: int, discs: int) -> _Groups:
-    """The :func:`_build_masks` of a space, from the cache when they are
-    there.  One space is cached at a time, and only when its tables take
-    at most ``_MASK_CACHE_BYTES``: larger ones (10.4 MiB at (4,11)) are built
-    per search and dropped when it returns, so they leave the cache as it
-    was."""
-    tables = _mask_cache.get((pegs, discs))
-    if tables is None:
-        tables = _build_masks(pegs, discs)
-        bits = sum(tops.bit_length() + base.bit_length() for _, tops, base in tables)
-        if bits <= 8 * _MASK_CACHE_BYTES:
-            _mask_cache.clear()
-            _mask_cache[pegs, discs] = tables
-    return tables
-
-
+@_space_cache
 def _build_masks(pegs: int, discs: int) -> _Groups:
     """(shifts, tops, base) for each disc j, the tables of :func:`_expand`.
 
@@ -912,7 +902,7 @@ def _dense_layers(tables, source: int):
     """Layered BFS from ``source``: yields the set of states at distance d,
     as a big int, for d = 0, 1, ... while layers are non-empty.  One move
     changes one digit, disc j's, within a clique, so a layer's successors
-    are one :func:`_expand` over the :func:`_shift_masks` of the space,
+    are one :func:`_expand` over the :func:`_build_masks` of the space,
     ``tables``, not a loop over edges.  The states not yet reached are kept
     as a positive int: disc 0 is on top in every state, so its ``tops`` is
     every code."""
@@ -945,7 +935,7 @@ def _dense_search(pegs: int, discs: int, source: int, target: int):
     the source's count is the geodesic count.
     """
     classes = [0, 0, 0]
-    for d, layer in enumerate(_dense_layers(_shift_masks(pegs, discs), source)):
+    for d, layer in enumerate(_dense_layers(_build_masks(pegs, discs), source)):
         classes[d % 3] |= layer
         if layer >> target & 1:
             break
@@ -1108,8 +1098,9 @@ def _middle_search(pegs: int, discs: int):
     the forward search is done.
 
     It holds p**(n-1) tag bytes, plus the fold and move tables of the
-    (n-1)-disc space, the two widest layers of representatives and the
-    cone: (4,14) and (5,12) take 99 and 86 MiB in a fresh process.
+    (n-1)-disc space, fetched once and handed to :func:`_layers` and
+    :func:`_cone`, the two widest layers of representatives and the cone:
+    (4,14) and (5,12) take 99 and 86 MiB in a fresh process.
     """
     rows = [(0, 1, 1, 1)]
     if not discs:
@@ -1117,7 +1108,8 @@ def _middle_search(pegs: int, discs: int):
     small = discs - 1
     fold = _fold_tables(pegs, small)
     sizes = fold[-1]
-    base, low_occupied, _, _ = _move_tables(pegs, small)
+    moves = _move_tables(pegs, small)
+    base, low_occupied, _, _ = moves
     occupied, used = [0], [0]  # per block code: pegs of all digits, up to the top one
     for _ in range(small - small // 2):
         used += [occ | 1 << q for q in range(1, pegs) for occ in occupied]
@@ -1132,7 +1124,7 @@ def _middle_search(pegs: int, discs: int):
     powers = [pegs**k for k in range(discs)]
     ball = [(0, 0)] * discs  # (states, orbits) below each p**j so far
     balls, meets = [], []  # ball per layer; (d_R, free, states, orbits moving disc j+1)
-    for d, layer, seen in _layers(pegs, small, 0, fold):
+    for d, layer, seen in _layers(pegs, small, 0, moves, fold):
         layer.sort()
         ks = _used_pegs(fold, layer)
         mass = list(itertools.accumulate([sizes[k] for k in ks], initial=0))
@@ -1161,7 +1153,7 @@ def _middle_search(pegs: int, discs: int):
     if len(meets) < discs:
         raise HanoiError("state graph unexpectedly disconnected")
     starts = {d: [v for v, _ in free] for d, free, _, _ in meets}
-    cone = _cone(pegs, small, fold, seen, starts)
+    cone = _cone(pegs, moves, fold, seen, starts)
     for j, (d, free, states, orbits) in enumerate(meets):
         counts = next(c for e, c in cone if e == d)  # both run in order of d
         geodesics = sum(counts[v] ** 2 * shares[k] for v, k in free)
@@ -1314,7 +1306,7 @@ def _diameter(pegs: int, discs: int) -> tuple[int, int]:
     lower = dict.fromkeys(sorted(set(orbit)), 0)
     upper = dict.fromkeys(lower, len(orbit))  # no eccentricity reaches V
     best = runs = 0
-    masks = _shift_masks(pegs, discs) if pegs >= 4 else None
+    masks = _build_masks(pegs, discs) if pegs >= 4 else None
     while upper:
         if runs % 2:
             source = min(lower, key=lower.__getitem__)
@@ -1412,8 +1404,8 @@ def _certified_rows(pegs: int, discs: int):
     """The :func:`_tower_rows` of every m in [0, discs], with the full ball
     of radius D as states and orbits explored: the whole space on three
     pegs, one :func:`_dense_balls` search on more.  That search runs
-    first, on tables built for it alone, so neither its tables nor the tower
-    search's cached tables stay beside the other search."""
+    first.  Only tables within the cache budget outlive a search, so the
+    heavy tables of either never stay beside the other search."""
     balls = [3**m for m in range(discs + 1)] if pegs == 3 else _dense_balls(pegs, discs)
     return [(d, g, e, e) for (d, g, _, _), e in zip(_tower_rows(pegs, discs), balls)]
 

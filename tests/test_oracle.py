@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -33,7 +34,6 @@ from hanoilab.oracle import (
     _move_tables,
     _orbit_codes,
     _search,
-    _shift_masks,
     _tower_sweep,
     _used_pegs,
     bfs_distance,
@@ -198,7 +198,7 @@ class TestMoveTables:
         monkeypatch.setattr(hanoilab.oracle, "_move_tables", unaffordable)
         monkeypatch.setattr(hanoilab.oracle, "_orbit_codes", unaffordable)
         monkeypatch.setattr(hanoilab.oracle, "_fold_tables", unaffordable)
-        monkeypatch.setattr(hanoilab.oracle, "_shift_masks", unaffordable)
+        monkeypatch.setattr(hanoilab.oracle, "_build_masks", unaffordable)
         with pytest.raises(StateBudgetExceeded):
             bfs_distance(4, 20)
         with pytest.raises(StateBudgetExceeded):
@@ -271,16 +271,12 @@ def relabelled_orbit(code, pegs, discs):
 
 class TestLayers:
     @pytest.mark.parametrize("pegs,discs", [(4, 6)])
-    def test_high_table_read_only_where_two_pegs_are_free(self, monkeypatch, pegs, discs):
+    def test_high_table_read_only_where_two_pegs_are_free(self, pegs, discs):
         # a high disc moves only between two pegs that hold no low disc
         base, low_occupied, low_deltas, high_moves = _move_tables(pegs, discs)
         counted = ReadCounter(high_moves)
-        monkeypatch.setattr(
-            hanoilab.oracle,
-            "_move_tables",
-            lambda p, n: (base, low_occupied, low_deltas, counted),
-        )
-        layers = _layers(pegs, discs, 0, identity_fold(pegs, discs))
+        moves = (base, low_occupied, low_deltas, counted)
+        layers = _layers(pegs, discs, 0, moves, identity_fold(pegs, discs))
         assert sum(len(layer) for _, layer, _ in layers) == pegs**discs
         low = discs // 2
         free = sum(
@@ -292,12 +288,12 @@ class TestLayers:
     def test_exhausted_queue_reads_high_table_once_per_gate_state(self, monkeypatch, discs):
         # on three pegs the gate states are the 3 perfect towers of the low
         # block in each of the 3**ceil(n/2) copies, and each exits once
-        base, low_occupied, low_deltas, high_moves = _move_tables(3, discs)
+        (base, low_occupied, low_deltas, high_moves), *gates = _gate_tables(3, discs)
         counted = ReadCounter(high_moves)
         monkeypatch.setattr(
             hanoilab.oracle,
-            "_move_tables",
-            lambda p, n: (base, low_occupied, low_deltas, counted),
+            "_gate_tables",
+            lambda p, n: ((base, low_occupied, low_deltas, counted), *gates),
         )
         arrived = _block_queue(3, discs, 0, None)[1]
         copies = 3 ** (discs - discs // 2)
@@ -309,12 +305,12 @@ class TestLayers:
         # the count pass from every layer of an unfolded search is the whole ball
         size = pegs**discs
         sources = {0, size - 1, *random.Random(size).sample(range(size), min(2, size))}
-        fold = identity_fold(pegs, discs)
+        moves, fold = _move_tables(pegs, discs), identity_fold(pegs, discs)
         for source in sorted(sources):
             expected = reference_layers(pegs, discs, source)
             layers, seen = searched_layers(pegs, discs, source, fold)
             assert [set(layer) for layer in layers] == [set(layer) for layer in expected]
-            got = list(_cone(pegs, discs, fold, seen, dict(enumerate(layers))))
+            got = list(_cone(pegs, moves, fold, seen, dict(enumerate(layers))))
             assert got == list(enumerate(expected))
 
     @pytest.mark.parametrize("pegs,discs", [(p, n) for p, n in SMALL_SPACES if p >= 4])
@@ -322,13 +318,13 @@ class TestLayers:
         # a folded layer lists one canonical code per orbit, whose mass is its
         # size times the count of each of its states; the fold fixes the tower
         # on peg 0 only, so the search runs from it
-        fold = _fold_tables(pegs, discs)
+        moves, fold = _move_tables(pegs, discs), _fold_tables(pegs, discs)
         expected = [orbit_masses(layer, pegs, discs) for layer in reference_layers(pegs, discs, 0)]
         layers, seen = searched_layers(pegs, discs, 0, fold)
         assert [set(layer) for layer in layers] == [set(masses) for masses in expected]
         got = [
             (d, folded_masses(counts, fold))
-            for d, counts in _cone(pegs, discs, fold, seen, dict(enumerate(layers)))
+            for d, counts in _cone(pegs, moves, fold, seen, dict(enumerate(layers)))
         ]
         assert got == list(enumerate(expected))
 
@@ -347,7 +343,7 @@ class TestLayers:
     def test_cone_masses_match_reference_bfs(self, pegs, discs):
         # the cone of the middle-state search: every orbit on a geodesic from
         # the source to a state of R at its least depth, for every disc count
-        fold = _fold_tables(pegs, discs)
+        moves, fold = _move_tables(pegs, discs), _fold_tables(pegs, discs)
         layers = reference_layers(pegs, discs, 0)
         starts, cone = middle_cone(pegs, discs, layers)
         expected = []
@@ -356,16 +352,16 @@ class TestLayers:
             masses = orbit_masses(layers[d], pegs, discs)
             expected.append({r: masses[r] for r in masses if r in orbits})
         _, seen = searched_layers(pegs, discs, 0, fold)
-        got = [folded_masses(counts, fold) for _, counts in _cone(pegs, discs, fold, seen, starts)]
+        got = [folded_masses(counts, fold) for _, counts in _cone(pegs, moves, fold, seen, starts)]
         assert got == expected
 
     @pytest.mark.parametrize("pegs,discs", [(4, 3), (5, 2), (6, 4), (12, 2)])
     def test_fold_must_fix_the_source(self, pegs, discs):
-        fold = _fold_tables(pegs, discs)
+        moves, fold = _move_tables(pegs, discs), _fold_tables(pegs, discs)
         for source in (1, pegs**discs - 1, perfect_state(pegs, discs, 2)):
             with pytest.raises(HanoiError, match="moves the source"):
-                next(_layers(pegs, discs, source, fold))
-        assert next(_layers(pegs, discs, 0, fold))[:2] == (0, [0])
+                next(_layers(pegs, discs, source, moves, fold))
+        assert next(_layers(pegs, discs, 0, moves, fold))[:2] == (0, [0])
 
 
 # One search on (pegs, discs) under the budget b, for each budgeted entry point.
@@ -721,9 +717,9 @@ class TestTowerSweep:
         calls = []
         real = hanoilab.oracle._layers
 
-        def counted(pegs, discs, source, fold):
+        def counted(pegs, discs, source, moves, fold):
             calls.append((pegs, discs))
-            return real(pegs, discs, source, fold)
+            return real(pegs, discs, source, moves, fold)
 
         monkeypatch.setattr(hanoilab.oracle, "_layers", counted)
         _tower_sweep(4, 10, DEFAULT_STATE_BUDGET, solver)
@@ -769,7 +765,7 @@ def searched_layers(pegs, discs, source, fold):
     """The layers of a `_layers` search run until it is exhausted, each
     copied when it is yielded, and the tag array it leaves."""
     layers = []
-    for _, layer, seen in _layers(pegs, discs, source, fold):
+    for _, layer, seen in _layers(pegs, discs, source, _move_tables(pegs, discs), fold):
         layers.append(list(layer))
     return layers, seen
 
@@ -921,7 +917,8 @@ class TestOrbitFold:
     def test_layers_yield_canonical_codes(self, pegs, discs):
         free = tuple(range(1, pegs))
         yielded = []
-        for _, layer, _ in _layers(pegs, discs, 0, _fold_tables(pegs, discs)):
+        moves, fold = _move_tables(pegs, discs), _fold_tables(pegs, discs)
+        for _, layer, _ in _layers(pegs, discs, 0, moves, fold):
             yielded += layer
         assert len(yielded) == len(set(yielded))
         assert all(is_canonical(code, pegs, discs, free) for code in yielded)
@@ -984,14 +981,14 @@ def layers_search(pegs, discs, source, target):
     """(distance, geodesics, states, orbits) from an unfolded `_layers` BFS
     and the `_cone` count pass, which `TestLayers` checks against
     `reference_layers`."""
-    fold = identity_fold(pegs, discs)
+    moves, fold = _move_tables(pegs, discs), identity_fold(pegs, discs)
     explored = 0
-    layers = _layers(pegs, discs, source, fold)
+    layers = _layers(pegs, discs, source, moves, fold)
     for d, layer, seen in layers:
         explored += len(layer)
         if seen[target]:
             next(layers, None)  # the walk reads the neighbours of the target's layer
-            *_, (_, counts) = _cone(pegs, discs, fold, seen, {d: [target]})
+            *_, (_, counts) = _cone(pegs, moves, fold, seen, {d: [target]})
             return d, counts[target], explored, explored
     raise AssertionError("target never reached")
 
@@ -1024,7 +1021,7 @@ def full_walk(pegs, discs, source, target):
     target and a walk back over `neighbors()` through every layer of the
     interval to the source, the walk every pair takes."""
     layers = []
-    for layer in _dense_layers(_shift_masks(pegs, discs), source):
+    for layer in _dense_layers(_build_masks(pegs, discs), source):
         layers.append(layer)
         if layer >> target & 1:
             break
@@ -1075,7 +1072,7 @@ def table_bits(tables):
 class TestDenseSearch:
     @pytest.mark.parametrize("pegs,discs", SMALL_SPACES)
     def test_masks_give_the_legal_moves(self, pegs, discs):
-        tables = _shift_masks(pegs, discs)
+        tables = _build_masks(pegs, discs)
         assert len(tables) == discs
         assert table_bits(tables) <= 2 * discs * pegs**discs
         for code in range(pegs**discs):
@@ -1102,7 +1099,7 @@ class TestDenseSearch:
             size = pegs**discs
             if size > 4096:
                 break
-            tables = _shift_masks(pegs, discs)
+            tables = _build_masks(pegs, discs)
             for density in (0.001, 0.05, 0.5):
                 states = {v for v in range(size) if rng.random() < density}
                 union = {u for v in states for u in neighbors(v, pegs, discs)}
@@ -1187,7 +1184,7 @@ class TestDenseSearch:
         def no_masks(*args):
             raise AssertionError(f"shift masks built for {args}")
 
-        monkeypatch.setattr(hanoilab.oracle, "_shift_masks", no_masks)
+        monkeypatch.setattr(hanoilab.oracle, "_build_masks", no_masks)
         call()
 
     @pytest.mark.parametrize("pegs,discs", [(4, 5), (5, 4), (6, 4), (7, 4)])
@@ -1223,11 +1220,11 @@ class TestDenseSearch:
     def test_dense_layers_match_layers(self, pegs, discs):
         size = pegs**discs
         sources = {0, size - 1, *random.Random(size).sample(range(size), min(4, size))}
-        fold = identity_fold(pegs, discs)
+        moves, fold = _move_tables(pegs, discs), identity_fold(pegs, discs)
         for source in sorted(sources):
-            layers = [layer for _, layer, _ in _layers(pegs, discs, source, fold)]
+            layers = [layer for _, layer, _ in _layers(pegs, discs, source, moves, fold)]
             expected = [sum(1 << v for v in layer) for layer in layers]
-            assert list(_dense_layers(_shift_masks(pegs, discs), source)) == expected
+            assert list(_dense_layers(_build_masks(pegs, discs), source)) == expected
 
     @pytest.mark.parametrize("pegs,discs", [(4, 0), (4, 5), (5, 4), (7, 3)])
     def test_members_round_trip(self, pegs, discs):
@@ -1266,7 +1263,7 @@ class TestBlockSearch:
         # on p >= 4 most low codes leave two pegs free, so each copy has many
         # gates and a path may enter it at several; three pegs have three
         if discs >= 2:
-            assert len(_gate_tables(pegs, discs)[0]) > 3
+            assert len(_gate_tables(pegs, discs)[1]) > 3
         for pair in dense_pairs(pegs, discs, count=12):
             assert _block_search(pegs, discs, *pair) == layers_search(pegs, discs, *pair)
 
@@ -1352,60 +1349,6 @@ class TestBlockSearch:
         assert peak < 6 << 20
 
 
-def counting_builds(monkeypatch):
-    """Patch `_build_masks` to count its calls; returns the list of spaces
-    built, in order."""
-    built = []
-
-    def build(pegs, discs):
-        built.append((pegs, discs))
-        return _build_masks(pegs, discs)
-
-    monkeypatch.setattr(hanoilab.oracle, "_build_masks", build)
-    monkeypatch.setattr(hanoilab.oracle, "_mask_cache", {})
-    return built
-
-
-class TestMaskCache:
-    def test_large_masks_are_dropped(self, monkeypatch):
-        # the tables of (4,11) take 10.4 MiB; they must not outlive the search
-        built = counting_builds(monkeypatch)
-        bfs_distance(4, 9, 5, 4**9 - 7)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            report = bfs_distance(4, 11, 5, 4**11 - 7)
-            after = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert (report.distance, report.geodesic_count) == (60, 1201672)
-        assert abs(after - before) <= 1 << 20
-        # the small space stays cached: a later (4,9) pair builds nothing
-        bfs_distance(4, 9, 0, 4**9 - 1)
-        assert built == [(4, 9), (4, 11)]
-
-    def test_small_masks_are_built_once(self, monkeypatch):
-        built = counting_builds(monkeypatch)
-        for pair in dense_pairs(4, 9, count=4)[:4]:
-            bfs_distance(4, 9, *pair)
-        assert built == [(4, 9)]
-
-    def test_one_space_is_cached(self, monkeypatch):
-        built = counting_builds(monkeypatch)
-        for discs in (5, 6, 5):
-            bfs_distance(4, discs, 1, 2)
-        assert built == [(4, 5), (4, 6), (4, 5)]
-
-    def test_diameter_builds_masks_once(self, monkeypatch):
-        # an uncached space is built once per sweep, not once per BFS run
-        built = counting_builds(monkeypatch)
-        monkeypatch.setattr(hanoilab.oracle, "_MASK_CACHE_BYTES", 0)
-        metrics = graph_metrics(4, 5)
-        assert (metrics.diameter, metrics.bfs_runs) == (13, 7)
-        assert built == [(4, 5)]
-        assert hanoilab.oracle._mask_cache == {}
-
-
 def relabel(code, pegs, discs, perm):
     """The state with every disc moved from peg q to peg perm[q]."""
     config = unpack(code, pegs, discs)
@@ -1414,7 +1357,8 @@ def relabel(code, pegs, discs, perm):
 
 def eccentricity(pegs, discs, source):
     """Depth of the last layer of an unfolded BFS from ``source``."""
-    return max(d for d, *_ in _layers(pegs, discs, source, identity_fold(pegs, discs)))
+    layers = _layers(pegs, discs, source, _move_tables(pegs, discs), identity_fold(pegs, discs))
+    return max(d for d, *_ in layers)
 
 
 # Every space with p in 3..9 and at most 729 states, n = 0 and 1 included.
@@ -1588,37 +1532,119 @@ class TestCertify:
             certify_range(4, 8, solver=HanoiSolver(max_discs=5))
 
 
-class TestTableCache:
-    @pytest.mark.parametrize("tables", [_move_tables, _fold_tables, _gate_tables],
-                             ids=lambda f: f.__name__)
-    def test_small_spaces_stay_cached_together(self, tables):
-        # the spaces of a certify pass and of the graph workload's pairs
-        spaces = [(3, 10), (4, 9), (5, 6), (3, 11), (3, 6)]
-        tables.cache_clear()
-        first = [tables(*space) for space in spaces]
-        assert all(tables(*space) is built for space, built in zip(spaces, first))
-        tables.cache_clear()
+# The per-space table builders, each cached by `_space_cache`.
+BUILDERS = [_move_tables, _gate_tables, _fold_tables, _build_masks]
 
+
+def counting_builds(monkeypatch, builders=BUILDERS):
+    """Swap each cached builder for one under the same cache rule, with an
+    empty cache, that logs its builds; returns the swapped builders and the
+    spaces each built, in order, keyed by name."""
+    built = {}
+    swapped = []
+    for tables in builders:
+        name = tables.__name__
+
+        def build(pegs, discs, name=name, raw=tables.__wrapped__):
+            built.setdefault(name, []).append((pegs, discs))
+            return raw(pegs, discs)
+
+        swapped.append(hanoilab.oracle._space_cache(build))
+        monkeypatch.setattr(hanoilab.oracle, name, swapped[-1])
+    return swapped, built
+
+
+def held_bytes():
+    gc.collect()  # also empties the free lists, which tracemalloc counts as held
+    return tracemalloc.get_traced_memory()[0]
+
+
+class TestTableCache:
+    @pytest.mark.parametrize("tables", BUILDERS, ids=lambda f: f.__name__)
+    def test_small_spaces_stay_cached_together(self, monkeypatch, tables):
+        # the spaces of a certify pass and of the graph workload's pairs
+        (cached,), built = counting_builds(monkeypatch, [tables])
+        spaces = [(3, 10), (4, 9), (5, 6), (3, 11), (3, 6)]
+        first = [cached(*space) for space in spaces]
+        assert all(cached(*space) is got for space, got in zip(spaces, first))
+        assert built == {tables.__name__: spaces}
+
+    @pytest.mark.parametrize("tables", BUILDERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("large", [(4, 11), (16, 5)])
-    def test_large_spaces_evict_the_others_and_go_next(self, large):
-        _move_tables.cache_clear()
-        small = _move_tables(4, 9)
-        heavy = _move_tables(*large)
-        assert _move_tables(*large) is heavy  # a search reads its tables twice
-        assert _move_tables(4, 9) is not small
-        again = _move_tables(4, 9)
-        assert _move_tables(*large) is not heavy
-        assert _move_tables(4, 9) is not again
-        _move_tables.cache_clear()
+    def test_heavy_space_is_built_per_call_and_evicts_nothing(self, monkeypatch, tables, large):
+        (cached,), built = counting_builds(monkeypatch, [tables])
+        small = cached(4, 9)
+        heavy = cached(*large)
+        assert cached(*large) is not heavy
+        assert cached(4, 9) is small
+        assert built == {tables.__name__: [(4, 9), large, large]}
 
     def test_least_recently_used_space_goes_first(self, monkeypatch):
         # room for the move entries, n(p-1) bits per state, of (4,8) and (4,9) but not (4,7) too
         room = (8 * 3 * 4**8 + 9 * 3 * 4**9) // 8
-        monkeypatch.setattr(hanoilab.oracle, "_MASK_CACHE_BYTES", room)
-        _move_tables.cache_clear()
-        a, b = _move_tables(4, 8), _move_tables(4, 9)
-        assert _move_tables(4, 8) is a
-        _move_tables(4, 7)
-        assert _move_tables(4, 8) is a
-        assert _move_tables(4, 9) is not b
-        _move_tables.cache_clear()
+        monkeypatch.setattr(hanoilab.oracle, "_TABLE_CACHE_BYTES", room)
+        for tables in BUILDERS:
+            (cached,), built = counting_builds(monkeypatch, [tables])
+            a, b = cached(4, 8), cached(4, 9)
+            assert cached(4, 8) is a
+            cached(4, 7)
+            assert cached(4, 8) is a
+            assert cached(4, 9) is not b
+            assert built == {tables.__name__: [(4, 8), (4, 9), (4, 7), (4, 9)]}
+
+    @pytest.mark.parametrize(
+        "call,expected",
+        [
+            pytest.param(
+                lambda: tower_distance(4, 12),
+                {"_fold_tables": [(4, 11)], "_move_tables": [(4, 11)]},
+                id="tower_distance(4, 12)",
+            ),
+            pytest.param(
+                lambda: bfs_distance(3, 15, 123456, 9876543),
+                {"_gate_tables": [(3, 15)], "_move_tables": [(3, 15)]},
+                id="three-peg pair",
+            ),
+            pytest.param(
+                lambda: [bfs_distance(4, 9, *pair) for pair in dense_pairs(4, 9, count=4)[:4]],
+                {"_build_masks": [(4, 9)]},
+                id="four (4,9) pairs",
+            ),
+        ],
+    )
+    def test_searches_build_their_tables_once(self, monkeypatch, call, expected):
+        _, built = counting_builds(monkeypatch)
+        call()
+        assert built == expected
+
+    def test_diameter_builds_masks_once(self, monkeypatch):
+        # an uncached space is built once per sweep, not once per BFS run
+        monkeypatch.setattr(hanoilab.oracle, "_TABLE_CACHE_BYTES", 0)
+        _, built = counting_builds(monkeypatch)
+        metrics = graph_metrics(4, 5)
+        assert (metrics.diameter, metrics.bfs_runs) == (13, 7)
+        assert built == {"_build_masks": [(4, 5)]}
+
+    @pytest.mark.parametrize(
+        "call,fields",
+        [
+            (lambda: tower_distance(16, 6), (11, 240240, 4488016)),
+            (lambda: bfs_distance(3, 15, 123456, 9876543), (28926, 1, 10665275)),
+            (lambda: bfs_distance(4, 11, 5, 4**11 - 7), (60, 1201672, 4194268)),
+        ],
+        ids=["tower_distance(16, 6)", "(3,15) pair", "(4,11) pair"],
+    )
+    def test_heavy_tables_never_stay(self, call, fields):
+        # spaces heavier than the cache budget: the (16,5) fold and move tables
+        # took 26.7 MiB, and stayed until the next table call
+        masks = _build_masks(4, 9)
+        tracemalloc.start()
+        try:
+            before = held_bytes()
+            report = call()
+            after = held_bytes()
+        finally:
+            tracemalloc.stop()
+        assert (report.distance, report.geodesic_count, report.states_explored) == fields
+        assert abs(after - before) <= 1 << 20
+        assert _build_masks(4, 9) is masks
