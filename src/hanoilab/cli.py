@@ -15,6 +15,11 @@ CSV, one pointer per move of each long sub-solve, two copies of the
 replay's stacks until its second sighting, then its before- and
 after-runs and, on four pegs, the groups under them at each play after
 the largest disc's move (see :mod:`hanoilab.moves`).
+
+Each handler imports the modules it runs, so a command loads, besides
+``errors`` and ``recurrences``: ``solve`` nothing more, ``table``
+``tables``, ``moves`` ``moves``, ``oracle`` ``oracle``, and
+``verify-all`` ``oracle`` and ``tables``.
 """
 
 from __future__ import annotations
@@ -24,10 +29,8 @@ import os
 import sys
 from typing import NoReturn, Sequence
 
-from . import moves as mv
-from . import oracle as orc
-from . import tables as tbl
 from .errors import (
+    DEFAULT_STATE_BUDGET,
     DiscLimitError,
     DomainError,
     HanoiError,
@@ -100,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--state-budget",
         type=int,
         default=None,
-        help=f"state-space ceiling for the oracle and moves (default {orc.DEFAULT_STATE_BUDGET})",
+        help=f"state-space ceiling for the oracle and moves (default {DEFAULT_STATE_BUDGET})",
     )
 
     parser = _Parser(
@@ -170,7 +173,7 @@ def _solver_for(args: argparse.Namespace) -> HanoiSolver:
 def _budget_for(args: argparse.Namespace) -> int:
     budget = args.state_budget
     if budget is None:
-        budget = _env_int("HANOILAB_STATE_BUDGET", orc.DEFAULT_STATE_BUDGET)
+        budget = _env_int("HANOILAB_STATE_BUDGET", DEFAULT_STATE_BUDGET)
     return budget
 
 
@@ -187,6 +190,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import tables as tbl
+
     n_range = None
     if (args.start is None) != (args.stop is None):
         raise DomainError("--from and --to must be given together")
@@ -207,6 +212,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_moves(args: argparse.Namespace) -> int:
+    from . import moves as mv
+
     strategy = _parse_strategy(args.strategy)
     solver = _solver_for(args)
     if args.discs > solver.max_discs:
@@ -237,6 +244,8 @@ def _cmd_moves(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle as orc
+
     solver = _solver_for(args)
     budget = _budget_for(args)
     if args.metrics:  # the tower search, plus one search for the full balls of radius D on p >= 4
@@ -268,6 +277,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
+    from . import oracle as orc
+    from . import tables as tbl
+
     solver = _solver_for(args)
     budget = _budget_for(args)
     mismatches = 0

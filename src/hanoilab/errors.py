@@ -6,6 +6,11 @@ import math
 
 _LOG10_2 = math.log10(2)
 
+#: Ceiling on p**n for single-pair distance queries and on moves traces
+#: (L moves count as L + 1 states); here, beside the error it raises, so
+#: the CLI reads it without loading the oracle.
+DEFAULT_STATE_BUDGET = 1 << 24
+
 
 def render_count(value: int) -> str:
     """Decimal text of a positive count, or ``at least 10^e`` for counts

@@ -99,9 +99,12 @@ full ball between the towers took 0.07 s at (4,10), where the folded
 :func:`_layers` loop took 0.77 s (one core of a shared 2-core host).  Its tables hold two sets
 per disc, at most 2n bits per state: 20 at (4,10), 12 at (16,6), 4 at
 (1024,2).  The dense, move, gate and fold tables of the spaces last used
-stay cached while those spaces' n(p-1) move entries per state, one bit
-each, sum to at most 8 MiB; a heavier space's tables are built for each
-search that fetches them and go when it returns.
+stay cached while each builder's spaces weigh at most 8 MiB together: the
+dense and fold tables n(p-1) bits per state, the move and gate tables a
+pointer per move entry of the O(p**ceil(n/2)) block codes, and the gate
+tables two more per low code and gate, plus a shells memo of at most
+``_SHELL_PATTERNS`` patterns.  A heavier space's tables are built for
+each search that fetches them and go when it returns.
 
 A :func:`certify_range` sweep runs no pair search: one tower search at
 the largest disc count gives its rows, and on p >= 4 one forward search
@@ -161,13 +164,14 @@ import math
 import re
 from dataclasses import dataclass
 from functools import wraps
+from typing import TYPE_CHECKING
 
-from .errors import DomainError, HanoiError, StateBudgetExceeded
-from .moves import Configuration
+from .errors import DEFAULT_STATE_BUDGET, DomainError, HanoiError, StateBudgetExceeded
 from .recurrences import HanoiSolver, _resolve
 
-#: Ceiling on p**n for single-pair distance queries.
-DEFAULT_STATE_BUDGET = 1 << 24
+if TYPE_CHECKING:
+    from .moves import Configuration
+
 #: Stricter ceiling for whole-graph metrics.  It bounds vertices only, not
 #: the number of full BFS runs the diameter takes (12 at (3,12), where one
 #: run sweeps all 531,441 states).
@@ -186,6 +190,8 @@ def pack(config: Configuration) -> PackedState:
 
 def unpack(code: PackedState, pegs: int, discs: int) -> Configuration:
     """Configuration for a base-p code."""
+    from .moves import Configuration
+
     _check_code(code, pegs, discs)
     out = []
     for _ in range(discs):
@@ -355,40 +361,80 @@ def _block_moves(pegs: int, count: int, weight: int):
     return occupied, moves
 
 
-#: The per-space tables stay cached, least recently used first out, while
-#: the n(p-1) move entries per state of their spaces, one bit each, fit this
-#: many bytes together: up to (4,10) and (5,8) on their own.
+#: Each builder's tables stay cached, least recently used first out, while
+#: the weights of their spaces fit this many bytes together.
 _TABLE_CACHE_BYTES = 8 << 20
 
 
-def _space_cache(build):
+def _state_bits(pegs: int, discs: int) -> int:
+    """Weight of the fold and dense tables: the n(p-1) move entries per
+    state of the space, one bit each, so up to (4,10) and (5,8) fit on
+    their own."""
+    return discs * (pegs - 1) * pegs**discs
+
+
+def _block_bits(pegs: int, discs: int) -> int:
+    """Weight of the move tables: a pointer, 64 bits, for each of the at
+    most n(p-1) moves of each of the p**ceil(n/2) or fewer codes of a
+    block.  The (3,15) tables weigh 1.5 MiB and traced 0.23 MiB; (16,5)
+    weighs 2.3 MiB and traced 1.1 MiB."""
+    return 64 * discs * (pegs - 1) * pegs ** ((discs + 1) // 2)
+
+
+#: The shells memo of a space keeps at most this many patterns of gate
+#: entries: every sweep of ``graph_metrics(3, n)``, n <= 12, leaves at most
+#: 27, and the ``graph`` workload's (3,11) pairs 22 to 28 for seeds 1-4.
+#: Unbounded, 40 random (3,15) pairs left 340 of them, 26.5 MiB.
+_SHELL_PATTERNS = 64
+
+
+def _gate_bits(pegs: int, discs: int) -> int:
+    """Weight of the gate tables: their move tables, plus a distance and a
+    count pointer per low code for each gate, plus a full shells memo, a
+    pointer and an int object, 288 bits, per low code and pattern.  A gate
+    leaves some pair of pegs free, so there are at most C(p, 2) *
+    (p-2)**low of them: 3 on three pegs.  (3,15) weighs 6.4 MiB, 4.8 MiB
+    of it the memo."""
+    low = discs // 2
+    gates = min(pegs**low, math.comb(pegs, 2) * (pegs - 2) ** low)
+    return _block_bits(pegs, discs) + (128 * gates + 288 * _SHELL_PATTERNS) * pegs**low
+
+
+def _space_cache(weigh):
     """Cache of the tables ``build(pegs, discs)`` of the spaces last used,
-    under the rule of ``_TABLE_CACHE_BYTES``: the (3,10), (4,9) and (5,6)
-    of a ``certify`` pass take 1.0 MiB of it together.  A space heavier
-    than the whole budget, like the (4,11) of ``tower_distance(4, 12)`` or
-    the (16,5) of (16,6), is built for the call and leaves the cache as it
-    was, so its tables go when the search that fetched them returns; each
-    search fetches its tables once and hands them down."""
-    cache: dict[tuple[int, int], object] = {}
+    under the rule of ``_TABLE_CACHE_BYTES`` with ``weigh(pegs, discs)``
+    bits per space: the (4,9) and (5,6) fold tables of a ``certify`` pass
+    take 0.9 MiB of it together.  A space heavier than
+    the whole budget, like the (4,11) fold tables of ``tower_distance(4,
+    12)`` or the (16,5) ones of (16,6), is built for the call and leaves
+    the cache as it was, so its tables go when the search that fetched
+    them returns; each search fetches its tables once and hands them
+    down."""
 
-    @wraps(build)
-    def cached(pegs: int, discs: int):
-        bits = 8 * _TABLE_CACHE_BYTES
-        if discs * (pegs - 1) * pegs**discs > bits:
-            return build(pegs, discs)
-        tables = cache.pop((pegs, discs), None)
-        if tables is None:
-            tables = build(pegs, discs)
-        cache[pegs, discs] = tables
-        while sum(n * (p - 1) * p**n for p, n in cache) > bits:
-            del cache[next(iter(cache))]
-        return tables
+    def decorate(build):
+        cache: dict[tuple[int, int], object] = {}
 
-    cached.cache_clear = cache.clear
-    return cached
+        @wraps(build)
+        def cached(pegs: int, discs: int):
+            bits = 8 * _TABLE_CACHE_BYTES
+            if weigh(pegs, discs) > bits:
+                return build(pegs, discs)
+            tables = cache.pop((pegs, discs), None)
+            if tables is None:
+                tables = build(pegs, discs)
+            cache[pegs, discs] = tables
+            while sum(weigh(p, n) for p, n in cache) > bits:
+                del cache[next(iter(cache))]
+            return tables
+
+        cached.cache_clear = cache.clear
+        cached.weigh = weigh
+        return cached
+
+    return decorate
 
 
-@_space_cache
+@_space_cache(_block_bits)
 def _move_tables(pegs: int, discs: int):
     """(base, low occupied masks, low deltas, high moves) for a space.
 
@@ -447,15 +493,15 @@ def _low_ball(low_deltas, source: int) -> tuple[list[int], list[int]]:
     return dist, paths
 
 
-@_space_cache
+@_space_cache(_gate_bits)
 def _gate_tables(pegs: int, discs: int):
     """(move tables, gate low codes, distances, geodesic counts, shells
     memo) of a space: the :func:`_move_tables` they are built from, the
     low codes that leave two pegs free and the :func:`_low_ball` of each,
     in the same order.  They hold O(p**(n//2)) entries per gate: 3 gates
     of 243 low codes at (3,11).  The memo, empty here, keeps the
-    :func:`_block_copies` shells of each pattern of gate entries for every
-    later search in the space."""
+    :func:`_block_copies` shells of up to ``_SHELL_PATTERNS`` patterns of
+    gate entries for every later search in the space."""
     moves = _move_tables(pegs, discs)
     _, low_occupied, low_deltas, _ = moves
     gates = [low for low, occ in enumerate(_gates(pegs, low_occupied)) if occ is not None]
@@ -562,11 +608,10 @@ def _block_copies(queue, reach: int) -> list[tuple[int, int, list[list[int]]]]:
 
     The shells depend only on the entries' rows and their offsets from the
     first, in order of arrival, so copies with the same pattern share one
-    list, and the space's memo keeps it for the next search: every sweep
-    of ``graph_metrics(3, n)``, n <= 12, leaves at most 27 patterns there.
-    Only the source's own copy, entered first along the source's own row,
-    is built afresh each time.  The lists are shared, so callers only read
-    them.
+    list, and the space's memo keeps it for the next search, up to
+    ``_SHELL_PATTERNS`` patterns.  Only the source's own copy, entered
+    first along the source's own row, is built afresh each time.  The
+    lists are shared, so callers only read them.
     """
     base, arrived, dists, _, memo = queue
     copies = []
@@ -582,7 +627,8 @@ def _block_copies(queue, reach: int) -> list[tuple[int, int, list[list[int]]]]:
             shells = [[] for _ in range(max(near) + 1)]
             for low, j in enumerate(near):
                 shells[j].append(low)
-            if key[0][0] < len(dists) - 1:  # not the source's own row
+            # not the source's own row
+            if key[0][0] < len(dists) - 1 and len(memo) < _SHELL_PATTERNS:
                 memo[key] = shells
         copies.append((first, high * base, shells))
     return copies
@@ -833,7 +879,7 @@ def _repeat(block: int, width: int, copies: int) -> int:
 _Groups = tuple[tuple[tuple[int, ...], int, int], ...]
 
 
-@_space_cache
+@_space_cache(_state_bits)
 def _build_masks(pegs: int, discs: int) -> _Groups:
     """(shifts, tops, base) for each disc j, the tables of :func:`_expand`.
 
@@ -1032,7 +1078,7 @@ def _fold_split(pegs: int, discs: int) -> int:
     return entries.index(min(entries))
 
 
-@_space_cache
+@_space_cache(_state_bits)
 def _fold_tables(pegs: int, discs: int):
     """(base, low canon, low order ids, width, high canon, high k, sizes)
     for the relabellings of the pegs 1..p-1.

@@ -23,6 +23,10 @@ from hanoilab.recurrences import HanoiSolver
 from hanoilab.tables import REFERENCE, Table1Row
 
 
+#: ``--help`` output of each command, pinned.
+HELP = os.path.join(os.path.dirname(__file__), "help")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -388,16 +392,16 @@ class TestMoves:
     def test_verification_failure_exits_two(self, capsys, monkeypatch):
         # force a wrong trace by dropping the last move of the stream the
         # command writes and checks
-        import hanoilab.cli as cli
+        import hanoilab.moves
 
-        real = cli.mv.trace_chunks
+        real = hanoilab.moves.trace_chunks
 
         def broken(*args, **kwargs):
             chunks = list(real(*args, **kwargs))
             chunks[-1] = chunks[-1][:-1]
             return iter(chunks)
 
-        monkeypatch.setattr(cli.mv, "trace_chunks", broken)
+        monkeypatch.setattr(hanoilab.moves, "trace_chunks", broken)
         code, out, err = run(capsys, "moves", "--pegs", "3", "--discs", "3", "--verify")
         assert code == 2
         assert "verify:" in err
@@ -720,11 +724,50 @@ class TestCommandLineSurface:
     def test_import_loads_no_statistics_fractions_or_decimal(self):
         # each is imported by the one function that needs it
         code = (
-            "import sys, hanoilab, hanoilab.cli; "
+            "import sys, hanoilab.cli, hanoilab.moves, hanoilab.oracle, hanoilab.tables; "
             "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_import_loads_no_submodule(self):
+        code = "import sys, hanoilab; print(sorted(m for m in sys.modules if 'hanoilab' in m))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['hanoilab']\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["solve", "--pegs", "4", "--discs", "9"], []),
+            (["table", "--kind", "table1"], ["tables"]),
+            (["moves", "--pegs", "4", "--discs", "5", "--verify"], ["moves"]),
+            (["oracle", "--pegs", "4", "--max", "5"], ["oracle"]),
+            (["verify-all", "--state-budget", str(4**6)], ["oracle", "tables"]),
+        ],
+        ids=["solve", "table", "moves", "oracle", "verify-all"],
+    )
+    def test_each_command_loads_only_what_it_runs(self, argv, extra):
+        # in a fresh process: the package, its CLI, errors and the solver,
+        # plus the modules the handler imports
+        code = (
+            "import contextlib, io, sys; from hanoilab.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if 'hanoilab' in m))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        loaded = ["cli", "errors", "recurrences", *extra]
+        expected = f"0 {['hanoilab'] + sorted('hanoilab.' + m for m in loaded)}\n"
+        assert (proc.returncode, proc.stdout) == (0, expected)
+
+    @pytest.mark.parametrize("command", ["hanoilab", "solve", "table", "moves", "oracle", "verify-all"])
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        # pinned at 80 columns: the help text reads its defaults from errors and
+        # recurrences, not from the modules each handler imports
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if command == "hanoilab" else [command]
+        code, out, _ = run(capsys, *argv, "--help")
+        with open(os.path.join(HELP, f"{command}.txt"), encoding="utf-8") as pinned:
+            assert (code, out) == (0, pinned.read())
 
     def test_module_entry_point(self):
         import subprocess

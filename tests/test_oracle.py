@@ -1532,7 +1532,7 @@ class TestCertify:
             certify_range(4, 8, solver=HanoiSolver(max_discs=5))
 
 
-# The per-space table builders, each cached by `_space_cache`.
+# The per-space table builders, each cached by `_space_cache` under its own weight.
 BUILDERS = [_move_tables, _gate_tables, _fold_tables, _build_masks]
 
 
@@ -1549,7 +1549,7 @@ def counting_builds(monkeypatch, builders=BUILDERS):
             built.setdefault(name, []).append((pegs, discs))
             return raw(pegs, discs)
 
-        swapped.append(hanoilab.oracle._space_cache(build))
+        swapped.append(hanoilab.oracle._space_cache(tables.weigh)(build))
         monkeypatch.setattr(hanoilab.oracle, name, swapped[-1])
     return swapped, built
 
@@ -1572,6 +1572,8 @@ class TestTableCache:
     @pytest.mark.parametrize("tables", BUILDERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("large", [(4, 11), (16, 5)])
     def test_heavy_space_is_built_per_call_and_evicts_nothing(self, monkeypatch, tables, large):
+        # a budget just below the large space's weight
+        monkeypatch.setattr(hanoilab.oracle, "_TABLE_CACHE_BYTES", (tables.weigh(*large) - 1) // 8)
         (cached,), built = counting_builds(monkeypatch, [tables])
         small = cached(4, 9)
         heavy = cached(*large)
@@ -1580,10 +1582,10 @@ class TestTableCache:
         assert built == {tables.__name__: [(4, 9), large, large]}
 
     def test_least_recently_used_space_goes_first(self, monkeypatch):
-        # room for the move entries, n(p-1) bits per state, of (4,8) and (4,9) but not (4,7) too
-        room = (8 * 3 * 4**8 + 9 * 3 * 4**9) // 8
-        monkeypatch.setattr(hanoilab.oracle, "_TABLE_CACHE_BYTES", room)
         for tables in BUILDERS:
+            # room for the weights of (4,8) and (4,9) but not (4,7) too
+            room = (tables.weigh(4, 8) + tables.weigh(4, 9)) // 8
+            monkeypatch.setattr(hanoilab.oracle, "_TABLE_CACHE_BYTES", room)
             (cached,), built = counting_builds(monkeypatch, [tables])
             a, b = cached(4, 8), cached(4, 9)
             assert cached(4, 8) is a
@@ -1606,6 +1608,13 @@ class TestTableCache:
                 id="three-peg pair",
             ),
             pytest.param(
+                # the (3,15) tables traced 0.33 MiB: weighed by their block
+                # codes, not by the states of the space, they stay cached
+                lambda: [bfs_distance(3, 15, 1000, 2000) for _ in range(2)],
+                {"_gate_tables": [(3, 15)], "_move_tables": [(3, 15)]},
+                id="two short three-peg pairs",
+            ),
+            pytest.param(
                 lambda: [bfs_distance(4, 9, *pair) for pair in dense_pairs(4, 9, count=4)[:4]],
                 {"_build_masks": [(4, 9)]},
                 id="four (4,9) pairs",
@@ -1617,6 +1626,15 @@ class TestTableCache:
         call()
         assert built == expected
 
+    def test_shells_memo_stops_at_its_pattern_count(self, monkeypatch):
+        # the gate tables' weight counts _SHELL_PATTERNS patterns of shells
+        pairs = [(1000, 2000), (5, 3**11 - 7), (123, 45678)]
+        expected = [bfs_distance(3, 11, *pair) for pair in pairs]
+        monkeypatch.setattr(hanoilab.oracle, "_SHELL_PATTERNS", 4)
+        (gate_tables,), _ = counting_builds(monkeypatch, [_gate_tables])
+        assert [bfs_distance(3, 11, *pair) for pair in pairs] == expected
+        assert len(gate_tables(3, 11)[4]) == 4
+
     def test_diameter_builds_masks_once(self, monkeypatch):
         # an uncached space is built once per sweep, not once per BFS run
         monkeypatch.setattr(hanoilab.oracle, "_TABLE_CACHE_BYTES", 0)
@@ -1626,18 +1644,31 @@ class TestTableCache:
         assert built == {"_build_masks": [(4, 5)]}
 
     @pytest.mark.parametrize(
-        "call,fields",
+        "call,fields,warm",
         [
-            (lambda: tower_distance(16, 6), (11, 240240, 4488016)),
-            (lambda: bfs_distance(3, 15, 123456, 9876543), (28926, 1, 10665275)),
-            (lambda: bfs_distance(4, 11, 5, 4**11 - 7), (60, 1201672, 4194268)),
+            (lambda: tower_distance(16, 6), (11, 240240, 4488016), lambda: _move_tables(16, 5)),
+            (
+                lambda: bfs_distance(3, 15, 123456, 9876543),
+                (28926, 1, 10665275),
+                lambda: bfs_distance(3, 15, 123456, 9876543),
+            ),
+            (
+                lambda: bfs_distance(3, 16, 5, 3**16 - 7, state_budget=3**16),
+                (65533, 1, 42997569),
+                lambda: _move_tables(3, 16),
+            ),
+            (lambda: bfs_distance(4, 11, 5, 4**11 - 7), (60, 1201672, 4194268), lambda: None),
         ],
-        ids=["tower_distance(16, 6)", "(3,15) pair", "(4,11) pair"],
+        ids=["tower_distance(16, 6)", "(3,15) pair", "(3,16) pair", "(4,11) pair"],
     )
-    def test_heavy_tables_never_stay(self, call, fields):
+    def test_heavy_tables_never_stay(self, call, fields, warm):
         # spaces heavier than the cache budget: the (16,5) fold and move tables
-        # took 26.7 MiB, and stayed until the next table call
+        # took 26.7 MiB, and stayed until the next table call.  ``warm`` builds
+        # the light tables of the search first, which stay: the (16,5) and
+        # (3,16) move tables, and every (3,15) table with the shells the pair
+        # keeps in its memo, so a repeat of that pair holds nothing more
         masks = _build_masks(4, 9)
+        warm()
         tracemalloc.start()
         try:
             before = held_bytes()
